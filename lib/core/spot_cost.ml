@@ -122,7 +122,8 @@ let slot_outcome regime m ~tier ~length ~progress ~total ~revocation =
   if not (total > progress) then
     invalid_arg "Spot_cost.slot_outcome: total must exceed progress";
   if not (length > 0.0) then invalid_arg "Spot_cost.slot_outcome: non-positive length";
-  if revocation < 0.0 then invalid_arg "Spot_cost.slot_outcome: negative revocation";
+  if not (revocation >= 0.0) then
+    invalid_arg "Spot_cost.slot_outcome: revocation must be >= 0 (NaN rejected)";
   let open Cost_model in
   let p = price regime tier in
   let revocation = match tier with On_demand -> infinity | Spot -> revocation in
@@ -162,103 +163,203 @@ let is_degenerate regime =
       (* stochlint: allow FLOAT_EQ — intentional exact sentinel values *)
       regime.price_ratio = 1.0 && regime.revocation_rate = 0.0
 
-(* Expected cost of running a job of known size [t] under [plan],
-   solved exactly by backward recursion over (reservation index,
-   durable snapshot count) with closed-form exponential revocation
-   windows. Branches with reach weight below [prune] contribute
-   nothing detectable and are cut to bound the window walks. *)
-let cost_for_total regime m plan t =
+(* Revocation-window edges of one restore offset, tabulated lazily.
+   Entry [c] holds, at [3c], [3c + 1] and [3c + 2], the window's lower
+   edge lo_c (0 for c = 0, else restore + c (period + sigma)),
+   exp(-lam lo_c) and (lo_c + 1/lam) exp(-lam lo_c): the very
+   expressions the window walk would evaluate per state, so a table
+   read is bit-identical to the call it replaces. Window c's upper edge
+   is entry c + 1 unless the attempt's end clips it. *)
+type windows = {
+  lam : float;
+  inv : float;
+  stride : float;
+  offset : float;  (* the attempt's restore overhead *)
+  mutable tab : float array;
+  mutable filled : int;
+}
+
+let windows ~lam ~stride offset =
+  { lam; inv = 1.0 /. lam; stride; offset; tab = [||]; filled = 0 }
+
+(* Make entries [0 .. c] available, at least doubling the table. *)
+let extend w c =
+  let cap = if c + 1 >= 2 * w.filled then c + 1 else 2 * w.filled in
+  let tab = Array.make (3 * cap) 0.0 in
+  Array.blit w.tab 0 tab 0 (3 * w.filled);
+  for i = w.filled to cap - 1 do
+    let lo = if i = 0 then 0.0 else w.offset +. (float_of_int i *. w.stride) in
+    let e = exp (-.w.lam *. lo) in
+    tab.(3 * i) <- lo;
+    tab.((3 * i) + 1) <- e;
+    tab.((3 * i) + 2) <- (lo +. w.inv) *. e
+  done;
+  w.tab <- tab;
+  w.filled <- cap
+
+(* Grow a memo or stack so that index [i] fits, doubling at least. *)
+let grown a i fill =
+  let len = Array.length a in
+  let b = Array.make (if i + 1 >= 2 * len then i + 1 else 2 * len) fill in
+  Array.blit a 0 b 0 len;
+  b
+
+(* The cost of running a job of known size under [plan], as a function
+   of the size: the exact backward recursion over states (reservation
+   index k, durable snapshot count j), with closed-form exponential
+   revocation windows. Branches with reach weight below [prune]
+   contribute nothing detectable and are cut to bound the window walks.
+
+   One scorer serves every job size of a plan. State (k, j) lives at
+   [2 + j * max_k + k] of a flat float memo, NaN while empty; index 0
+   holds [infinity] (walked past the extension) and index 1 holds [0.0]
+   (the job is done). The memo grows geometrically and is reused across
+   sizes: [touched] stacks the indices a size filled, and only those
+   are cleared for the next one. The attempt geometry is that of
+   [attempt_of] / [snaps_by], inlined; mins are written out as
+   [if a <= b then a else b], [Stdlib.min]'s own definition, so the
+   arithmetic and every result are bit-identical to the plain
+   recursion, which the tests keep as their oracle. *)
+let plan_scorer regime m plan =
   let open Cost_model in
-  let lam_spot = regime.revocation_rate in
-  let period, sigma =
-    match regime.recovery with
-    | Restart -> (infinity, 0.0)
-    | Snapshot s -> (s.period, s.snapshot_cost)
-  in
   let prune = 1e-13 in
   let n = Array.length plan.lengths in
   let max_k = n + 128 in
-  let memo : (int * int, float) Hashtbl.t = Hashtbl.create 64 in
-  let rec go k j =
-    let key = (k, j) in
-    match Hashtbl.find_opt memo key with
-    | Some v -> v
-    | None ->
-        let v = compute k j in
-        Hashtbl.replace memo key v;
-        v
-  and compute k j =
-    if k >= max_k then infinity
-    else
-      let progress =
-        match regime.recovery with
-        | Restart -> 0.0
-        | Snapshot _ -> float_of_int j *. period
-      in
-      if progress >= t then 0.0
-      else
-        let length, tier = slot plan k in
-        let p = price regime tier in
-        let lam = match tier with On_demand -> 0.0 | Spot -> lam_spot in
-        let a = attempt_of regime ~progress ~total:t in
-        let e_fin = a.finish_elapsed in
-        (* Rate 0 selects the deterministic (revocation-free) closed
-           form; any positive rate takes the exponential-window branch. *)
-        (* stochlint: allow FLOAT_EQ — intentional exact zero-rate sentinel *)
-        if lam = 0.0 then
-          if e_fin <= length then (p *. m.alpha *. length) +. (m.beta *. e_fin) +. m.gamma
-          else
-            let c = snaps_by regime a ~elapsed:length in
-            (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma +. go (k + 1) (j + c)
-        else begin
-          let m_lim = min e_fin length in
-          let acc = ref 0.0 in
-          if e_fin <= length then
-            (* Success: the job finishes at e_fin unless revoked first. *)
-            acc :=
-              exp (-.lam *. e_fin)
-              *. ((p *. m.alpha *. length) +. (m.beta *. e_fin) +. m.gamma)
-          else begin
-            (* Expiry: survive to the reservation end, job unfinished. *)
-            let pe = exp (-.lam *. length) in
-            let c = snaps_by regime a ~elapsed:length in
-            let bill = (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma in
-            acc := !acc +. (pe *. bill);
-            if pe > prune then acc := !acc +. (pe *. go (k + 1) (j + c))
-          end;
-          (* Revocation windows: a revocation s hours in, with exactly c
-             snapshots durable, lands in
-             [restore + c (period + sigma), restore + (c+1) (period + sigma))
-             (window 0 starts at 0). Pay-for-use billing integrates
-             lam e^(-lam s) ((p alpha + beta) s + gamma) in closed form. *)
-          let crate = (p *. m.alpha) +. m.beta in
-          let inv = 1.0 /. lam in
-          let c = ref 0 in
-          let continue = ref true in
-          while !continue do
-            let lo =
-              if !c = 0 then 0.0
-              else a.restore +. (float_of_int !c *. (period +. sigma))
-            in
-            if lo >= m_lim then continue := false
-            else begin
-              let hi = min m_lim (a.restore +. (float_of_int (!c + 1) *. (period +. sigma))) in
-              let e_lo = exp (-.lam *. lo) and e_hi = exp (-.lam *. hi) in
-              let prob = e_lo -. e_hi in
-              let s_int = ((lo +. inv) *. e_lo) -. ((hi +. inv) *. e_hi) in
-              acc := !acc +. (crate *. s_int) +. (m.gamma *. prob);
-              if prob > prune then begin
-                let cc = min !c a.snaps_to_finish in
-                acc := !acc +. (prob *. go (k + 1) (j + cc))
-              end;
-              incr c;
-              if hi >= m_lim || e_hi < prune then continue := false
-            end
-          done;
-          !acc
-        end
+  let lengths = Array.init max_k (fun k -> fst (slot plan k)) in
+  let on_spot =
+    Array.init max_k (fun k -> match snd (slot plan k) with Spot -> true | On_demand -> false)
   in
-  go 0 0
+  let lam = regime.revocation_rate in
+  (* Rate 0 selects the deterministic (revocation-free) closed form;
+     any other rate takes the exponential-window branch on spot slots. *)
+  (* stochlint: allow FLOAT_EQ — intentional exact zero-rate sentinel *)
+  let revocable = not (lam = 0.0) in
+  let snapshot, period, sigma, restore_cost =
+    match regime.recovery with
+    | Restart -> (false, infinity, 0.0, 0.0)
+    | Snapshot s -> (true, s.period, s.snapshot_cost, s.restore_cost)
+  in
+  let stride = period +. sigma in
+  let beta = m.beta and gamma = m.gamma in
+  let alpha_od = price regime On_demand *. m.alpha in
+  let alpha_spot = price regime Spot *. m.alpha in
+  let crate = alpha_spot +. beta in
+  let fresh = windows ~lam ~stride 0.0 in
+  let resumed = windows ~lam ~stride restore_cost in
+  let memo = ref (Array.make (2 + (4 * max_k)) Float.nan) in
+  !memo.(0) <- infinity;
+  !memo.(1) <- 0.0;
+  let touched = ref (Array.make 256 0) in
+  let top = ref 0 in
+  let size = [| 0.0 |] in
+  (* The memo index holding state (k, j)'s cost, filled on demand. *)
+  let rec state k j =
+    if k >= max_k then 0
+    else
+      let t = size.(0) in
+      let progress = if snapshot then float_of_int j *. period else 0.0 in
+      if progress >= t then 1
+      else begin
+        let idx = 2 + (j * max_k) + k in
+        if idx >= Array.length !memo then memo := grown !memo idx Float.nan;
+        if Float.is_nan !memo.(idx) then fill k j idx;
+        idx
+      end
+  and fill k j idx =
+    let t = size.(0) in
+    let progress = if snapshot then float_of_int j *. period else 0.0 in
+    let length = lengths.(k) in
+    let spot = on_spot.(k) in
+    let p_alpha = if spot then alpha_spot else alpha_od in
+    (* Attempt geometry: restore overhead, snapshots the attempt still
+       has to write, and the elapsed time to finish. *)
+    let restore = if snapshot && progress > 0.0 then restore_cost else 0.0 in
+    let snaps =
+      if snapshot then
+        let s = int_of_float (ceil ((t -. progress) /. period)) - 1 in
+        if s > 0 then s else 0
+      else 0
+    in
+    let e_fin =
+      if snapshot then restore +. (t -. progress) +. (sigma *. float_of_int snaps) else t
+    in
+    (* Snapshots durable when the reservation expires unfinished. *)
+    let c_exp =
+      if snapshot && not (e_fin <= length) then
+        let c = int_of_float (floor ((length -. restore) /. stride)) in
+        let c = if c <= snaps then c else snaps in
+        if c <= 0 then 0 else c
+      else 0
+    in
+    let v =
+      if not (spot && revocable) then
+        if e_fin <= length then (p_alpha *. length) +. (beta *. e_fin) +. gamma
+        else
+          let i = state (k + 1) (j + c_exp) in
+          (p_alpha *. length) +. (beta *. length) +. gamma +. !memo.(i)
+      else begin
+        let m_lim = if e_fin <= length then e_fin else length in
+        let acc = ref 0.0 in
+        if e_fin <= length then
+          (* Success: the job finishes at e_fin unless revoked first. *)
+          acc := exp (-.lam *. e_fin) *. ((p_alpha *. length) +. (beta *. e_fin) +. gamma)
+        else begin
+          (* Expiry: survive to the reservation end, job unfinished. *)
+          let pe = exp (-.lam *. length) in
+          let bill = (p_alpha *. length) +. (beta *. length) +. gamma in
+          acc := !acc +. (pe *. bill);
+          if pe > prune then begin
+            let i = state (k + 1) (j + c_exp) in
+            acc := !acc +. (pe *. !memo.(i))
+          end
+        end;
+        (* Revocation windows: a revocation s hours in, with exactly c
+           snapshots durable, lands in [lo_c, lo_(c+1)) clipped to
+           m_lim. Pay-for-use billing integrates
+           lam e^(-lam s) ((p alpha + beta) s + gamma) in closed form. *)
+        let w = if restore > 0.0 then resumed else fresh in
+        let c = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let c0 = !c in
+          if c0 + 1 >= w.filled then extend w (c0 + 1);
+          let tab = w.tab in
+          let lo = tab.(3 * c0) in
+          if lo >= m_lim then continue := false
+          else begin
+            let next = tab.((3 * c0) + 3) in
+            let clipped = m_lim <= next in
+            let hi = if clipped then m_lim else next in
+            let e_hi = if clipped then exp (-.lam *. m_lim) else tab.((3 * c0) + 4) in
+            let s_hi = if clipped then (m_lim +. w.inv) *. e_hi else tab.((3 * c0) + 5) in
+            let prob = tab.((3 * c0) + 1) -. e_hi in
+            let s_int = tab.((3 * c0) + 2) -. s_hi in
+            acc := !acc +. (crate *. s_int) +. (gamma *. prob);
+            if prob > prune then begin
+              let i = state (k + 1) (j + if c0 <= snaps then c0 else snaps) in
+              acc := !acc +. (prob *. !memo.(i))
+            end;
+            c := c0 + 1;
+            if hi >= m_lim || e_hi < prune then continue := false
+          end
+        done;
+        !acc
+      end
+    in
+    !memo.(idx) <- v;
+    if !top >= Array.length !touched then touched := grown !touched !top 0;
+    !touched.(!top) <- idx;
+    incr top
+  in
+  fun t ->
+    size.(0) <- t;
+    let v = !memo.(state 0 0) in
+    let memo = !memo and touched = !touched in
+    for i = 0 to !top - 1 do
+      memo.(touched.(i)) <- Float.nan
+    done;
+    top := 0;
+    v
 
 (* Midpoint equal-probability grid: values at quantile
    (F(b) (i + 1/2) / n). Unlike the DP's right-endpoint grid
@@ -275,10 +376,9 @@ let evaluator_general ~disc_n ~eps regime m d =
   in
   let w = 1.0 /. n in
   fun plan ->
+    let cost = plan_scorer regime m plan in
     let acc = Numerics.Kahan.create () in
-    Array.iter
-      (fun v -> if v > 0.0 then Numerics.Kahan.add acc (w *. cost_for_total regime m plan v))
-      values;
+    Array.iter (fun v -> if v > 0.0 then Numerics.Kahan.add acc (w *. cost v)) values;
     Numerics.Kahan.sum acc
 
 let evaluator ?(disc_n = 2000) ?(eps = 1e-9) regime m d =

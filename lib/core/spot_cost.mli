@@ -128,7 +128,7 @@ val slot_outcome :
     only disagree on revocation-time {e distribution}, never on
     per-attempt accounting.
     @raise Invalid_argument if [progress < 0], [total <= progress],
-    [length <= 0] or [revocation < 0]. *)
+    [length <= 0], or [revocation] is negative or NaN. *)
 
 val expected_cost :
   ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t -> plan -> float
@@ -136,9 +136,15 @@ val expected_cost :
     running a [d]-distributed job under [plan]. The job-size law is
     discretized into [disc_n] (default [2000]) equal-probability points
     truncated at quantile [1 - eps] (default [1e-9]); for each size the
-    attempt recursion is solved exactly with closed-form revocation
-    window probabilities, memoized over (reservation index, durable
-    snapshots). Degenerate regimes ({!on_demand_only}-equal) with
+    attempt recursion over (reservation index, durable snapshots) is
+    solved exactly with closed-form revocation window probabilities.
+    One flat float memo per plan serves all its sizes (only the states a
+    size filled are cleared for the next), and the window edges'
+    [exp] terms are tabulated per regime and restore offset, so a state
+    costs a few float operations and no allocation. The arithmetic is
+    that of the plain hashtable-memoized recursion, which the tests keep
+    as an oracle: every cost is bit-identical to it. Degenerate regimes
+    ({!on_demand_only}-equal) with
     strictly increasing lengths bypass the discretization and delegate
     to {!Expected_cost.exact} (bit-for-bit Eq. (1) equivalence).
     @raise Invalid_argument as {!Discretize.run} on bad [disc_n]/[eps]. *)

@@ -57,3 +57,14 @@ val assign :
     @raise Invalid_argument on an empty [lengths] or non-positive
     entries (as {!Spot_cost.make_plan}) or bad discretization
     parameters. *)
+
+val chunk_grid : Spot_cost.regime -> upper:float -> float list
+(** [chunk_grid regime ~upper] is the sorted chunk sizes [assign]
+    tries for its ladders: around the checkpoint stride and the
+    revocation MTBF, within [(0, 4 upper]]. Empty under {!Spot_cost.Restart}. *)
+
+val ladder_lengths : Spot_cost.regime -> upper:float -> float -> float array option
+(** [ladder_lengths regime ~upper chunk] repeats [chunk] until the
+    durable progress it banks covers [upper] (at most 1024 rungs);
+    [None] under {!Spot_cost.Restart} or when [chunk] is too short to
+    bank a whole snapshot period. *)

@@ -173,7 +173,7 @@ let window_p99 t =
   if n = 0 then 0.0
   else begin
     let sorted = Array.sub t.lat_window 0 n in
-    Array.sort compare sorted;
+    Array.sort Float.compare sorted;
     let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end

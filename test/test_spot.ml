@@ -59,6 +59,174 @@ let test_degenerate_evaluator_closure () =
     (Int64.bits_of_float (eval plan) = Int64.bits_of_float base)
 
 (* ------------------------------------------------------------------ *)
+(* Bit identity with the oracle: the flat-memo evaluator against the  *)
+(* hashtable recursion it replaced (Spot_oracle, test-only).          *)
+(* ------------------------------------------------------------------ *)
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+let check_against_oracle ~what ?disc_n ?eps regime m d plan =
+  let got = Spot_cost.expected_cost ?disc_n ?eps regime m d plan in
+  let want = Spot_oracle.expected_cost ?disc_n ?eps regime m d plan in
+  if not (same_bits got want) then
+    Alcotest.failf "%s: evaluator %.17g <> oracle %.17g" what got want
+
+(* The benchmark's spot workload: LogNormal(3, 0.5) under NeuroHPC with
+   snapshot recovery, in its four (MTBF, price) cells. The threshold
+   tierings of the head and the single-tier ladders assign scores are
+   pinned, and so is the cost it reports for the plan it picks. *)
+let test_oracle_workload_plans () =
+  let d = Distributions.Lognormal.make ~mu:3.0 ~sigma:0.5 in
+  let disc_n = 48 and eps = 1e-8 in
+  let upper = SC.Discretize.truncation_point ~eps d in
+  List.iter
+    (fun (mtbf, price_ratio) ->
+      let cell = Printf.sprintf "mtbf %gh / price %g" mtbf price_ratio in
+      let revocation_rate = 1.0 /. mtbf in
+      let regime =
+        Spot_cost.make_regime ~recovery:snapshot ~price_ratio ~revocation_rate ()
+      in
+      match
+        Solver.solve_spot ~recovery:snapshot ~disc_n ~price_ratio ~revocation_rate
+          m_hpc d
+      with
+      | Error e -> Alcotest.failf "%s: %s" cell (Solver.error_to_string e)
+      | Ok sol ->
+          let head = sol.Solver.base.Solver.head in
+          let n = Array.length head in
+          let thresholds =
+            List.init (n + 1) (fun i ->
+                Spot_cost.make_plan ~lengths:head
+                  ~tiers:
+                    (Array.init n (fun k ->
+                         if k < i then Spot_cost.Spot else Spot_cost.On_demand)))
+          in
+          let ladders =
+            List.concat_map
+              (fun chunk ->
+                match Spot_plan.ladder_lengths regime ~upper chunk with
+                | None -> []
+                | Some rungs ->
+                    [
+                      Spot_cost.uniform_plan Spot_cost.Spot rungs;
+                      Spot_cost.uniform_plan Spot_cost.On_demand rungs;
+                    ])
+              (Spot_plan.chunk_grid regime ~upper)
+          in
+          Alcotest.(check bool) (cell ^ ": ladders scored") true (ladders <> []);
+          List.iteri
+            (fun i plan ->
+              check_against_oracle
+                ~what:(Printf.sprintf "%s plan %d" cell i)
+                ~disc_n ~eps regime m_hpc d plan)
+            (thresholds @ ladders);
+          let picked =
+            Spot_oracle.expected_cost ~disc_n ~eps regime m_hpc d sol.Solver.plan
+          in
+          if not (same_bits picked sol.Solver.spot_cost) then
+            Alcotest.failf "%s: reported cost %.17g <> oracle %.17g" cell
+              sol.Solver.spot_cost picked)
+    [ (5.0, 0.3); (20.0, 0.3); (100.0, 0.3); (5.0, 0.8) ]
+
+let oracle_laws =
+  [|
+    ("lognormal(1, 0.5)", Distributions.Lognormal.make ~mu:1.0 ~sigma:0.5);
+    ("weibull(3, 1.5)", Distributions.Weibull.make ~lambda:3.0 ~kappa:1.5);
+    ("gamma(2, 1)", Distributions.Gamma_dist.make ~shape:2.0 ~rate:1.0);
+    ("uniform(0.5, 6)", Distributions.Uniform_dist.make ~a:0.5 ~b:6.0);
+  |]
+
+type oracle_case = {
+  law : int;
+  recovery : Spot_cost.recovery;
+  price_ratio : float;
+  revocation_rate : float;
+  lengths : float array;
+  tiers : Spot_cost.tier array;
+}
+
+let gen_oracle_case =
+  let open QCheck.Gen in
+  let cost = frequency [ (1, return 0.0); (2, float_range 0.0 0.3) ] in
+  let* law = int_bound (Array.length oracle_laws - 1) in
+  let* recovery =
+    frequency
+      [
+        (1, return Spot_cost.Restart);
+        ( 2,
+          let* period = float_range 0.25 3.0 in
+          let* snapshot_cost = cost in
+          let+ restore_cost = cost in
+          Spot_cost.Snapshot { period; snapshot_cost; restore_cost } );
+      ]
+  in
+  let* price_ratio = frequency [ (1, return 1.0); (3, float_range 0.05 1.0) ] in
+  let* revocation_rate =
+    frequency
+      [ (1, return 0.0); (4, map (fun e -> 10.0 ** e) (float_range (-4.0) 1.0)) ]
+  in
+  let* n = int_range 1 64 in
+  let* lengths =
+    oneof
+      [
+        (* Increasing: a base-style escalating head. *)
+        (let* start = float_range 0.2 3.0 in
+         let+ steps = array_size (return n) (float_range 0.05 3.0) in
+         let acc = ref start in
+         Array.map
+           (fun s ->
+             let l = !acc in
+             acc := !acc +. s;
+             l)
+           steps);
+        (* Flat: one chunk repeated. *)
+        map (fun c -> Array.make n c) (float_range 0.2 6.0);
+        (* Unordered lengths. *)
+        array_size (return n) (float_range 0.1 8.0);
+      ]
+  in
+  let+ tiers =
+    oneof
+      [
+        return (Array.make n Spot_cost.Spot);
+        return (Array.make n Spot_cost.On_demand);
+        map
+          (fun cut ->
+            Array.init n (fun k -> if k < cut then Spot_cost.Spot else Spot_cost.On_demand))
+          (int_bound n);
+        array_size (return n)
+          (map (fun b -> if b then Spot_cost.Spot else Spot_cost.On_demand) bool);
+      ]
+  in
+  { law; recovery; price_ratio; revocation_rate; lengths; tiers }
+
+let print_oracle_case c =
+  Printf.sprintf "law=%s recovery=%s price=%.17g rate=%.17g lengths=[%s] tiers=%s"
+    (fst oracle_laws.(c.law))
+    (match c.recovery with
+    | Spot_cost.Restart -> "restart"
+    | Spot_cost.Snapshot { period; snapshot_cost; restore_cost } ->
+        Printf.sprintf "snapshot(%.17g, %.17g, %.17g)" period snapshot_cost restore_cost)
+    c.price_ratio c.revocation_rate
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.17g") c.lengths)))
+    (String.concat ""
+       (Array.to_list
+          (Array.map (function Spot_cost.Spot -> "s" | Spot_cost.On_demand -> "o") c.tiers)))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"evaluator matches the oracle bit for bit"
+    (QCheck.make ~print:print_oracle_case gen_oracle_case)
+    (fun c ->
+      let regime =
+        Spot_cost.make_regime ~recovery:c.recovery ~price_ratio:c.price_ratio
+          ~revocation_rate:c.revocation_rate ()
+      in
+      let plan = Spot_cost.make_plan ~lengths:c.lengths ~tiers:c.tiers in
+      check_against_oracle ~what:"case" ~disc_n:24 ~eps:1e-6 regime m_hpc
+        (snd oracle_laws.(c.law)) plan;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Typed parameter rejection through the solver taxonomy.             *)
 (* ------------------------------------------------------------------ *)
 
@@ -163,6 +331,25 @@ let test_restart_revocation_loses_everything () =
   in
   Alcotest.(check (float 0.0)) "no durable progress" 0.0 o.Spot_cost.progress;
   Alcotest.(check bool) "not finished" false o.Spot_cost.finished
+
+(* A NaN revocation time is rejected like a negative one, on either
+   tier, instead of being read as "never revoked". *)
+let test_nan_revocation_rejected () =
+  let regime = Spot_cost.make_regime ~recovery:snapshot ~price_ratio:0.3
+      ~revocation_rate:0.05 () in
+  List.iter
+    (fun (name, tier, revocation) ->
+      match
+        outcome regime m_hpc ~tier ~length:10.0 ~progress:0.0 ~total:6.0
+          ~revocation
+      with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("spot nan", Spot_cost.Spot, Float.nan);
+      ("on-demand nan", Spot_cost.On_demand, Float.nan);
+      ("spot negative", Spot_cost.Spot, -1.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Tier assignment: graceful degradation and the on-demand floor.     *)
@@ -282,6 +469,12 @@ let () =
           Alcotest.test_case "evaluator closure bit-for-bit" `Quick
             test_degenerate_evaluator_closure;
         ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "spot workload plans bit-for-bit" `Quick
+            test_oracle_workload_plans;
+          QCheck_alcotest.to_alcotest prop_matches_oracle;
+        ] );
       ( "validation",
         [
           Alcotest.test_case "spot_regime rejects each bad field" `Quick
@@ -297,6 +490,8 @@ let () =
             test_revoked_attempt_billing;
           Alcotest.test_case "restart recovery loses everything" `Quick
             test_restart_revocation_loses_everything;
+          Alcotest.test_case "NaN revocation rejected" `Quick
+            test_nan_revocation_rejected;
         ] );
       ( "assignment",
         [
