@@ -13,76 +13,78 @@ type result = {
   valid : int;
 }
 
+type scan = {
+  best : (float * float) option;
+  candidates : int;
+  valid : int;
+  underflow : int;
+  non_increasing : int;
+  non_finite : int;
+  too_long : int;
+  failed : int;
+}
+
 let default_m = 5000
 let default_n = 1000
 
-let make_eval evaluator cost d =
-  match evaluator with
-  | Exact -> fun seq -> Expected_cost.exact cost d seq
-  | Monte_carlo { rng; n } ->
-      let samples = Dist.samples d rng n in
-      Array.sort compare samples;
-      fun seq -> Expected_cost.mean_cost_presampled cost ~sorted_samples:samples seq
-
 let default_evaluator () = Monte_carlo { rng = Randomness.Rng.create (); n = default_n }
 
-let candidate_cost eval cost d t1 =
-  match Recurrence.generate cost d ~t1 with
+let scoring evaluator d =
+  match evaluator with
+  | Exact -> Expected_cost.Series
+  | Monte_carlo { rng; n } -> Expected_cost.sample (Dist.samples d rng n)
+
+(* The i-th of m grid points on (lo, hi]. *)
+let t1_at ~lo ~hi ~m i = lo +. (float_of_int i *. ((hi -. lo) /. float_of_int m))
+
+let scan ?(charge = fun () -> true) scoring cost d ~lo ~hi ~m =
+  let score = Recurrence.score cost d in
+  let rec go s i =
+    if i > m || not (charge ()) then s
+    else
+      let t1 = t1_at ~lo ~hi ~m i and s = { s with candidates = i } in
+      let s =
+        match score scoring ~t1 with
+        | Ok (_, Ok c) when Float.is_finite c ->
+            let better = match s.best with Some (_, b) -> c < b | None -> true in
+            { s with valid = s.valid + 1; best = (if better then Some (t1, c) else s.best) }
+        | Ok _ | Error (Unsupported_t1 _) -> { s with failed = s.failed + 1 }
+        | Error (Density_underflow _) -> { s with underflow = s.underflow + 1 }
+        | Error (Non_increasing _) -> { s with non_increasing = s.non_increasing + 1 }
+        | Error (Non_finite _) -> { s with non_finite = s.non_finite + 1 }
+        | Error (Too_long _) -> { s with too_long = s.too_long + 1 }
+      in
+      go s (i + 1)
+  in
+  go
+    { best = None; candidates = 0; valid = 0; underflow = 0; non_increasing = 0;
+      non_finite = 0; too_long = 0; failed = 0 }
+    1
+
+let search ?(m = default_m) ?(evaluator = default_evaluator ()) cost d =
+  let scoring = scoring evaluator d in
+  let lo, hi = Bounds.search_interval cost d in
+  match scan scoring cost d ~lo ~hi ~m with
+  | { best = None; _ } -> invalid_arg "Brute_force.search: no valid candidate sequence found"
+  | { best = Some (t1, c); candidates; valid; _ } ->
+      let normalized = Expected_cost.normalized cost d ~cost:c in
+      let sequence = Recurrence.sequence cost d ~t1 in
+      { t1; cost = c; normalized; sequence; candidates; valid }
+
+let cost_at score scoring t1 =
+  match score scoring ~t1 with
+  | Ok (_, Ok c) -> Some c
+  | Ok (_, Error e) -> raise e
   | Error _ -> None
-  | Ok _prefix ->
-      (* The validated prefix guarantees the sanitized infinite
-         sequence coincides with the raw recurrence over all but a
-         1e-9 tail of the mass. *)
-      Some (eval (Recurrence.sequence cost d ~t1))
 
-let scan ?(m = default_m) ?evaluator cost d =
-  let evaluator =
-    match evaluator with Some e -> e | None -> default_evaluator ()
-  in
-  let eval = make_eval evaluator cost d in
-  let a, b = Bounds.search_interval cost d in
-  let step = (b -. a) /. float_of_int m in
+let profile ?(m = default_m) ?(evaluator = default_evaluator ()) cost d =
+  let scoring = scoring evaluator d in
+  let lo, hi = Bounds.search_interval cost d in
+  let score = Recurrence.score cost d in
   Array.init m (fun i ->
-      let t1 = a +. (float_of_int (i + 1) *. step) in
-      (t1, candidate_cost eval cost d t1))
+      let t1 = t1_at ~lo ~hi ~m (i + 1) in
+      let normalized c = Expected_cost.normalized cost d ~cost:c in
+      (t1, Option.map normalized (cost_at score scoring t1)))
 
-let search ?m ?evaluator cost d =
-  let results = scan ?m ?evaluator cost d in
-  let candidates = Array.length results in
-  let valid = ref 0 in
-  let best_t1 = ref nan and best_cost = ref infinity in
-  Array.iter
-    (fun (t1, c) ->
-      match c with
-      | None -> ()
-      | Some c ->
-          incr valid;
-          if c < !best_cost then begin
-            best_cost := c;
-            best_t1 := t1
-          end)
-    results;
-  if !valid = 0 then
-    invalid_arg "Brute_force.search: no valid candidate sequence found";
-  {
-    t1 = !best_t1;
-    cost = !best_cost;
-    normalized = Expected_cost.normalized cost d ~cost:!best_cost;
-    sequence = Recurrence.sequence cost d ~t1:!best_t1;
-    candidates;
-    valid = !valid;
-  }
-
-let profile ?m ?evaluator cost d =
-  let results = scan ?m ?evaluator cost d in
-  Array.map
-    (fun (t1, c) ->
-      (t1, Option.map (fun c -> Expected_cost.normalized cost d ~cost:c) c))
-    results
-
-let cost_of_t1 ?evaluator cost d t1 =
-  let evaluator =
-    match evaluator with Some e -> e | None -> default_evaluator ()
-  in
-  let eval = make_eval evaluator cost d in
-  candidate_cost eval cost d t1
+let cost_of_t1 ?(evaluator = default_evaluator ()) cost d t1 =
+  cost_at (Recurrence.score cost d) (scoring evaluator d) t1

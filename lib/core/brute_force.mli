@@ -2,13 +2,18 @@
 
     Scans [m] candidate values of the first reservation [t1] on the
     search interval of {!Bounds.search_interval} — [(a, b]] for
-    bounded support, [(a, A1]] otherwise — generates each candidate's
-    full sequence with the optimal recurrence (Eq. (11)), discards
-    candidates whose recurrence is not strictly increasing, evaluates
-    the survivors, and returns the best. Following the paper, the
-    default evaluator is the Monte-Carlo estimator over [n] common
-    random samples ([m = 5000], [n = 1000] in the experiments); the
-    exact Eq. (4) series is available as a deterministic alternative. *)
+    bounded support, [(a, A1]] otherwise — walks each candidate's
+    recurrence (Eq. (11)) once with {!Recurrence.score}, which
+    discards candidates whose recurrence is not strictly increasing
+    and scores the survivors in the same pass, and returns the best.
+    Following the paper, the default evaluator is the Monte-Carlo
+    estimator over [n] common random samples ([m = 5000], [n = 1000]
+    in the experiments); the exact Eq. (4) series is available as a
+    deterministic alternative.
+
+    {!scan} is the one t1 scan of the library: {!search} calls it
+    unbudgeted and [Robust.Solver] calls it with a per-candidate
+    budget charge. *)
 
 type evaluator =
   | Monte_carlo of { rng : Randomness.Rng.t; n : int }
@@ -23,8 +28,37 @@ type result = {
   normalized : float;  (** [cost / E^o]. *)
   sequence : Sequence.t;  (** The full sequence generated from [t1]. *)
   candidates : int;  (** Number of grid points scanned. *)
-  valid : int;  (** How many produced a valid increasing sequence. *)
+  valid : int;  (** How many gave a valid sequence with a finite cost. *)
 }
+
+type scan = {
+  best : (float * float) option;  (** First [(t1, cost)] of least finite cost. *)
+  candidates : int;  (** Grid points scanned. *)
+  valid : int;  (** Valid sequences with a finite cost. *)
+  underflow : int;
+  non_increasing : int;
+  non_finite : int;
+  too_long : int;  (** Stops, by {!Recurrence.stop} constructor. *)
+  failed : int;
+      (** [Unsupported_t1], or a valid sequence whose cost was not
+          finite or whose scoring raised. *)
+}
+
+val scan :
+  ?charge:(unit -> bool) ->
+  Expected_cost.scoring ->
+  Cost_model.t ->
+  Distributions.Dist.t ->
+  lo:float ->
+  hi:float ->
+  m:int ->
+  scan
+(** [scan scoring cost d ~lo ~hi ~m] scores the grid points
+    [lo + i (hi - lo) / m], [i = 1 .. m], with {!Recurrence.score}.
+    [charge] is called before each candidate; [false] ends the scan
+    there ([candidates < m]), and it may raise to abort it. An
+    exception raised before a candidate's verdict is known ends the
+    scan with it. *)
 
 val search :
   ?m:int ->
@@ -32,9 +66,8 @@ val search :
   Cost_model.t ->
   Distributions.Dist.t ->
   result
-(** [search cost d] runs the grid scan with [m] (default [5000])
-    candidates.
-    @raise Invalid_argument if no candidate yields a valid sequence. *)
+(** [search cost d] runs {!scan} over [m] (default [5000]) candidates.
+    @raise Invalid_argument if no candidate has a finite cost. *)
 
 val profile :
   ?m:int ->

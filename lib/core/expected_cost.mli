@@ -1,29 +1,51 @@
-(** Expected cost of a reservation sequence.
+(** Expected cost of a reservation sequence: the {e exact} series of
+    Theorem 1 (Eq. (4)), the {e Monte-Carlo} estimator of Eq. (13) used
+    by the paper's experiments, and the omniscient baseline used for
+    normalisation throughout Sect. 5.
 
-    Two evaluators are provided: the {e exact} series of Theorem 1
-    (Eq. (4)) and the {e Monte-Carlo} estimator of Eq. (13) used by the
-    paper's experiments, plus the omniscient baseline used for
-    normalisation throughout Sect. 5. *)
+    Both sums are one incremental {!scorer}, fed one reservation at a
+    time: by {!exact} and {!mean_cost_presampled} from a [Sequence.t],
+    by {!Recurrence.score} from its single Eq. (11) walk — same terms,
+    same Kahan order. *)
 
 val omniscient : Cost_model.t -> Distributions.Dist.t -> float
 (** [omniscient m d] is [E^o = (alpha + beta) E(X) + gamma]: the
     expected cost of a scheduler that knows each job's duration and
     reserves exactly that. *)
 
-val exact :
-  ?tail_eps:float ->
-  ?max_terms:int ->
-  Cost_model.t ->
-  Distributions.Dist.t ->
-  Sequence.t ->
-  float
+type scoring =
+  | Series  (** The Eq. (4) series. *)
+  | Sorted_sample of float array
+      (** The Eq. (13) mean over samples sorted in nondecreasing order. *)
+
+val sample : float array -> scoring
+(** [sample xs] sorts [xs] in place with [Float.compare]. *)
+
+type scorer
+
+val scorer : scoring -> Cost_model.t -> Distributions.Dist.t -> scorer
+(** An empty sum. @raise Invalid_argument on an empty sample. *)
+
+val feed : scorer -> float -> sf:float -> bool
+(** [feed sc t ~sf] adds reservation [t], whose survival [Dist.sf d t]
+    is [sf] (read by the series only). [false] once later reservations
+    cannot change the score: the survival fell below [1e-16] — the
+    neglected remainder is then below [1e-16 * A2] for this library's
+    sanitized sequences — or 100,001 terms were added; or every sample
+    is covered.
+    @raise Sequence.Not_covered past {!Sequence.max_steps} samples
+    steps. *)
+
+val feed_seq : scorer -> Sequence.t -> unit
+(** [feed_seq sc s] feeds [s] until {!feed} says [false] or [s] ends. *)
+
+val total : scorer -> float
+(** @raise Sequence.Not_covered if a sample is still uncovered. *)
+
+val exact : Cost_model.t -> Distributions.Dist.t -> Sequence.t -> float
 (** [exact m d s] evaluates Eq. (4):
     [beta E(X) + sum_(i>=0) (alpha t_(i+1) + beta t_i + gamma)
-    P(X >= t_i)]. The series is truncated once the survival
-    probability drops below [tail_eps] (default [1e-16]) — the
-    neglected remainder is provably below [tail_eps * A2] for the
-    sanitized sequences produced by this library — or after
-    [max_terms] (default [100_000]) terms. *)
+    P(X >= t_i)], truncated as {!feed} says. *)
 
 val monte_carlo :
   Cost_model.t ->
@@ -37,10 +59,12 @@ val monte_carlo :
     [n = 1000]). *)
 
 val mean_cost_presampled : Cost_model.t -> sorted_samples:float array -> Sequence.t -> float
-(** [mean_cost_presampled m ~sorted_samples s] is the Monte-Carlo
-    average over a caller-supplied sorted sample array — used to
-    compare many candidate sequences under common random numbers, as
-    the BRUTE-FORCE grid search does. *)
+(** [mean_cost_presampled m ~sorted_samples s] is the Eq. (13) mean
+    over a caller-supplied sorted sample, in one [O(|samples| + k)]
+    two-pointer pass — common random numbers for comparing sequences.
+    @raise Sequence.Not_covered if [s] ends (or {!Sequence.max_steps}
+    steps pass) before covering every sample.
+    @raise Invalid_argument if [sorted_samples] is empty. *)
 
 val normalized :
   Cost_model.t -> Distributions.Dist.t -> cost:float -> float

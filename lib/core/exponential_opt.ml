@@ -19,11 +19,10 @@ type solution = { s1 : float; e1 : float }
 (* stochlint: allow GLOBAL_MUT_STATE — idempotent memo of a pure parameterless solve; a racing recompute is benign *)
 let cache = ref None
 
-let solve ?(tol = 1e-10) () =
+let solve () =
   match !cache with
   | Some s -> s
   | None ->
-      ignore tol;
       (* The objective has small discontinuities where the collapse
          index of the recurrence jumps, so a dense grid with
          golden-section polish is more reliable than pure Brent. *)

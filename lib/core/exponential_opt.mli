@@ -13,19 +13,22 @@
 
 val expected_cost_exp1 : s1:float -> float
 (** [expected_cost_exp1 ~s1] evaluates [E_1] for a given first
-    reservation: generates the recurrence until the tail term
-    [e^(-s_i)] is negligible and sums the series. Returns [infinity]
-    when the recurrence from [s1] is not strictly increasing. *)
+    reservation: the Eq. (4) cost of the sanitized recurrence sequence
+    from [s1] ({!Recurrence.sequence}), whose doubling fallback
+    takes over where floating-point error makes the recurrence stop
+    increasing. Returns [infinity] unless [s1] is finite and
+    positive. *)
 
 type solution = {
   s1 : float;  (** Optimal first reservation for [Exp(1)]. *)
   e1 : float;  (** Optimal expected cost [E_1] for [Exp(1)]. *)
 }
 
-val solve : ?tol:float -> unit -> solution
-(** [solve ()] computes [(s1, E1)] by Brent minimisation of
-    {!expected_cost_exp1} over [(0, 2]], to tolerance [tol] (default
-    [1e-10]). The result is cached after the first call. *)
+val solve : unit -> solution
+(** [solve ()] computes [(s1, E1)] by minimising
+    {!expected_cost_exp1} over [(1e-6, 2]] on an 8,000-point grid with
+    golden-section polish. The result is cached after the first
+    call. *)
 
 val sequence : rate:float -> Sequence.t
 (** [sequence ~rate] is the optimal RESERVATIONONLY sequence for

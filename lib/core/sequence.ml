@@ -50,52 +50,37 @@ let is_strictly_increasing n s =
     (Seq.take n s);
   !ok
 
-let sanitize ~support s =
-  let double prev = if prev > 0.0 then 2.0 *. prev else 1.0 in
+let near_b a b = b -. (1e-9 *. (b -. a))
+
+let keeps ~support ~prev x =
+  Float.is_finite x && x > prev && x > 0.0
+  &&
+  match support with
+  | Distributions.Dist.Unbounded _ -> true
+  | Distributions.Dist.Bounded (a, b) -> x < near_b a b
+
+let tail ~support prev =
   match support with
   | Distributions.Dist.Unbounded _ ->
-      (* State: (last emitted value, remaining raw sequence or None once
-         we have switched to pure doubling). *)
-      let rec step (prev, raw) () =
-        match raw with
-        | None ->
-            let v = double prev in
-            Seq.Cons (v, step (v, None))
-        | Some raw -> (
-            match Seq.uncons raw with
-            | None ->
-                let v = double prev in
-                Seq.Cons (v, step (v, None))
-            | Some (x, rest) ->
-                if Float.is_finite x && x > prev && x > 0.0 then
-                  Seq.Cons (x, step (x, Some rest))
-                else begin
-                  (* Raw value unusable: abandon the raw sequence. *)
-                  let v = double prev in
-                  Seq.Cons (v, step (v, None))
-                end)
+      let rec double prev () =
+        let v = if prev > 0.0 then 2.0 *. prev else 1.0 in
+        Seq.Cons (v, double v)
       in
-      step (0.0, Some s)
-  | Distributions.Dist.Bounded (a, b) ->
-      let near_b = b -. (1e-9 *. (b -. a)) in
-      let rec step (prev, raw) () =
-        if prev >= b then Seq.Nil
-        else
-          match raw with
-          | None -> Seq.Cons (b, step (b, None))
-          | Some raw -> (
-              match Seq.uncons raw with
-              | None -> Seq.Cons (b, step (b, None))
-              | Some (x, rest) ->
-                  if not (Float.is_finite x && x > prev && x > 0.0) then
-                    (* Unusable value: finish with the upper bound. *)
-                    Seq.Cons (b, step (b, None))
-                  else if x >= near_b then Seq.Cons (b, step (b, None))
-                  else Seq.Cons (x, step (x, Some rest)))
-      in
-      step (0.0, Some s)
+      double prev
+  | Distributions.Dist.Bounded (_, b) ->
+      if prev >= b then Seq.empty else Seq.return b
 
-let cost_of_run ?(max_steps = 100_000) m s t =
+let sanitize ~support s =
+  let rec step prev raw () =
+    match Seq.uncons raw with
+    | Some (x, rest) when keeps ~support ~prev x -> Seq.Cons (x, step x rest)
+    | _ -> tail ~support prev ()
+  in
+  step 0.0 s
+
+let max_steps = 100_000
+
+let cost_of_run m s t =
   let prefix = Numerics.Kahan.create () in
   let rec go k s =
     if k > max_steps then raise (Not_covered t);
@@ -118,39 +103,6 @@ let cost_of_run ?(max_steps = 100_000) m s t =
         end
   in
   go 1 s
-
-let mean_cost_sorted ?(max_steps = 100_000) m s samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Sequence.mean_cost_sorted: empty sample";
-  let open Cost_model in
-  let acc = Numerics.Kahan.create () in
-  (* comp tracks the prefix sum of failed-reservation costs exactly. *)
-  let comp = Numerics.Kahan.create () in
-  let idx = ref 0 in
-  let steps = ref 0 in
-  let rec go s =
-    if !idx >= n then ()
-    else begin
-      incr steps;
-      if !steps > max_steps then raise (Not_covered samples.(!idx));
-      match Seq.uncons s with
-      | None -> raise (Not_covered samples.(!idx))
-      | Some (tk, rest) ->
-          let p = Numerics.Kahan.sum comp in
-          while !idx < n && samples.(!idx) <= tk do
-            Numerics.Kahan.add acc
-              (p +. (m.alpha *. tk) +. (m.beta *. samples.(!idx)) +. m.gamma);
-            incr idx
-          done;
-          if !idx < n then begin
-            Numerics.Kahan.add comp
-              ((m.alpha *. tk) +. (m.beta *. tk) +. m.gamma);
-            go rest
-          end
-    end
-  in
-  go s;
-  Numerics.Kahan.sum acc /. float_of_int n
 
 let pp_prefix n fmt s =
   let items = take (n + 1) s in

@@ -35,34 +35,32 @@ val is_strictly_increasing : int -> t -> bool
 (** [is_strictly_increasing n s] checks the first [n] elements. *)
 
 val sanitize : support:Distributions.Dist.support -> t -> t
-(** [sanitize ~support s] post-processes a heuristic's raw output into
-    a well-formed reservation sequence:
-    {ul
-    {- values must be finite, positive and strictly increasing; when a
-       raw value violates this, the sequence switches to doubling the
-       last good value (guaranteeing divergence), mirroring the paper's
-       remark that discretization-based sequences are extended "using
-       other heuristics";}
-    {- for [Bounded (_, b)] support, values are capped at [b]: the
-       first value reaching (numerically) [b] is emitted as exactly [b]
-       and terminates the sequence, and a finite raw sequence that
-       never reaches [b] is completed with a final [b].}} *)
+(** [sanitize ~support s] makes a heuristic's raw output a well-formed
+    reservation sequence: raw values while {!keeps} accepts them, then
+    (at the first it rejects, or when [s] ends) {!tail} for good — the
+    paper's "extended using other heuristics". *)
 
-val cost_of_run : ?max_steps:int -> Cost_model.t -> t -> float -> int * float
+val keeps : support:Distributions.Dist.support -> prev:float -> float -> bool
+(** [keeps ~support ~prev x]: [x] is finite, positive, above [prev]
+    and, on [Bounded (a, b)], below [b - 1e-9 (b - a)] (a value that
+    numerically reaches [b] is replaced by [b]). *)
+
+val tail : support:Distributions.Dist.support -> float -> t
+(** [tail ~support prev] follows [prev] once {!sanitize} has left its
+    raw input: doubling forever on a half line, or [b] alone on
+    [Bounded (_, b)] (nothing if [prev >= b]). *)
+
+val max_steps : int
+(** Reservations (100,000) {!cost_of_run} and the Monte-Carlo scorer of
+    {!Expected_cost} walk before giving up with {!Not_covered}. *)
+
+val cost_of_run : Cost_model.t -> t -> float -> int * float
 (** [cost_of_run m s t] walks the sequence until the first [t_k >= t]
     and returns [(k, C(k, t))] per Eq. (2): the [k-1] failed
     reservations are paid in full ([alpha t_i + beta t_i + gamma]) and
     the successful one costs [alpha t_k + beta t + gamma].
-    @raise Not_covered if the sequence ends (or [max_steps], default
-    [100_000], is hit) before covering [t]. *)
-
-val mean_cost_sorted : ?max_steps:int -> Cost_model.t -> t -> float array -> float
-(** [mean_cost_sorted m s samples] is the Monte-Carlo average cost
-    (Eq. (13)) of the sequence over [samples], which must be sorted in
-    nondecreasing order; computed in a single [O(|samples| + k)]
-    two-pointer pass with compensated summation.
-    @raise Not_covered as {!cost_of_run}.
-    @raise Invalid_argument if [samples] is empty. *)
+    @raise Not_covered if the sequence ends (or {!max_steps} steps
+    pass) before covering [t]. *)
 
 val pp_prefix : int -> Format.formatter -> t -> unit
 (** [pp_prefix n fmt s] prints up to [n] leading elements, followed by

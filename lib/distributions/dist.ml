@@ -16,9 +16,11 @@ let lower d = match d.support with Bounded (a, _) -> a | Unbounded a -> a
 let upper d = match d.support with Bounded (_, b) -> b | Unbounded _ -> infinity
 let is_bounded d = match d.support with Bounded _ -> true | Unbounded _ -> false
 
-let sf d t =
-  let s = 1.0 -. d.cdf t in
+let sf_of_cdf c =
+  let s = 1.0 -. c in
   if s < 0.0 then 0.0 else if s > 1.0 then 1.0 else s
+
+let sf d t = sf_of_cdf (d.cdf t)
 
 let std d = sqrt d.variance
 let median d = d.quantile 0.5

@@ -44,6 +44,11 @@ val sf : t -> float -> float
     coincide for the continuous distributions used here). Clamped to
     [[0, 1]]. *)
 
+val sf_of_cdf : float -> float
+(** [sf_of_cdf c] is the survival probability {!sf} reports when the
+    CDF is [c]: [sf d t = sf_of_cdf (d.cdf t)] bit for bit. Lets a
+    caller that already holds [d.cdf t] skip a second CDF call. *)
+
 val std : t -> float
 (** [std d] is [sqrt (variance d)]. *)
 

@@ -17,50 +17,6 @@ let m_depth =
     ~buckets:[| 0.0; 2.0; 4.0; 8.0; 12.0; 16.0; 24.0; 32.0; 48.0 |]
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive Simpson with Richardson extrapolation.                     *)
-(* ------------------------------------------------------------------ *)
-
-let simpson ?(tol = default_tol) ?(max_depth = 48) f a b =
-  Stochobs.Metrics.incr m_calls;
-  let deepest = ref 0 in
-  let simpson_panel fa fm fb h = h /. 6.0 *. (fa +. (4.0 *. fm) +. fb) in
-  let rec go a fa b fb m fm whole tol depth =
-    let lm = 0.5 *. (a +. m) in
-    let rm = 0.5 *. (m +. b) in
-    let flm = f lm and frm = f rm in
-    let left = simpson_panel fa flm fm (m -. a) in
-    let right = simpson_panel fm frm fb (b -. m) in
-    let delta = left +. right -. whole in
-    (* A non-finite integrand poisons delta; subdividing would explore
-       the full 2^depth tree without ever converging, so propagate the
-       poisoned panel to the caller instead. *)
-    if not (Float.is_finite delta) then begin
-      Stochobs.Metrics.incr m_nonfinite;
-      if max_depth - depth > !deepest then deepest := max_depth - depth;
-      left +. right +. (delta /. 15.0)
-    end
-    else if depth <= 0 || Float.abs delta <= 15.0 *. tol then begin
-      if max_depth - depth > !deepest then deepest := max_depth - depth;
-      left +. right +. (delta /. 15.0)
-    end
-    else
-      go a fa m fm lm flm left (tol /. 2.0) (depth - 1)
-      +. go m fm b fb rm frm right (tol /. 2.0) (depth - 1)
-  in
-  let r =
-    if a = b then 0.0
-    else begin
-      let sign, a, b = if a > b then (-1.0, b, a) else (1.0, a, b) in
-      let m = 0.5 *. (a +. b) in
-      let fa = f a and fb = f b and fm = f m in
-      let whole = simpson_panel fa fm fb (b -. a) in
-      sign *. go a fa b fb m fm whole tol max_depth
-    end
-  in
-  Stochobs.Metrics.observe_int m_depth !deepest;
-  r
-
-(* ------------------------------------------------------------------ *)
 (* Gauss–Kronrod 7/15.                                                 *)
 (* ------------------------------------------------------------------ *)
 

@@ -1,17 +1,11 @@
 (** Numerical quadrature.
 
-    Adaptive Simpson and adaptive Gauss–Kronrod (G7/K15) rules over
-    finite intervals, plus semi-infinite integrals via the rational
-    substitution [x = a + u/(1-u)]. Used to evaluate expected costs
+    Adaptive Gauss–Kronrod (G7/K15) quadrature over finite intervals,
+    plus semi-infinite integrals via the rational substitution
+    [x = a + u/(1-u)]. Used to evaluate expected costs
     (Eq. (3) of the paper), conditional expectations of arbitrary
     distributions, and to cross-check the closed-form moments of
     [lib/distributions]. *)
-
-val simpson : ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float -> float
-(** [simpson ?tol ?max_depth f a b] integrates [f] over [[a, b]] with
-    adaptive Simpson quadrature and Richardson correction. [tol]
-    defaults to [1e-10] (absolute), [max_depth] to [48]. [a > b] yields
-    the negated integral. *)
 
 val qk15 : (float -> float) -> float -> float -> float * float
 (** [qk15 f a b] applies a single 15-point Kronrod rule (embedding the

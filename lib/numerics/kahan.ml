@@ -2,7 +2,9 @@ type t = { mutable sum : float; mutable comp : float }
 
 let create () = { sum = 0.0; comp = 0.0 }
 
-let add acc x =
+(* Inlined so that hot loops (the Eq. (13) scorer adds once per sample)
+   pass [x] unboxed instead of allocating it on every call. *)
+let[@inline] add acc x =
   let t = acc.sum +. x in
   (* Neumaier's branch: compensate with whichever operand lost digits. *)
   if Float.abs acc.sum >= Float.abs x then
@@ -10,7 +12,7 @@ let add acc x =
   else acc.comp <- acc.comp +. ((x -. t) +. acc.sum);
   acc.sum <- t
 
-let sum acc = acc.sum +. acc.comp
+let[@inline] sum acc = acc.sum +. acc.comp
 
 let reset acc =
   acc.sum <- 0.0;

@@ -133,15 +133,17 @@ let deadline_frac = function
 let over_deadline st tier =
   elapsed st > deadline_frac tier *. st.budget.max_seconds
 
+let fail_budget st stage =
+  (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
+  raise
+    (Tier_fail
+       (Budget_exhausted
+          { stage; evaluations = st.evaluations; elapsed = elapsed st }))
+
 let spend st ~stage n =
   st.evaluations <- st.evaluations + n;
   Stochobs.Metrics.add m_evaluations n;
-  if st.evaluations > st.budget.max_evaluations then
-    (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
-    raise
-      (Tier_fail
-         (Budget_exhausted
-            { stage; evaluations = st.evaluations; elapsed = elapsed st }))
+  if st.evaluations > st.budget.max_evaluations then fail_budget st stage
 
 let fail_non_convergent stage detail =
   (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
@@ -151,7 +153,7 @@ let fail_non_convergent stage detail =
 (* Vetting: whatever a tier produced must be a provably sane
    reservation sequence with a finite exact expected cost.            *)
 
-let coverage = 1.0 -. 1e-9
+let coverage = Stochastic_core.Recurrence.coverage
 let head_limit = 20_000
 
 let vet st ~stage cost_model d seq =
@@ -211,14 +213,14 @@ let vet st ~stage cost_model d seq =
   (head, cost, cost /. omniscient)
 
 (* ------------------------------------------------------------------ *)
-(* Tier 1: recurrence-driven brute force (Sect. 4.1), re-implemented
-   here rather than delegated to {!Stochastic_core.Brute_force} so the
-   scan honours the evaluation and wall-clock budgets candidate by
-   candidate and reports typed rejection statistics.                  *)
+(* Tier 1: recurrence-driven brute force (Sect. 4.1): the library's one
+   t1 scan, charged candidate by candidate against the evaluation and
+   wall-clock budgets; its typed per-candidate stops feed the
+   rejection detail.                                                  *)
 
 let run_brute_force st ~exact ~seed cost_model d =
   let stage = tier_name Brute_force in
-  let a, b =
+  let lo, hi =
     match Stochastic_core.Bounds.search_interval cost_model d with
     | bounds -> bounds
     | exception Invalid_argument msg ->
@@ -226,12 +228,11 @@ let run_brute_force st ~exact ~seed cost_model d =
     | exception exn ->
         fail_non_convergent (stage ^ "/bounds") (Printexc.to_string exn)
   in
-  if not (Float.is_finite a && Float.is_finite b && b > a) then
+  if not (Float.is_finite lo && Float.is_finite hi && hi > lo) then
     fail_non_convergent (stage ^ "/bounds")
-      (Printf.sprintf "degenerate search interval (%g, %g]" a b);
-  let eval =
-    if exact then fun seq ->
-      Stochastic_core.Expected_cost.exact cost_model d seq
+      (Printf.sprintf "degenerate search interval (%g, %g]" lo hi);
+  let scoring =
+    if exact then Stochastic_core.Expected_cost.Series
     else begin
       let rng = Randomness.Rng.create ~seed () in
       let samples =
@@ -246,79 +247,30 @@ let run_brute_force st ~exact ~seed cost_model d =
             fail_non_convergent (stage ^ "/sampling")
               (Printf.sprintf "sampler produced %g" x))
         samples;
-      Array.sort compare samples;
-      fun seq ->
-        Stochastic_core.Expected_cost.mean_cost_presampled cost_model
-          ~sorted_samples:samples seq
+      Stochastic_core.Expected_cost.sample samples
     end
   in
+  let charge () =
+    if over_deadline st Brute_force then false
+    else (spend st ~stage 1; true)
+  in
   let m = st.budget.bf_candidates in
-  let step = (b -. a) /. float_of_int m in
-  let best_t1 = ref nan and best_cost = ref infinity in
-  let valid = ref 0 in
-  let underflow = ref 0
-  and non_increasing = ref 0
-  and non_finite = ref 0
-  and too_long = ref 0
-  and eval_failed = ref 0 in
-  (try
-     for i = 1 to m do
-       if over_deadline st Brute_force then begin
-         if Float.is_nan !best_t1 then
-           (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
-           raise
-             (Tier_fail
-                (Budget_exhausted
-                   {
-                     stage;
-                     evaluations = st.evaluations;
-                     elapsed = elapsed st;
-                   }))
-         (* stochlint: allow EXN_IN_CORE — Exit implements early loop termination and is caught immediately below *)
-         else raise Exit
-       end;
-       spend st ~stage 1;
-       let t1 = a +. (float_of_int i *. step) in
-       match Stochastic_core.Recurrence.generate cost_model d ~t1 with
-       | Error (Stochastic_core.Recurrence.Density_underflow _) ->
-           incr underflow
-       | Error (Stochastic_core.Recurrence.Non_increasing _) ->
-           incr non_increasing
-       | Error (Stochastic_core.Recurrence.Non_finite _) -> incr non_finite
-       | Error (Stochastic_core.Recurrence.Too_long _) -> incr too_long
-       | Error (Stochastic_core.Recurrence.Unsupported_t1 _) -> incr eval_failed
-       | Ok _ -> (
-           let seq = Stochastic_core.Recurrence.sequence cost_model d ~t1 in
-           match eval seq with
-           | c when Float.is_finite c ->
-               incr valid;
-               if c < !best_cost then begin
-                 best_cost := c;
-                 best_t1 := t1
-               end
-           | _ -> incr eval_failed
-           | exception _ -> incr eval_failed)
-     done
-   with Exit -> ());
-  if Float.is_nan !best_t1 then
-    fail_non_convergent stage
-      (Printf.sprintf
-         "0/%d candidates yielded a valid sequence (density underflow %d, \
-          non-increasing %d, non-finite %d, too long %d, evaluation failed \
-          %d)"
-         m !underflow !non_increasing !non_finite !too_long !eval_failed)
-  else Stochastic_core.Recurrence.sequence cost_model d ~t1:!best_t1
+  match Stochastic_core.Brute_force.scan ~charge scoring cost_model d ~lo ~hi ~m with
+  | { best = Some (t1, _); _ } -> Stochastic_core.Recurrence.sequence cost_model d ~t1
+  | { candidates; _ } when candidates < m -> fail_budget st stage
+  | t ->
+      fail_non_convergent stage
+        (Printf.sprintf
+           "0/%d candidates yielded a valid sequence (density underflow %d, \
+            non-increasing %d, non-finite %d, too long %d, evaluation failed \
+            %d)"
+           m t.underflow t.non_increasing t.non_finite t.too_long t.failed)
 
 (* Tier 2: Theorem 5 DP on the equal-probability discretization
    (Sect. 4.2) — needs no density and no Theorem 2 moment bounds. *)
 let run_dp st cost_model d =
   let stage = tier_name Dp_equal_probability in
-  if over_deadline st Dp_equal_probability then
-    (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
-    raise
-      (Tier_fail
-         (Budget_exhausted
-            { stage; evaluations = st.evaluations; elapsed = elapsed st }));
+  if over_deadline st Dp_equal_probability then fail_budget st stage;
   spend st ~stage st.budget.dp_points;
   let discrete =
     match
@@ -338,12 +290,7 @@ let run_dp st cost_model d =
 let run_mean_doubling st cost_model d =
   ignore cost_model;
   let stage = tier_name Mean_doubling in
-  if over_deadline st Mean_doubling then
-    (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
-    raise
-      (Tier_fail
-         (Budget_exhausted
-            { stage; evaluations = st.evaluations; elapsed = elapsed st }));
+  if over_deadline st Mean_doubling then fail_budget st stage;
   if not (Float.is_finite d.Dist.mean && d.Dist.mean > 0.0) then
     fail_non_convergent stage
       (Printf.sprintf "mean %g is not finite and positive" d.Dist.mean);

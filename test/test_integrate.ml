@@ -9,20 +9,34 @@ let rel_close ?(tol = 1e-9) name expected got =
   if err > tol then
     Alcotest.failf "%s: expected %.15g, got %.15g" name expected got
 
-let test_simpson_polynomials () =
-  (* Simpson with Richardson is exact on low-degree polynomials. *)
-  rel_close "int x^2 [0,1]" (1.0 /. 3.0) (I.simpson (fun x -> x *. x) 0.0 1.0);
-  rel_close "int x^5 [0,2]" (64.0 /. 6.0) (I.simpson (fun x -> x ** 5.0) 0.0 2.0);
-  rel_close "int const" 14.0 (I.simpson (fun _ -> 7.0) 1.0 3.0)
+let test_polynomials () =
+  (* K15 is exact on polynomials up to degree 29. *)
+  rel_close "int x^2 [0,1]" (1.0 /. 3.0) (I.gauss_kronrod (fun x -> x *. x) 0.0 1.0);
+  rel_close "int x^5 [0,2]" (64.0 /. 6.0)
+    (I.gauss_kronrod (fun x -> x ** 5.0) 0.0 2.0);
+  rel_close "int const" 14.0 (I.gauss_kronrod (fun _ -> 7.0) 1.0 3.0)
 
-let test_simpson_transcendental () =
-  rel_close "int sin [0,pi]" 2.0 (I.simpson sin 0.0 pi);
-  rel_close "int e^x [0,1]" (exp 1.0 -. 1.0) (I.simpson exp 0.0 1.0);
-  rel_close "int 1/x [1,e]" 1.0 (I.simpson (fun x -> 1.0 /. x) 1.0 (exp 1.0))
+let test_transcendental () =
+  rel_close "int sin [0,pi]" 2.0 (I.gauss_kronrod sin 0.0 pi);
+  rel_close "int e^x [0,1]" (exp 1.0 -. 1.0) (I.gauss_kronrod exp 0.0 1.0);
+  rel_close "int 1/x [1,e]" 1.0 (I.gauss_kronrod (fun x -> 1.0 /. x) 1.0 (exp 1.0))
 
-let test_simpson_orientation () =
-  rel_close "reversed bounds negate" (-2.0) (I.simpson sin pi 0.0);
-  rel_close "empty interval" 0.0 (I.simpson sin 1.0 1.0)
+let test_orientation () =
+  rel_close "reversed bounds negate" (-2.0) (I.gauss_kronrod sin pi 0.0);
+  rel_close "empty interval" 0.0 (I.gauss_kronrod sin 1.0 1.0)
+
+(* The additivity property below once ran on adaptive Simpson, which
+   converged falsely on the top panel of [1.204, 1.961] (off by 1.2e-7
+   at tol 1e-10; QCHECK_SEED=449348721). Kept as a fixed case. *)
+let test_additivity_regression () =
+  let f x = exp (-.x) *. cos x in
+  let lo = 1.20445894832 and mid = 1.81315568423 and hi = 1.96093480191 in
+  let whole = I.gauss_kronrod f lo hi in
+  let exact = 0.5 *. exp (-.hi) *. (sin hi -. cos hi) -. (0.5 *. exp (-.lo) *. (sin lo -. cos lo)) in
+  rel_close "whole vs closed form" exact whole ~tol:1e-12;
+  rel_close "whole = left + right" whole
+    (I.gauss_kronrod f lo mid +. I.gauss_kronrod f mid hi)
+    ~tol:1e-8
 
 let test_qk15 () =
   let integral, err = I.qk15 (fun x -> x *. x) 0.0 1.0 in
@@ -57,12 +71,6 @@ let test_poisoned_integrands_terminate () =
   Alcotest.(check bool) "gauss_kronrod propagates nan" true (Float.is_nan r);
   Alcotest.(check bool)
     (Printf.sprintf "gauss_kronrod stays cheap (%d evals)" !evals)
-    true (!evals < 1000);
-  evals := 0;
-  let r = I.simpson ~tol:1e-12 ~max_depth:48 poisoned 0.0 1.0 in
-  Alcotest.(check bool) "simpson propagates nan" true (Float.is_nan r);
-  Alcotest.(check bool)
-    (Printf.sprintf "simpson stays cheap (%d evals)" !evals)
     true (!evals < 1000);
   evals := 0;
   let spike x =
@@ -122,21 +130,20 @@ let prop_additivity =
       and hi = Float.max a (Float.max b c) in
       let mid = a +. b +. c -. lo -. hi in
       let f x = exp (-.x) *. cos x in
-      let whole = I.simpson f lo hi in
-      let parts = I.simpson f lo mid +. I.simpson f mid hi in
+      let whole = I.gauss_kronrod f lo hi in
+      let parts = I.gauss_kronrod f lo mid +. I.gauss_kronrod f mid hi in
       Float.abs (whole -. parts) <= 1e-8 *. (1.0 +. Float.abs whole))
 
 let () =
   Alcotest.run "integrate"
     [
-      ( "simpson",
-        [
-          Alcotest.test_case "polynomials" `Quick test_simpson_polynomials;
-          Alcotest.test_case "transcendental" `Quick test_simpson_transcendental;
-          Alcotest.test_case "orientation" `Quick test_simpson_orientation;
-        ] );
       ( "gauss-kronrod",
         [
+          Alcotest.test_case "polynomials" `Quick test_polynomials;
+          Alcotest.test_case "transcendental" `Quick test_transcendental;
+          Alcotest.test_case "orientation" `Quick test_orientation;
+          Alcotest.test_case "additivity regression" `Quick
+            test_additivity_regression;
           Alcotest.test_case "qk15" `Quick test_qk15;
           Alcotest.test_case "adaptive" `Quick test_gauss_kronrod;
           Alcotest.test_case "spike" `Quick test_gauss_kronrod_spike;

@@ -1,0 +1,339 @@
+(* Pins the single-pass recurrence kernel ([Recurrence.score] and
+   everything built on it) against [Recurrence_oracle], the three-walk
+   code it replaced, with Int64.bits_of_float equality: every verdict,
+   prefix and cost, Brute_force's search/profile/cost_of_t1,
+   Robust.Solver.solve, Exponential_opt.solve, and a random property
+   over the registry, mixtures, empirical and bounded laws. *)
+
+open Stochastic_core
+module O = Recurrence_oracle
+module Dist = Distributions.Dist
+module Solver = Robust.Solver
+
+let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x)
+let bits_array a = String.concat "," (Array.to_list (Array.map bits a))
+
+let stop_key = function
+  | Recurrence.Unsupported_t1 t -> "Unsupported_t1 " ^ bits t
+  | Density_underflow { t; survival } ->
+      Printf.sprintf "Density_underflow %s %s" (bits t) (bits survival)
+  | Non_finite { t_prev; next } ->
+      Printf.sprintf "Non_finite %s %s" (bits t_prev) (bits next)
+  | Non_increasing { t_prev; next } ->
+      Printf.sprintf "Non_increasing %s %s" (bits t_prev) (bits next)
+  | Too_long n -> Printf.sprintf "Too_long %d" n
+
+(* An outcome as a string: verdict, prefix and cost, or the exception
+   the computation raised. *)
+let outcome f =
+  match f () with
+  | Ok (prefix, cost) -> Printf.sprintf "Ok [%s] %s" (bits_array prefix) (bits cost)
+  | Error s -> "Error " ^ stop_key s
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let oracle_outcome scoring m d t1 =
+  outcome (fun () ->
+      match O.generate m d ~t1 with
+      | Error s -> Error s
+      | Ok prefix ->
+          let seq = O.sequence m d ~t1 in
+          Ok
+            ( prefix,
+              match scoring with
+              | Expected_cost.Series -> O.exact m d seq
+              | Sorted_sample samples -> O.mean_cost_sorted m seq samples ))
+
+(* The kernel returns a scoring exception as a value; the oracle raised
+   it. *)
+let kernel_outcome score scoring t1 =
+  outcome (fun () ->
+      match score scoring ~t1 with
+      | Ok (prefix, Ok cost) -> Ok (prefix, cost)
+      | Ok (_, Error e) -> raise e
+      | Error s -> Error s)
+
+let models =
+  [ ("reservation_only", Cost_model.reservation_only); ("neuro_hpc", Cost_model.neuro_hpc) ]
+
+(* The 18 problems of the solve benchmark. *)
+let problems =
+  List.concat_map
+    (fun (law, d) -> List.map (fun (model, m) -> (law ^ "/" ^ model, m, d)) models)
+    Distributions.Table1.all
+
+(* One fixed sample per law, sorted as the parent sorted it. *)
+let fixed_sample d =
+  let s = Dist.samples d (Randomness.Rng.create ~seed:2024 ()) 1000 in
+  Array.sort compare s;
+  s
+
+let check_same label expected got =
+  if expected <> got then
+    Alcotest.failf "%s:\n  oracle %s\n  kernel %s" label expected got
+
+(* --------------------- every candidate, 18 problems ---------------- *)
+
+let test_every_candidate () =
+  List.iter
+    (fun (name, m, d) ->
+      let lo, hi = Bounds.search_interval m d in
+      let score = Recurrence.score m d in
+      let sample = Expected_cost.Sorted_sample (fixed_sample d) in
+      let ok = ref 0 in
+      for i = 1 to 5000 do
+        let t1 = lo +. (float_of_int i *. ((hi -. lo) /. 5000.0)) in
+        let label = Printf.sprintf "%s t1 #%d" name i in
+        let exact = oracle_outcome Expected_cost.Series m d t1 in
+        check_same (label ^ " exact") exact (kernel_outcome score Expected_cost.Series t1);
+        check_same (label ^ " sample") (oracle_outcome sample m d t1)
+          (kernel_outcome score sample t1);
+        check_same (label ^ " generate")
+          (outcome (fun () -> Result.map (fun p -> (p, 0.0)) (O.generate m d ~t1)))
+          (outcome (fun () -> Result.map (fun p -> (p, 0.0)) (Recurrence.generate m d ~t1)));
+        if String.length exact > 2 && String.sub exact 0 2 = "Ok" then incr ok
+      done;
+      Alcotest.(check bool) (name ^ ": some candidates valid") true (!ok > 0))
+    problems
+
+(* ------------------- Brute_force on the 18 problems ---------------- *)
+
+let evaluators () =
+  [
+    ("exact", fun () -> Brute_force.Exact);
+    ( "mc",
+      fun () -> Brute_force.Monte_carlo { rng = Randomness.Rng.create ~seed:11 (); n = 1000 } );
+  ]
+
+let test_brute_force () =
+  List.iter
+    (fun (name, m, d) ->
+      List.iter
+        (fun (ev_name, ev) ->
+          let label = Printf.sprintf "%s %s" name ev_name in
+          let t1, cost, normalized, candidates, valid = O.search ~evaluator:(ev ()) m d in
+          let r = Brute_force.search ~evaluator:(ev ()) m d in
+          check_same (label ^ " search")
+            (Printf.sprintf "%s %s %s %d %d" (bits t1) (bits cost) (bits normalized)
+               candidates valid)
+            (Printf.sprintf "%s %s %s %d %d" (bits r.Brute_force.t1) (bits r.cost)
+               (bits r.normalized) r.candidates r.valid);
+          check_same (label ^ " search sequence")
+            (bits_array (Array.of_list (Sequence.take 40 (O.sequence m d ~t1))))
+            (bits_array (Array.of_list (Sequence.take 40 r.sequence)));
+          let show p =
+            String.concat ";"
+              (Array.to_list
+                 (Array.map
+                    (fun (t1, c) ->
+                      bits t1 ^ "=" ^ match c with None -> "-" | Some c -> bits c)
+                    p))
+          in
+          check_same (label ^ " profile")
+            (show (O.profile ~m:1000 ~evaluator:(ev ()) m d))
+            (show (Brute_force.profile ~m:1000 ~evaluator:(ev ()) m d));
+          List.iter
+            (fun p ->
+              let t1 = d.Dist.quantile p in
+              let show = function None -> "-" | Some c -> bits c in
+              check_same
+                (Printf.sprintf "%s cost_of_t1 q%g" label p)
+                (show (O.cost_of_t1 ~evaluator:(ev ()) m d t1))
+                (show (Brute_force.cost_of_t1 ~evaluator:(ev ()) m d t1)))
+            [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.99 ])
+        (evaluators ()))
+    problems
+
+(* ---------------------- Robust.Solver.solve ----------------------- *)
+
+(* What [solve] must return when brute force wins: the oracle scan's
+   t1, then the solver's vetting (head to the coverage point, exact
+   cost) on the oracle's sequence. *)
+let expected_solution ?(exact = false) budget m d =
+  let st = { O.budget; evaluations = 0 } in
+  let t1 = O.run_brute_force st ~exact ~seed:42 m d in
+  let seq = O.sequence m d ~t1 in
+  let stop t =
+    if Dist.is_bounded d then t >= Dist.upper d else d.Dist.cdf t >= 1.0 -. 1e-9
+  in
+  let head = Sequence.prefix_until ~limit:20_000 stop seq in
+  let cost = O.exact m d seq in
+  Printf.sprintf "tier=%s evaluations=%d head=[%s] cost=%s normalized=%s rejected=[]"
+    (Solver.tier_name Solver.Brute_force)
+    (st.evaluations + Array.length head)
+    (bits_array head) (bits cost)
+    (bits (cost /. Expected_cost.omniscient m d))
+
+let solution_key (s : Solver.solution) =
+  let dg = s.Solver.diagnostics in
+  Printf.sprintf "tier=%s evaluations=%d head=[%s] cost=%s normalized=%s rejected=[%s]"
+    (Solver.tier_name dg.Solver.chosen) dg.Solver.evaluations
+    (bits_array s.Solver.head) (bits s.Solver.cost) (bits s.Solver.normalized)
+    (String.concat "; "
+       (List.map (fun r -> Solver.error_to_string r.Solver.reason) dg.Solver.rejected))
+
+let test_solver () =
+  List.iter
+    (fun (name, m, d) ->
+      List.iter
+        (fun (budget_name, budget) ->
+          match Solver.solve ~budget m d with
+          | Ok s ->
+              check_same
+                (Printf.sprintf "%s solve %s" name budget_name)
+                (expected_solution budget m d) (solution_key s)
+          | Error e ->
+              Alcotest.failf "%s solve %s: %s" name budget_name (Solver.error_to_string e))
+        [ ("defaults", Solver.default_budget); ("quick_budget", Solver.quick_budget) ])
+    problems
+
+(* Laws whose density raises: past the median, so the walk raises
+   before most verdicts are known; or only where the CDF has reached
+   the coverage point, so only the Eq. (4) scoring of valid candidates
+   does.
+   The first ends the brute-force tier with the exception; the second
+   counts the candidates whose scoring raised as failed evaluations. *)
+let raising_pdf name raises =
+  let d = Distributions.Lognormal.make ~mu:1.0 ~sigma:0.5 in
+  (name, { d with Dist.pdf = (fun t -> if raises d t then failwith name else d.Dist.pdf t) })
+
+let test_solver_raising_pdf () =
+  List.iter
+    (fun (name, d) ->
+      let m = Cost_model.neuro_hpc and budget = Solver.quick_budget in
+      let rejected reason = "brute force rejected: " ^ Solver.error_to_string reason in
+      let expected =
+        match expected_solution ~exact:true budget m d with
+        | key -> key
+        | exception O.Tier_fail msg -> "brute force rejected: non-convergent in " ^ msg
+        | exception e ->
+            rejected
+              (Solver.Non_convergent
+                 {
+                   stage = Solver.tier_name Solver.Brute_force;
+                   detail = "unexpected exception " ^ Printexc.to_string e;
+                 })
+      in
+      match Solver.solve ~validate:false ~exact:true ~budget m d with
+      | Ok s ->
+          check_same name expected
+            (match s.Solver.diagnostics.Solver.rejected with
+            | r :: _ when r.Solver.tier = Solver.Brute_force -> rejected r.Solver.reason
+            | _ -> solution_key s)
+      | Error e -> Alcotest.failf "%s: %s" name (Solver.error_to_string e))
+    [
+      raising_pdf "pdf past the median" (fun d t -> t > Dist.median d);
+      raising_pdf "pdf past coverage" (fun d t -> d.Dist.cdf t >= Recurrence.coverage);
+    ]
+
+(* ------------------------ Exponential_opt ------------------------- *)
+
+let test_exponential_opt () =
+  let s1, e1 = O.exp_opt () in
+  let sol = Exponential_opt.solve () in
+  check_same "s1 e1"
+    (bits s1 ^ " " ^ bits e1)
+    (bits sol.Exponential_opt.s1 ^ " " ^ bits sol.Exponential_opt.e1)
+
+(* ---------------------------- property ---------------------------- *)
+
+let mixtures =
+  [
+    ("Mixture.default", Distributions.Mixture.default);
+    ( "Mix(LogNormal | vanishing Exp)",
+      Distributions.Mixture.make
+        [
+          (1.0 -. 1e-9, Distributions.Lognormal.make ~mu:1.0 ~sigma:0.5);
+          (1e-9, Distributions.Exponential.default);
+        ] );
+  ]
+
+let empirical =
+  [
+    ("Empirical(7)", Distributions.Empirical.make [| 0.5; 1.0; 1.2; 2.0; 3.5; 3.5; 9.0 |]);
+    ( "Empirical(lognormal 60)",
+      Distributions.Empirical.make
+        (Dist.samples Distributions.Lognormal.default (Randomness.Rng.create ~seed:3 ()) 60) );
+  ]
+
+let laws = Distributions.Registry.all @ mixtures @ empirical
+
+let case_gen =
+  let open QCheck.Gen in
+  let* law = oneofl laws in
+  let* model =
+    oneof
+      [
+        oneofl (List.map snd models);
+        map3
+          (fun alpha beta gamma -> Cost_model.make ~alpha ~beta ~gamma ())
+          (float_range 0.1 3.0) (float_range 0.0 2.0) (float_range 0.0 2.0);
+      ]
+  in
+  let _, d = law in
+  let lo, hi =
+    match Bounds.search_interval model d with
+    | r -> r
+    | exception Invalid_argument _ -> (Dist.lower d, d.Dist.quantile 0.999)
+  in
+  let* t1 =
+    match d.Dist.support with
+    | Dist.Bounded (a, b) ->
+        (* Most bounded cases sit within a few ulps to 1e-6 of b, where
+           the near-b snap of [Sequence.sanitize] and the clamp at b
+           part ways, or exactly on the snap threshold. *)
+        let near_b = b -. (1e-9 *. (b -. a)) in
+        oneof
+          [
+            float_range lo hi;
+            map (fun k -> b -. (b *. 1e-16 *. float_of_int k)) (int_range 0 40);
+            map (fun e -> b -. ((b -. lo) *. e)) (float_range 1e-12 1e-6);
+            oneofl [ Float.pred near_b; near_b; Float.succ near_b ];
+          ]
+    | Dist.Unbounded _ -> float_range lo hi
+  in
+  let* seed = int_range 0 1000 in
+  return (law, model, t1, seed)
+
+let print_case ((name, _), (m : Cost_model.t), t1, seed) =
+  Printf.sprintf "%s alpha=%g beta=%g gamma=%g t1=%h seed=%d" name m.alpha m.beta m.gamma
+    t1 seed
+
+let prop_kernel_is_oracle =
+  QCheck.Test.make ~count:400 ~name:"kernel = three-walk oracle, bit for bit"
+    (QCheck.make ~print:print_case case_gen)
+    (fun ((_, d), m, t1, seed) ->
+      let sample =
+        let s = Dist.samples d (Randomness.Rng.create ~seed ()) 200 in
+        Array.sort compare s;
+        Expected_cost.Sorted_sample s
+      in
+      let score = Recurrence.score m d in
+      let same what expected got =
+        if expected <> got then
+          QCheck.Test.fail_reportf "%s:\n  oracle %s\n  kernel %s" what expected got
+      in
+      same "exact" (oracle_outcome Expected_cost.Series m d t1)
+        (kernel_outcome score Expected_cost.Series t1);
+      same "sample" (oracle_outcome sample m d t1) (kernel_outcome score sample t1);
+      let cost f = match f () with c -> bits c | exception e -> Printexc.to_string e in
+      same "exact on sequence"
+        (cost (fun () -> O.exact m d (O.sequence m d ~t1)))
+        (cost (fun () -> Expected_cost.exact m d (Recurrence.sequence m d ~t1)));
+      same "sequence"
+        (bits_array (Array.of_list (Sequence.take 60 (O.sequence m d ~t1))))
+        (bits_array (Array.of_list (Sequence.take 60 (Recurrence.sequence m d ~t1))));
+      true)
+
+let () =
+  Alcotest.run "recurrence_oracle"
+    [
+      ( "pins",
+        [
+          Alcotest.test_case "every candidate, 18 problems" `Quick test_every_candidate;
+          Alcotest.test_case "brute force search/profile/cost_of_t1" `Quick test_brute_force;
+          Alcotest.test_case "solver defaults and quick budget" `Quick test_solver;
+          Alcotest.test_case "solver on a raising pdf" `Quick test_solver_raising_pdf;
+          Alcotest.test_case "exponential optimum" `Quick test_exponential_opt;
+        ] );
+      ("property", [ QCheck_alcotest.to_alcotest prop_kernel_is_oracle ]);
+    ]

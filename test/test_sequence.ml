@@ -2,6 +2,7 @@
    sanitize combinator. *)
 
 module S = Stochastic_core.Sequence
+module E = Stochastic_core.Expected_cost
 module C = Stochastic_core.Cost_model
 module Dist = Distributions.Dist
 
@@ -48,11 +49,11 @@ let test_mean_cost_matches_individual_runs () =
     Array.fold_left (fun acc t -> acc +. snd (S.cost_of_run m s t)) 0.0 samples
     /. float_of_int (Array.length samples)
   in
-  close "batch = mean of individual" expected (S.mean_cost_sorted m s samples)
+  close "batch = mean of individual" expected (E.mean_cost_presampled m ~sorted_samples:samples s)
 
 let test_mean_cost_requires_samples () =
   Alcotest.(check bool) "empty rejected" true
-    (try ignore (S.mean_cost_sorted C.reservation_only (S.of_list [ 1.0 ]) [||]); false
+    (try ignore (E.mean_cost_presampled C.reservation_only ~sorted_samples:[||] (S.of_list [ 1.0 ])); false
      with Invalid_argument _ -> true)
 
 let test_take_and_prefix () =
@@ -137,7 +138,7 @@ let prop_sanitize_bounded_ends_with_b =
       && Float.equal (List.nth all (List.length all - 1)) b)
 
 let prop_batch_eval_matches_pointwise =
-  QCheck.Test.make ~count:200 ~name:"mean_cost_sorted = mean of cost_of_run"
+  QCheck.Test.make ~count:200 ~name:"mean_cost_presampled = mean of cost_of_run"
     QCheck.(
       pair
         (list_of_size Gen.(int_range 1 15) (float_range 0.1 30.0))
@@ -149,7 +150,7 @@ let prop_batch_eval_matches_pointwise =
       let samples = Array.of_list samples in
       Array.sort compare samples;
       let m = C.make ~alpha:1.3 ~beta:0.7 ~gamma:0.2 () in
-      let batch = S.mean_cost_sorted m seq samples in
+      let batch = E.mean_cost_presampled m ~sorted_samples:samples seq in
       let pointwise =
         Array.fold_left
           (fun acc t -> acc +. snd (S.cost_of_run m seq t))
