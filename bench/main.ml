@@ -1,148 +1,32 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (Sect. 5) and runs Bechamel micro-benchmarks of the solvers.
+   (Sect. 5) from the experiment registry, then measures the
+   observability overhead and the strategy daemon.
 
    Usage:
      dune exec bench/main.exe               # everything, paper parameters
      dune exec bench/main.exe -- quick      # everything, reduced parameters
      dune exec bench/main.exe -- table2     # a single artefact
-     dune exec bench/main.exe -- perf      # only the micro-benchmarks
      dune exec bench/main.exe -- obs --out BENCH_obs.json
-                                            # instrumentation overhead *)
+                                            # instrumentation overhead
+
+   Exits 1 when a requested artefact fails one of its sanity checks. *)
+
+module J = Stochobs.Json
+module R = Experiments.Registry
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-let report_sanity checks =
-  let failed = List.filter (fun (_, ok) -> not ok) checks in
-  if failed = [] then
-    Printf.printf "[sanity] all %d qualitative checks hold\n"
-      (List.length checks)
-  else
-    List.iter
-      (fun (label, _) -> Printf.printf "[sanity] FAILED: %s\n" label)
-      failed
-
-let run_table2 cfg =
-  section "Table 2: normalized expected costs (ReservationOnly)";
-  let t = Experiments.Table2.run ~cfg () in
-  print_string (Experiments.Table2.to_string t);
-  report_sanity (Experiments.Table2.sanity t);
-  t
-
-let run_table3 cfg =
-  section "Table 3: best t1 vs quantile guesses (ReservationOnly)";
-  let t = Experiments.Table3.run ~cfg () in
-  print_string (Experiments.Table3.to_string t);
-  report_sanity (Experiments.Table3.sanity t)
-
-let run_table4 cfg t2 =
-  section "Table 4: discretization convergence (ReservationOnly)";
-  let t = Experiments.Table4.run ~cfg () in
-  print_string (Experiments.Table4.to_string t);
-  let brute_force name =
-    let row =
-      List.find
-        (fun r -> r.Experiments.Table2.dist_name = name)
-        t2.Experiments.Table2.rows
-    in
-    row.Experiments.Table2.values.(0)
-  in
-  report_sanity (Experiments.Table4.sanity t ~brute_force)
-
-let run_fig1 cfg =
-  section "Figure 1: neuroscience traces and LogNormal fits";
-  let t = Experiments.Fig1.run ~cfg () in
-  print_string (Experiments.Fig1.to_string t);
-  report_sanity (Experiments.Fig1.sanity t)
-
-let run_fig2 cfg =
-  section "Figure 2: HPC queue wait times and affine fit";
-  let t = Experiments.Fig2.run ~cfg () in
-  print_string (Experiments.Fig2.to_string t);
-  report_sanity (Experiments.Fig2.sanity t)
-
-let run_fig3 cfg =
-  section "Figure 3: normalized cost vs t1 (gaps = invalid sequences)";
-  let t = Experiments.Fig3.run ~cfg () in
-  print_string (Experiments.Fig3.to_string t);
-  report_sanity (Experiments.Fig3.sanity t)
-
-let run_fig4 cfg =
-  section "Figure 4: NeuroHPC scenario sweep";
-  let t = Experiments.Fig4.run ~cfg () in
-  print_string (Experiments.Fig4.to_string t);
-  report_sanity (Experiments.Fig4.sanity t)
-
-let run_s1 cfg =
-  section "Section 3.5: optimal first reservation for Exp(1)";
-  let t = Experiments.Exp_s1.run ~cfg () in
-  print_string (Experiments.Exp_s1.to_string t);
-  report_sanity (Experiments.Exp_s1.sanity t)
-
-let run_table2x cfg =
-  section
-    "Extended Table 2: paper strategies + quantile ladders on the extended \
-     distributions";
-  let t = Experiments.Table2x.run ~cfg () in
-  print_string (Experiments.Table2x.to_string t);
-  report_sanity (Experiments.Table2x.sanity t)
-
-let run_ablation_bf cfg =
-  section "Ablation: brute-force resolution (M, N) and MC selection optimism";
-  let t = Experiments.Ablation_bf.run ~cfg () in
-  print_string (Experiments.Ablation_bf.to_string t);
-  report_sanity (Experiments.Ablation_bf.sanity t)
-
-let run_ablation_eps cfg =
-  section "Ablation: truncation quantile eps for the discretization schemes";
-  let t = Experiments.Ablation_eps.run ~cfg () in
-  print_string (Experiments.Ablation_eps.to_string t);
-  report_sanity (Experiments.Ablation_eps.sanity t)
-
-let run_robustness cfg =
-  section "Ablation: robustness to model misspecification (fit from k runs)";
-  let t = Experiments.Robustness.run ~cfg () in
-  print_string (Experiments.Robustness.to_string t);
-  report_sanity (Experiments.Robustness.sanity t)
-
-let run_cluster cfg ~quick =
-  section
-    "Cluster scheduler: strategies under contention, wait-time loop closed";
-  let jobs = if quick then 500 else 1500 in
-  let t = Experiments.Cluster_contention.run ~cfg ~jobs () in
-  print_string (Experiments.Cluster_contention.to_string t);
-  report_sanity (Experiments.Cluster_contention.sanity t)
-
-let run_faults cfg ~quick =
-  section
-    "Fault tolerance: failure rate x {restart, checkpoint} x strategy";
-  let jobs = if quick then 120 else 240 in
-  let t = Experiments.Fault_tolerance.run ~cfg ~jobs () in
-  print_string (Experiments.Fault_tolerance.to_string t);
-  report_sanity (Experiments.Fault_tolerance.sanity t)
-
-let run_robust_solve cfg =
-  section
-    "Robust solver cascade: tier counts and validation overhead (Table 1)";
-  let t = Experiments.Robust_solve.run ~cfg () in
-  print_string (Experiments.Robust_solve.to_string t);
-  report_sanity (Experiments.Robust_solve.sanity t)
-
-let run_trace_vs_fit cfg =
-  section "Ablation: interpolating traces vs fitting a LogNormal (NeuroHPC)";
-  let t = Experiments.Trace_vs_fit.run ~cfg () in
-  print_string (Experiments.Trace_vs_fit.to_string t);
-  report_sanity (Experiments.Trace_vs_fit.sanity t)
+let num v = J.Num v
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same solve workload with the tracing    *)
 (* sink and metrics registry off vs on. The artefact backs the         *)
-(* "instrumentation is a branch when disabled" claim with a number     *)
-(* and gives CI something to gate on (overhead must stay under 10%).   *)
+(* "instrumentation is a branch when disabled" claim with a number,    *)
+(* and its sanity check holds the overhead under 10%.                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_obs ~out =
-  section "Observability overhead: instrumented vs no-op solve";
+let obs_run ~quick:_ ~log:_ =
   let module M = Stochobs.Metrics in
   let cost = Stochastic_core.Cost_model.reservation_only in
   let d = Distributions.Lognormal.default in
@@ -187,11 +71,10 @@ let run_obs ~out =
   let overhead =
     if wall_noop > 0.0 then (wall_on -. wall_noop) /. wall_noop else 0.0
   in
-  let num v = Stochobs.Json.Num v in
   let json =
-    Stochobs.Json.Obj
+    J.Obj
       [
-        ("workload", Stochobs.Json.Str "robust-solve lognormal quick-budget");
+        ("workload", J.Str "robust-solve lognormal quick-budget");
         ("reps", num (float_of_int (3 * reps)));
         ("wall_seconds_noop", num wall_noop);
         ("wall_seconds_instrumented", num wall_on);
@@ -201,43 +84,58 @@ let run_obs ~out =
         ("trace_bytes", num (float_of_int (Buffer.length buf)));
       ]
   in
-  Printf.printf
-    "no-op: %.4f s, instrumented: %.4f s over %d solves -> overhead %.2f%% \
-     (%d spans, %d trace bytes)\n"
-    wall_noop wall_on reps (100.0 *. overhead)
-    (Stochobs.Trace.spans_written sink)
-    (Buffer.length buf);
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Stochobs.Json.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
+  {
+    R.text =
+      Printf.sprintf
+        "no-op: %.4f s, instrumented: %.4f s over %d solves -> overhead \
+         %.2f%% (%d spans, %d trace bytes)\n"
+        wall_noop wall_on reps (100.0 *. overhead)
+        (Stochobs.Trace.spans_written sink)
+        (Buffer.length buf);
+    sanity = [ ("overhead below 10%", overhead < 0.10) ];
+    json = Some json;
+  }
+
+let obs =
+  {
+    R.name = "obs";
+    title = "Observability overhead: instrumented vs no-op solve";
+    doc = "Time a quick solve with tracing and metrics off vs on.";
+    run = obs_run;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Strategy-as-a-service daemon: N tenants with near-identical         *)
-(* LogNormal fits hammer the solve endpoint. Because the cache key     *)
-(* quantizes fitted parameters onto a relative grid, the fleet         *)
-(* collapses onto a handful of solved entries — the artefact reports   *)
-(* the measured hit rate and the cached/cold latency split that the    *)
-(* CI gate checks (hit rate >= 0.9, cached p99 at least 10x below the  *)
-(* cold p50).                                                          *)
+(* Strategy-as-a-service daemon, measured through its request loop.    *)
 (* ------------------------------------------------------------------ *)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let idx = int_of_float (Float.round (p *. float_of_int (n - 1))) in
-    sorted.(max 0 (min (n - 1) idx))
+(* One request line through [server], timed: (latency, cached, ok). *)
+let timed server line =
+  let t0 = Unix.gettimeofday () in
+  let resp, _stop = Stochserve.Server.handle_line server line in
+  let dt = Unix.gettimeofday () -. t0 in
+  let flag name j =
+    match J.member name j with Some (J.Bool b) -> b | _ -> false
+  in
+  match Option.map J.of_string resp with
+  | Some (Ok j) -> (dt, flag "cached" j, flag "ok" j)
+  | Some (Error _) | None -> (dt, false, false)
 
-let run_serve ~quick ~out =
-  section "Serve daemon: tenant fleet with near-identical LogNormal fits";
-  let module J = Stochobs.Json in
+(* Nearest-rank [p]-quantile of the latencies [l]; 0 when there are
+   none. *)
+let percentile l p =
+  match Array.of_list l with
+  | [||] -> 0.0
+  | a ->
+      Array.sort Float.compare a;
+      Numerics.Stats.quantile_nearest_rank_sorted a p
+
+(* N tenants with near-identical LogNormal fits hammer the solve
+   endpoint. Because the cache key quantizes fitted parameters onto a
+   relative grid, the fleet collapses onto a handful of solved
+   entries: the artefact reports the measured hit rate and the
+   cached/cold latency split (hit rate >= 0.9, cached p99 at least 10x
+   below the cold p50). *)
+let serve_run ~quick ~log:_ =
   let tenants = if quick then 20 else 48 in
   let rounds = 4 in
   let samples_per_tenant = 400 in
@@ -250,26 +148,6 @@ let run_serve ~quick ~out =
   in
   let server = Stochserve.Server.create config in
   let rng = Randomness.Rng.create ~seed:2024 () in
-  let num v = J.Num v in
-  (* One request line, timed; returns (latency, cached, ok). *)
-  let timed line =
-    let t0 = Unix.gettimeofday () in
-    let resp, _stop = Stochserve.Server.handle_line server line in
-    let dt = Unix.gettimeofday () -. t0 in
-    match resp with
-    | None -> (dt, false, false)
-    | Some r -> (
-        match J.of_string r with
-        | Error _ -> (dt, false, false)
-        | Ok j ->
-            let cached =
-              match J.member "cached" j with Some (J.Bool b) -> b | _ -> false
-            in
-            let ok =
-              match J.member "ok" j with Some (J.Bool b) -> b | _ -> false
-            in
-            (dt, cached, ok))
-  in
   (* Fit every tenant from its own jittered VBMQA-like trace: the
      fitted (mu, sigma) differ in the third decimal, well inside one
      0.1-grid bucket. *)
@@ -291,7 +169,7 @@ let run_serve ~quick ~out =
                J.Arr (Array.to_list samples |> List.map (fun s -> num s)) );
            ])
     in
-    let _, _, ok = timed line in
+    let _, _, ok = timed server line in
     if not ok then incr fit_failures
   done;
   (* Interleaved solve rounds over the whole fleet: round-major order,
@@ -312,7 +190,7 @@ let run_serve ~quick ~out =
                ("strategy", J.Str "cascade");
              ])
       in
-      let dt, was_cached, ok = timed line in
+      let dt, was_cached, ok = timed server line in
       if not ok then incr solve_failures
       else if was_cached then cached := dt :: !cached
       else cold := dt :: !cold
@@ -325,30 +203,10 @@ let run_serve ~quick ~out =
         match J.member "hit_rate" c with Some (J.Num v) -> v | _ -> 0.0)
     | None -> 0.0
   in
-  let sorted l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-  in
-  let cold_a = sorted !cold and cached_a = sorted !cached in
-  let cold_p50 = percentile cold_a 0.5 in
-  let cached_p50 = percentile cached_a 0.5 in
-  let cached_p99 = percentile cached_a 0.99 in
+  let cold_p50 = percentile !cold 0.5 in
+  let cached_p50 = percentile !cached 0.5 in
+  let cached_p99 = percentile !cached 0.99 in
   let total_solves = tenants * rounds in
-  Printf.printf
-    "%d tenants x %d rounds: %d cold, %d cached solves -> hit rate %.3f\n"
-    tenants rounds (List.length !cold) (List.length !cached) hit_rate;
-  Printf.printf
-    "latency: cold p50 %.3f ms, cached p50 %.4f ms, cached p99 %.4f ms\n"
-    (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
-  report_sanity
-    [
-      ("all fits succeed", !fit_failures = 0);
-      ("all solves succeed", !solve_failures = 0);
-      ("cache hit rate >= 0.9", hit_rate >= 0.9);
-      ( "cached p99 at least 10x below cold p50",
-        cached_p99 *. 10.0 <= cold_p50 );
-    ];
   let json =
     J.Obj
       [
@@ -366,30 +224,39 @@ let run_serve ~quick ~out =
         ("cached_p99_seconds", num cached_p99);
       ]
   in
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (J.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
+  {
+    R.text =
+      Printf.sprintf
+        "%d tenants x %d rounds: %d cold, %d cached solves -> hit rate %.3f\n\
+         latency: cold p50 %.3f ms, cached p50 %.4f ms, cached p99 %.4f ms\n"
+        tenants rounds (List.length !cold) (List.length !cached) hit_rate
+        (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
+    sanity =
+      [
+        ("all fits succeed", !fit_failures = 0);
+        ("all solves succeed", !solve_failures = 0);
+        ("cache hit rate >= 0.9", hit_rate >= 0.9);
+        ( "cached p99 at least 10x below cold p50",
+          cached_p99 *. 10.0 <= cold_p50 );
+      ];
+    json = Some json;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Restart benchmark: solve a batch with --persist semantics, abandon  *)
-(* the server the way a SIGKILL would (no close), then restart from    *)
-(* the journal and replay the batch. The artefact reports the warm-    *)
-(* restart hit rate the CI chaos gate checks (>= 0.9) and the cold vs  *)
-(* warm latency split that quantifies what the journal buys.           *)
-(* ------------------------------------------------------------------ *)
+let serve =
+  {
+    R.name = "serve";
+    title = "Serve daemon: tenant fleet with near-identical LogNormal fits";
+    doc = "Cache hit rate and cold/cached latency of a tenant fleet.";
+    run = serve_run;
+  }
 
-let run_restart ~quick ~out =
-  section "Restart: journal recovery warms the cache";
-  let module J = Stochobs.Json in
+(* Solve a batch with --persist semantics, abandon the server the way a
+   SIGKILL would (no close), then restart from the journal and replay
+   the batch. The artefact reports the warm-restart hit rate (>= 0.9)
+   and the cold vs warm latency split that quantifies what the journal
+   buys. *)
+let restart_run ~quick ~log:_ =
   let entries = if quick then 12 else 32 in
-  let num v = J.Num v in
   let config =
     {
       Stochserve.Server.default_config with
@@ -417,23 +284,6 @@ let run_restart ~quick ~out =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let timed server line =
-        let t0 = Unix.gettimeofday () in
-        let resp, _ = Stochserve.Server.handle_line server line in
-        let dt = Unix.gettimeofday () -. t0 in
-        match resp with
-        | None -> (dt, false, false)
-        | Some r -> (
-            match J.of_string r with
-            | Error _ -> (dt, false, false)
-            | Ok j ->
-                let flag name =
-                  match J.member name j with
-                  | Some (J.Bool b) -> b
-                  | _ -> false
-                in
-                (dt, flag "cached", flag "ok"))
-      in
       (* Cold run: every cold solve is journalled; the server is then
          abandoned without close, as an unclean death would leave it
          (appends flush record by record). Nearby parameters can share
@@ -470,28 +320,9 @@ let run_restart ~quick ~out =
           ([], 0, 0) lines
       in
       Stochserve.Server.close server;
-      let sorted l =
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a
-      in
-      let cold_p50 = percentile (sorted cold_times) 0.5 in
-      let warm_p50 = percentile (sorted warm_times) 0.5 in
+      let cold_p50 = percentile cold_times 0.5 in
+      let warm_p50 = percentile warm_times 0.5 in
       let warm_hit_rate = float_of_int warm_hits /. float_of_int entries in
-      Printf.printf
-        "%d solves (%d journalled): recovered %d (skipped %d) -> warm hit \
-         rate %.3f\n"
-        entries appended recovered skipped warm_hit_rate;
-      Printf.printf "latency: cold p50 %.3f ms, warm p50 %.4f ms\n"
-        (1e3 *. cold_p50) (1e3 *. warm_p50);
-      report_sanity
-        [
-          ("all cold solves succeed", cold_failures = 0);
-          ("all warm solves succeed", warm_failures = 0);
-          ("every record recovered", recovered = appended && skipped = 0);
-          ("warm-restart hit rate >= 0.9", warm_hit_rate >= 0.9);
-          ("warm p50 below cold p50", warm_p50 < cold_p50);
-        ];
       let json =
         J.Obj
           [
@@ -506,187 +337,41 @@ let run_restart ~quick ~out =
             ("warm_p50_seconds", num warm_p50);
           ]
       in
-      match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (J.to_string json);
-              output_char oc '\n');
-          Printf.printf "wrote %s\n" path)
+      {
+        R.text =
+          Printf.sprintf
+            "%d solves (%d journalled): recovered %d (skipped %d) -> warm hit \
+             rate %.3f\n\
+             latency: cold p50 %.3f ms, warm p50 %.4f ms\n"
+            entries appended recovered skipped warm_hit_rate (1e3 *. cold_p50)
+            (1e3 *. warm_p50);
+        sanity =
+          [
+            ("all cold solves succeed", cold_failures = 0);
+            ("all warm solves succeed", warm_failures = 0);
+            ("every record recovered", recovered = appended && skipped = 0);
+            ("warm-restart hit rate >= 0.9", warm_hit_rate >= 0.9);
+            ("warm p50 below cold p50", warm_p50 < cold_p50);
+          ];
+        json = Some json;
+      })
 
-(* ------------------------------------------------------------------ *)
-(* Spot savings: the revocation-aware two-tier sweep. The artefact     *)
-(* reports the full MTBF x price-ratio grid plus the seeded            *)
-(* Monte-Carlo validation; CI gates on the (ratio 0.3, MTBF 20h) cell  *)
-(* beating both the on-demand arm and the plain Eq. (1) cost, and on   *)
-(* every analytic/simulated pair agreeing within 2%.                   *)
-(* ------------------------------------------------------------------ *)
+let restart =
+  {
+    R.name = "restart";
+    title = "Restart: journal recovery warms the cache";
+    doc = "Warm-restart hit rate and latency after journal recovery.";
+    run = restart_run;
+  }
 
-let run_spot cfg ~quick ~out =
-  section "Spot savings: checkpointed spot vs on-demand reservations";
-  let module J = Stochobs.Json in
-  let t =
-    if quick then
-      Experiments.Spot_savings.run ~cfg ~ratios:[ 0.3; 0.8 ] ~mc_reps:4000
-        ~assign_disc_n:300 ()
-    else Experiments.Spot_savings.run ~cfg ()
-  in
-  print_string (Experiments.Spot_savings.to_string t);
-  report_sanity (Experiments.Spot_savings.sanity t);
-  let num v = J.Num v in
-  let cell_json c =
-    J.Obj
-      [
-        ("mtbf_hours", num c.Experiments.Spot_savings.mtbf);
-        ("price_ratio", num c.Experiments.Spot_savings.price_ratio);
-        ("on_demand", num c.Experiments.Spot_savings.on_demand);
-        ("naive_spot", num c.Experiments.Spot_savings.naive_spot);
-        ("checkpointed", num c.Experiments.Spot_savings.checkpointed);
-        ( "spot_slots",
-          num (float_of_int c.Experiments.Spot_savings.spot_slots) );
-        ("slots", num (float_of_int c.Experiments.Spot_savings.slots));
-        ("savings", num c.Experiments.Spot_savings.savings);
-      ]
-  in
-  let check_json k =
-    J.Obj
-      [
-        ("mtbf_hours", num k.Experiments.Spot_savings.check_mtbf);
-        ("price_ratio", num k.Experiments.Spot_savings.check_ratio);
-        ("analytic", num k.Experiments.Spot_savings.analytic);
-        ("simulated", num k.Experiments.Spot_savings.simulated);
-        ("sim_stderr", num k.Experiments.Spot_savings.sim_stderr);
-        ("rel_err", num k.Experiments.Spot_savings.rel_err);
-      ]
-  in
-  let gate =
-    match Experiments.Spot_savings.find_cell t ~mtbf:20.0 ~ratio:0.3 with
-    | Some c -> cell_json c
-    | None -> J.Null
-  in
-  let json =
-    J.Obj
-      [
-        ("workload", J.Str "spot-savings lognormal sweep");
-        ("distribution", J.Str t.Experiments.Spot_savings.dist_name);
-        ("od_plain", num t.Experiments.Spot_savings.od_plain);
-        ( "checkpoint_period",
-          num t.Experiments.Spot_savings.checkpoint_period );
-        ("checkpoint_cost", num t.Experiments.Spot_savings.checkpoint_cost);
-        ("restore_cost", num t.Experiments.Spot_savings.restore_cost);
-        ( "head_slots",
-          num (float_of_int (Array.length t.Experiments.Spot_savings.head)) );
-        ("gate", gate);
-        ( "cells",
-          J.Arr (List.map cell_json t.Experiments.Spot_savings.cells) );
-        ( "mc_checks",
-          J.Arr (List.map check_json t.Experiments.Spot_savings.mc_checks) );
-      ]
-  in
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (J.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the individual solvers.                *)
-(* ------------------------------------------------------------------ *)
-
-let perf_tests () =
-  let open Bechamel in
-  let open Stochastic_core in
-  let exp1 = Distributions.Exponential.default in
-  let lognormal = Distributions.Lognormal.default in
-  let beta = Distributions.Beta_dist.default in
-  let cost = Cost_model.reservation_only in
-  let rng = Randomness.Rng.create ~seed:7 () in
-  let samples =
-    Distributions.Dist.samples exp1 (Randomness.Rng.copy rng) 1000
-  in
-  Array.sort compare samples;
-  let mbm = Heuristics.mean_by_mean exp1 in
-  [
-    Test.make ~name:"recurrence/generate-exp"
-      (Staged.stage (fun () -> ignore (Recurrence.generate cost exp1 ~t1:0.75)));
-    Test.make ~name:"recurrence/generate-lognormal"
-      (Staged.stage (fun () ->
-           ignore (Recurrence.generate cost lognormal ~t1:30.0)));
-    Test.make ~name:"eval/monte-carlo-1000"
-      (Staged.stage (fun () ->
-           ignore
-             (Expected_cost.mean_cost_presampled cost ~sorted_samples:samples
-                mbm)));
-    Test.make ~name:"eval/exact-series"
-      (Staged.stage (fun () -> ignore (Expected_cost.exact cost exp1 mbm)));
-    Test.make ~name:"discretize/equal-time-1000"
-      (Staged.stage (fun () ->
-           ignore (Discretize.run Discretize.Equal_time ~n:1000 lognormal)));
-    Test.make ~name:"discretize/equal-prob-1000-beta"
-      (Staged.stage (fun () ->
-           ignore (Discretize.run Discretize.Equal_probability ~n:1000 beta)));
-    Test.make ~name:"dp/solve-1000"
-      (let disc = Discretize.run Discretize.Equal_time ~n:1000 lognormal in
-       Staged.stage (fun () -> ignore (Dp.solve cost disc)));
-    Test.make ~name:"brute-force/exp-m500-exact"
-      (Staged.stage (fun () ->
-           ignore
-             (Brute_force.search ~m:500 ~evaluator:Brute_force.Exact cost exp1)));
-    Test.make ~name:"fit/lognormal-mle-5000"
-      (let trace =
-         Platform.Traces.generate ~runs:5000 Platform.Traces.vbmqa
-           (Randomness.Rng.copy rng)
-       in
-       Staged.stage (fun () ->
-           ignore (Distributions.Fitting.lognormal_mle trace)));
-    Test.make ~name:"specfun/inverse-betai"
-      (Staged.stage (fun () ->
-           ignore (Numerics.Specfun.inverse_betai 2.0 2.0 0.3)));
-    Test.make ~name:"robust/dist-check-lognormal"
-      (Staged.stage (fun () -> ignore (Robust.Dist_check.run lognormal)));
-    Test.make ~name:"robust/solve-exp-quick"
-      (Staged.stage (fun () ->
-           ignore
-             (Robust.Solver.solve ~budget:Robust.Solver.quick_budget cost exp1)));
-  ]
-
-let run_perf () =
-  section "Solver micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let benchmark test =
-    let quota = Time.second 0.5 in
-    Benchmark.all
-      (Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) ())
-      [ Toolkit.Instance.monotonic_clock ]
-      test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let tests = Test.make_grouped ~name:"solvers" (perf_tests ()) in
-  let results = analyze (benchmark tests) in
-  let lines = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let line =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.sprintf "%-44s %12.1f ns/run" name est
-        | _ -> Printf.sprintf "%-44s (no estimate)" name
-      in
-      lines := line :: !lines)
-    results;
-  List.iter print_endline (List.sort compare !lines)
+let write_json path json =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (J.to_string json);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison: "--compare BASELINE.json" reruns the artefact  *)
@@ -789,12 +474,19 @@ let () =
       exit 2
   | _ -> ());
   let quick = List.mem "quick" args in
-  let cfg =
-    if quick then Experiments.Config.quick else Experiments.Config.paper
-  in
+  let entries = R.all @ [ obs; serve; restart ] in
   let artefacts = List.filter (fun a -> a <> "quick") args in
+  let known a = a = "all" || List.exists (fun e -> e.R.name = a) entries in
+  (match List.filter (fun a -> not (known a)) artefacts with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown artefact(s) %s; known: %s\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map (fun e -> e.R.name) entries));
+      exit 2);
   let all = artefacts = [] || List.mem "all" artefacts in
-  let want name = all || List.mem name artefacts in
+  let want e = all || List.mem e.R.name artefacts in
+  let cfg = R.config ~quick in
   Printf.printf
     "Reservation Strategies for Stochastic Jobs - benchmark harness\n";
   Printf.printf "parameters: M=%d, N=%d, n=%d, eps=%g, seed=%d%s\n"
@@ -802,29 +494,21 @@ let () =
     cfg.Experiments.Config.disc_n cfg.Experiments.Config.eps
     cfg.Experiments.Config.seed
     (if quick then " (quick mode)" else "");
-  let t2 =
-    if want "table2" || want "table4" then Some (run_table2 cfg) else None
+  let run e =
+    let o = e.R.run ~quick ~log:Stochobs.Log.null in
+    print_string (R.render e o);
+    (match (out, o.R.json) with
+    | Some path, Some json -> write_json path json
+    | _ -> ());
+    R.passed o
   in
-  if want "table3" then run_table3 cfg;
-  (match t2 with Some t2 when want "table4" -> run_table4 cfg t2 | _ -> ());
-  if want "fig1" then run_fig1 cfg;
-  if want "fig2" then run_fig2 cfg;
-  if want "fig3" then run_fig3 cfg;
-  if want "fig4" then run_fig4 cfg;
-  if want "s1" then run_s1 cfg;
-  if want "table2x" then run_table2x cfg;
-  if want "ablation-bf" then run_ablation_bf cfg;
-  if want "ablation-eps" then run_ablation_eps cfg;
-  if want "robustness" then run_robustness cfg;
-  if want "robust-solve" then run_robust_solve cfg;
-  if want "trace-vs-fit" then run_trace_vs_fit cfg;
-  if want "cluster" then run_cluster cfg ~quick;
-  if want "faults" then run_faults cfg ~quick;
-  if want "spot" then run_spot cfg ~quick ~out;
-  if want "obs" then run_obs ~out;
-  if want "serve" then run_serve ~quick ~out;
-  if want "restart" then run_restart ~quick ~out;
-  if want "perf" then run_perf ();
-  match (compare_path, out) with
+  let failed = List.filter (fun e -> not (run e)) (List.filter want entries) in
+  (match (compare_path, out) with
   | Some baseline, Some out -> compare_baseline ~baseline ~out
-  | _ -> ()
+  | _ -> ());
+  match failed with
+  | [] -> ()
+  | failed ->
+      Printf.eprintf "bench: sanity checks failed in %s\n"
+        (String.concat ", " (List.map (fun e -> e.R.name) failed));
+      exit 1

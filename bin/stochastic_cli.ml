@@ -1073,7 +1073,9 @@ let serve_cmd =
       $ full_budget_arg $ max_seconds_arg $ max_evals_arg $ persist_arg
       $ deadline_arg $ obs_term)
 
-(* Experiment commands share a tiny driver. *)
+(* One command per registry entry: the experiment at paper (or, with
+   --quick, reduced) parameters, printed as bench prints its section.
+   A failed sanity check exits 1. *)
 
 let quick_arg =
   Arg.(value & flag
@@ -1084,136 +1086,38 @@ let verbose_arg =
        & info [ "verbose"; "v" ]
            ~doc:"Log experiment progress to stderr as cells complete.")
 
-let experiment_cmd name doc run =
+let experiment_cmd (e : Experiments.Registry.t) =
   let exec quick verbose obs_opts =
-    let cfg =
-      if quick then Experiments.Config.quick else Experiments.Config.paper
-    in
     let log =
       if verbose then
         Stochobs.Log.make ~min_level:Stochobs.Log.Debug
           (Stochobs.Writer.of_channel stderr)
       else Stochobs.Log.null
     in
-    with_obs obs_opts @@ fun obs _clock ->
-    Stochobs.Trace.with_span obs
-      ~attrs:
-        [
-          ("experiment", Stochobs.Trace.Str name);
-          ("quick", Stochobs.Trace.Bool quick);
-        ]
-      "experiments.run"
-    @@ fun () -> print_string (run cfg log)
+    let passed =
+      with_obs obs_opts @@ fun obs _clock ->
+      Stochobs.Trace.with_span obs
+        ~attrs:
+          [
+            ("experiment", Stochobs.Trace.Str e.name);
+            ("quick", Stochobs.Trace.Bool quick);
+          ]
+        "experiments.run"
+      @@ fun () ->
+      let o = e.run ~quick ~log in
+      print_string (Experiments.Registry.render e o);
+      Experiments.Registry.passed o
+    in
+    if not passed then exit 1
   in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const exec $ quick_arg $ verbose_arg $ obs_term)
-
-let table2_cmd =
-  experiment_cmd "table2" "Reproduce Table 2." (fun cfg _log ->
-      Experiments.Table2.(to_string (run ~cfg ())))
-
-let table3_cmd =
-  experiment_cmd "table3" "Reproduce Table 3." (fun cfg _log ->
-      Experiments.Table3.(to_string (run ~cfg ())))
-
-let table4_cmd =
-  experiment_cmd "table4" "Reproduce Table 4." (fun cfg _log ->
-      Experiments.Table4.(to_string (run ~cfg ())))
-
-let fig1_cmd =
-  experiment_cmd "fig1" "Reproduce Figure 1." (fun cfg _log ->
-      Experiments.Fig1.(to_string (run ~cfg ())))
-
-let fig2_cmd =
-  experiment_cmd "fig2" "Reproduce Figure 2." (fun cfg _log ->
-      Experiments.Fig2.(to_string (run ~cfg ())))
-
-let fig3_cmd =
-  experiment_cmd "fig3" "Reproduce Figure 3." (fun cfg _log ->
-      Experiments.Fig3.(to_string (run ~cfg ())))
-
-let fig4_cmd =
-  experiment_cmd "fig4" "Reproduce Figure 4." (fun cfg _log ->
-      Experiments.Fig4.(to_string (run ~cfg ())))
-
-let s1_cmd =
-  experiment_cmd "s1" "Compute the Exp(1) optimum of Sect. 3.5." (fun cfg _log ->
-      Experiments.Exp_s1.(to_string (run ~cfg ())))
-
-let table2x_cmd =
-  experiment_cmd "table2x"
-    "Extended Table 2 over the beyond-the-paper distributions." (fun cfg _log ->
-      Experiments.Table2x.(to_string (run ~cfg ())))
-
-let ablation_bf_cmd =
-  experiment_cmd "ablation-bf"
-    "Ablation: brute-force resolution and MC selection optimism." (fun cfg _log ->
-      Experiments.Ablation_bf.(to_string (run ~cfg ())))
-
-let ablation_eps_cmd =
-  experiment_cmd "ablation-eps"
-    "Ablation: truncation quantile for the discretization schemes."
-    (fun cfg _log -> Experiments.Ablation_eps.(to_string (run ~cfg ())))
-
-let robustness_cmd =
-  experiment_cmd "robustness"
-    "Ablation: strategies computed from finite-trace fits vs the oracle."
-    (fun cfg _log -> Experiments.Robustness.(to_string (run ~cfg ())))
-
-let robust_solve_cmd =
-  experiment_cmd "robust-solve"
-    "Bench the robust solver cascade (tier counts, validation overhead) over \
-     the Table 1 distributions."
-    (fun cfg log -> Experiments.Robust_solve.(to_string (run ~cfg ~log ())))
-
-let trace_vs_fit_cmd =
-  experiment_cmd "trace-vs-fit"
-    "Ablation: interpolated-trace vs LogNormal-fit strategies." (fun cfg _log ->
-      Experiments.Trace_vs_fit.(to_string (run ~cfg ())))
-
-(* Not via [experiment_cmd]: quick mode also trims the Monte-Carlo
-   replication count and the assignment discretization, not just the
-   solver budget. *)
-let spot_savings_cmd =
-  let exec quick verbose obs_opts =
-    let cfg =
-      if quick then Experiments.Config.quick else Experiments.Config.paper
-    in
-    let log =
-      if verbose then
-        Stochobs.Log.make ~min_level:Stochobs.Log.Debug
-          (Stochobs.Writer.of_channel stderr)
-      else Stochobs.Log.null
-    in
-    with_obs obs_opts @@ fun obs _clock ->
-    Stochobs.Trace.with_span obs
-      ~attrs:
-        [
-          ("experiment", Stochobs.Trace.Str "spot-savings");
-          ("quick", Stochobs.Trace.Bool quick);
-        ]
-      "experiments.run"
-    @@ fun () ->
-    let t =
-      if quick then
-        Experiments.Spot_savings.run ~cfg ~log ~ratios:[ 0.3; 0.8 ]
-          ~mc_reps:4000 ~assign_disc_n:300 ()
-      else Experiments.Spot_savings.run ~cfg ~log ()
-    in
-    print_string (Experiments.Spot_savings.to_string t)
-  in
-  Cmd.v
-    (Cmd.info "spot-savings"
-       ~doc:
-         "Sweep revocation MTBF x spot price ratio: checkpointed spot vs \
-          pure on-demand vs naive spot, with seeded Monte-Carlo validation.")
+  Cmd.v (Cmd.info e.name ~doc:e.doc)
     Term.(const exec $ quick_arg $ verbose_arg $ obs_term)
 
 let main =
   let doc = "Reservation strategies for stochastic jobs (IPDPS 2019)" in
   Cmd.group
     (Cmd.info "stochastic-reservations" ~version:"1.0.0" ~doc)
-    [
+    ([
       sequence_cmd;
       solve_cmd;
       serve_cmd;
@@ -1223,21 +1127,7 @@ let main =
       cluster_cmd;
       bounds_cmd;
       cloud_cmd;
-      table2_cmd;
-      table3_cmd;
-      table4_cmd;
-      fig1_cmd;
-      fig2_cmd;
-      fig3_cmd;
-      fig4_cmd;
-      s1_cmd;
-      table2x_cmd;
-      ablation_bf_cmd;
-      ablation_eps_cmd;
-      robustness_cmd;
-      robust_solve_cmd;
-      trace_vs_fit_cmd;
-      spot_savings_cmd;
     ]
+    @ List.map experiment_cmd Experiments.Registry.all)
 
 let () = exit (Cmd.eval main)

@@ -92,6 +92,55 @@ let test_s1 () =
   let t = Experiments.Exp_s1.run ~cfg () in
   assert_sanity (Experiments.Exp_s1.sanity t)
 
+(* The registry: one entry per experiment, each a valid command name,
+   each running its module at the quick configuration unchanged. *)
+
+module R = Experiments.Registry
+
+let registry_entry name =
+  match List.find_opt (fun e -> e.R.name = name) R.all with
+  | Some e -> e
+  | None -> Alcotest.failf "registry has no %s entry" name
+
+let test_registry_names () =
+  let names = List.map (fun e -> e.R.name) R.all in
+  Alcotest.(check int) "names are unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  let command_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' in
+  List.iter
+    (fun n ->
+      let valid =
+        n <> "" && n.[0] >= 'a' && n.[0] <= 'z' && String.for_all command_char n
+      in
+      if not valid then Alcotest.failf "%S is not a valid command name" n)
+    names
+
+let check_outcome ~text ~sanity name =
+  let o = (registry_entry name).R.run ~quick:true ~log:Stochobs.Log.null in
+  Alcotest.(check string) (name ^ " text") text o.R.text;
+  Alcotest.(check (list (pair string bool))) (name ^ " sanity") sanity o.R.sanity
+
+let test_registry_runs_module () =
+  let t = Experiments.Exp_s1.run ~cfg () in
+  check_outcome "s1" ~text:(Experiments.Exp_s1.to_string t)
+    ~sanity:(Experiments.Exp_s1.sanity t);
+  let t = Experiments.Table3.run ~cfg () in
+  check_outcome "table3" ~text:(Experiments.Table3.to_string t)
+    ~sanity:(Experiments.Table3.sanity t)
+
+let test_registry_table4 () =
+  let t = Experiments.Table4.run ~cfg () in
+  let t2 = Experiments.Table2.run ~cfg () in
+  let brute_force name =
+    let row =
+      List.find (fun r -> r.Experiments.Table2.dist_name = name)
+        t2.Experiments.Table2.rows
+    in
+    row.Experiments.Table2.values.(0)
+  in
+  check_outcome "table4" ~text:(Experiments.Table4.to_string t)
+    ~sanity:(Experiments.Table4.sanity t ~brute_force)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -106,5 +155,11 @@ let () =
           Alcotest.test_case "fig3" `Slow test_fig3;
           Alcotest.test_case "fig4" `Slow test_fig4;
           Alcotest.test_case "s1" `Quick test_s1;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names" `Quick test_registry_names;
+          Alcotest.test_case "s1 and table3" `Slow test_registry_runs_module;
+          Alcotest.test_case "table4 sanity" `Slow test_registry_table4;
         ] );
     ]
