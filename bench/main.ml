@@ -130,14 +130,32 @@ let percentile l p =
       Numerics.Stats.quantile_nearest_rank_sorted a p
 
 (* N tenants with near-identical LogNormal fits hammer the solve
-   endpoint. Because the cache key quantizes fitted parameters onto a
-   relative grid, the fleet collapses onto a handful of solved
-   entries: the artefact reports the measured hit rate and the
-   cached/cold latency split (hit rate >= 0.9, cached p99 at least 10x
-   below the cold p50). *)
+   endpoint, each under every one of [models] cost models. Because the
+   cache key quantizes fitted parameters onto a relative grid, the
+   fleet collapses onto a handful of solved entries per model: the
+   artefact reports the measured hit rate and the cached/cold latency
+   split (hit rate >= 0.9, cached p99 at least 10x below the cold
+   p50).
+
+   The sizes make both percentiles statistics rather than extremes: at
+   least one cold solve per model puts the cold p50 at a median of 10
+   or more, and over 1,000 cached solves leave at least 10 samples
+   above the cached p99. The fleet runs five times on fresh servers
+   and each latency is the best of the five, as [obs] takes the best
+   of three batches, to shed scheduling noise. *)
+type fleet = {
+  fit_failures : int;
+  solve_failures : int;
+  hit_rate : float;
+  cold : float list;  (** Cold solve latencies, seconds. *)
+  cached : float list;  (** Cached solve latencies, seconds. *)
+}
+
 let serve_run ~quick ~log:_ =
   let tenants = if quick then 20 else 48 in
-  let rounds = 4 in
+  let models = 10 in
+  let rounds = 6 in
+  let trials = 5 in
   let samples_per_tenant = 400 in
   let config =
     {
@@ -146,78 +164,101 @@ let serve_run ~quick ~log:_ =
       budget = Robust.Solver.quick_budget;
     }
   in
-  let server = Stochserve.Server.create config in
-  let rng = Randomness.Rng.create ~seed:2024 () in
-  (* Fit every tenant from its own jittered VBMQA-like trace: the
-     fitted (mu, sigma) differ in the third decimal, well inside one
-     0.1-grid bucket. *)
-  let base = Distributions.Lognormal.make ~mu:7.1128 ~sigma:0.2039 in
-  let fit_failures = ref 0 in
-  for t = 1 to tenants do
-    let samples =
-      Distributions.Dist.samples base (Randomness.Rng.split rng)
-        samples_per_tenant
-    in
-    let line =
-      J.to_string ~indent:false
-        (J.Obj
-           [
-             ("kind", J.Str "fit");
-             ("id", num (float_of_int t));
-             ("tenant", J.Str (Printf.sprintf "tenant-%03d" t));
-             ( "samples",
-               J.Arr (Array.to_list samples |> List.map (fun s -> num s)) );
-           ])
-    in
-    let _, _, ok = timed server line in
-    if not ok then incr fit_failures
-  done;
-  (* Interleaved solve rounds over the whole fleet: round-major order,
-     so every tenant's first solve lands before any tenant's second. *)
-  let cold = ref [] and cached = ref [] in
-  let solve_failures = ref 0 in
-  for round = 1 to rounds do
+  let fleet () =
+    let server = Stochserve.Server.create config in
+    let rng = Randomness.Rng.create ~seed:2024 () in
+    (* Fit every tenant from its own jittered VBMQA-like trace: the
+       fitted (mu, sigma) differ in the third decimal, well inside one
+       0.1-grid bucket. *)
+    let base = Distributions.Lognormal.make ~mu:7.1128 ~sigma:0.2039 in
+    let fit_failures = ref 0 in
     for t = 1 to tenants do
+      let samples =
+        Distributions.Dist.samples base (Randomness.Rng.split rng)
+          samples_per_tenant
+      in
       let line =
         J.to_string ~indent:false
           (J.Obj
              [
-               ("kind", J.Str "solve");
-               ("id", num (float_of_int ((round * 1000) + t)));
-               ( "dist",
-                 J.Obj [ ("tenant", J.Str (Printf.sprintf "tenant-%03d" t)) ]
-               );
-               ("strategy", J.Str "cascade");
+               ("kind", J.Str "fit");
+               ("id", num (float_of_int t));
+               ("tenant", J.Str (Printf.sprintf "tenant-%03d" t));
+               ( "samples",
+                 J.Arr (Array.to_list samples |> List.map (fun s -> num s)) );
              ])
       in
-      let dt, was_cached, ok = timed server line in
-      if not ok then incr solve_failures
-      else if was_cached then cached := dt :: !cached
-      else cold := dt :: !cold
-    done
-  done;
-  let stats = Stochserve.Server.stats_json server in
-  let hit_rate =
-    match J.member "cache" stats with
-    | Some c -> (
-        match J.member "hit_rate" c with Some (J.Num v) -> v | _ -> 0.0)
-    | None -> 0.0
+      let _, _, ok = timed server line in
+      if not ok then incr fit_failures
+    done;
+    (* Interleaved solve rounds over the whole fleet: round-major
+       order, so every tenant's first solve lands before any tenant's
+       second. Model [i] prices reserved time at [alpha = 2^i]. *)
+    let cold = ref [] and cached = ref [] in
+    let solve_failures = ref 0 in
+    for round = 1 to rounds do
+      for t = 1 to tenants do
+        for i = 0 to models - 1 do
+          let line =
+            J.to_string ~indent:false
+              (J.Obj
+                 [
+                   ("kind", J.Str "solve");
+                   ("id", num (float_of_int ((((round * 1000) + t) * 100) + i)));
+                   ( "dist",
+                     J.Obj [ ("tenant", J.Str (Printf.sprintf "tenant-%03d" t)) ] );
+                   ("model", J.Obj [ ("alpha", num (Float.ldexp 1.0 i)) ]);
+                   ("strategy", J.Str "cascade");
+                 ])
+          in
+          let dt, was_cached, ok = timed server line in
+          if not ok then incr solve_failures
+          else if was_cached then cached := dt :: !cached
+          else cold := dt :: !cold
+        done
+      done
+    done;
+    let stats = Stochserve.Server.stats_json server in
+    let hit_rate =
+      match J.member "cache" stats with
+      | Some c -> (
+          match J.member "hit_rate" c with Some (J.Num v) -> v | _ -> 0.0)
+      | None -> 0.0
+    in
+    {
+      fit_failures = !fit_failures;
+      solve_failures = !solve_failures;
+      hit_rate;
+      cold = !cold;
+      cached = !cached;
+    }
   in
-  let cold_p50 = percentile !cold 0.5 in
-  let cached_p50 = percentile !cached 0.5 in
-  let cached_p99 = percentile !cached 0.99 in
-  let total_solves = tenants * rounds in
+  (* Every trial replays the same requests, so counts and hit rate
+     agree across trials; the first trial reports them. *)
+  let first = fleet () in
+  let runs = first :: List.init (trials - 1) (fun _ -> fleet ()) in
+  let { hit_rate; cold; cached; _ } = first in
+  let total f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+  let fit_failures = total (fun r -> r.fit_failures) in
+  let solve_failures = total (fun r -> r.solve_failures) in
+  let best stat = List.fold_left (fun acc r -> Float.min acc (stat r)) infinity runs in
+  let cold_p50 = best (fun r -> percentile r.cold 0.5) in
+  let cached_p50 = best (fun r -> percentile r.cached 0.5) in
+  let cached_p99 = best (fun r -> percentile r.cached 0.99) in
+  let total_solves = tenants * models * rounds in
   let json =
     J.Obj
       [
         ("workload", J.Str "serve tenant-fleet lognormal quick-budget");
         ("tenants", num (float_of_int tenants));
+        ("cost_models", num (float_of_int models));
         ("rounds", num (float_of_int rounds));
+        ("trials", num (float_of_int trials));
         ("samples_per_tenant", num (float_of_int samples_per_tenant));
         ("grid", num config.Stochserve.Server.grid);
         ("solve_requests", num (float_of_int total_solves));
-        ("cold_solves", num (float_of_int (List.length !cold)));
-        ("cached_solves", num (float_of_int (List.length !cached)));
+        ("cold_solves", num (float_of_int (List.length cold)));
+        ("cached_solves", num (float_of_int (List.length cached)));
         ("hit_rate", num hit_rate);
         ("cold_p50_seconds", num cold_p50);
         ("cached_p50_seconds", num cached_p50);
@@ -227,14 +268,16 @@ let serve_run ~quick ~log:_ =
   {
     R.text =
       Printf.sprintf
-        "%d tenants x %d rounds: %d cold, %d cached solves -> hit rate %.3f\n\
-         latency: cold p50 %.3f ms, cached p50 %.4f ms, cached p99 %.4f ms\n"
-        tenants rounds (List.length !cold) (List.length !cached) hit_rate
-        (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
+        "%d tenants x %d cost models x %d rounds: %d cold, %d cached solves \
+         -> hit rate %.3f\n\
+         latency (best of %d fleets): cold p50 %.3f ms, cached p50 %.4f ms, \
+         cached p99 %.4f ms\n"
+        tenants models rounds (List.length cold) (List.length cached) hit_rate
+        trials (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
     sanity =
       [
-        ("all fits succeed", !fit_failures = 0);
-        ("all solves succeed", !solve_failures = 0);
+        ("all fits succeed", fit_failures = 0);
+        ("all solves succeed", solve_failures = 0);
         ("cache hit rate >= 0.9", hit_rate >= 0.9);
         ( "cached p99 at least 10x below cold p50",
           cached_p99 *. 10.0 <= cold_p50 );

@@ -347,15 +347,15 @@ let cluster_cmd =
              (fault_model_for (1.0 /. failure_rate)))
     in
     let retry = Scheduler.Engine.make_retry ?max_retries ~backoff () in
-    let checkpoint =
-      if ckpt_period <= 0.0 then None
+    let recovery =
+      if ckpt_period <= 0.0 then Stochastic_core.Attempt.Restart
       else
-        Some
-          (Scheduler.Job.make_checkpoint
-             ~params:
-               (Stochastic_core.Checkpoint.make_params
-                  ~checkpoint_cost:ckpt_cost ~restart_cost)
-             ~period:ckpt_period)
+        Stochastic_core.Attempt.validate
+          (Snapshot
+             { period = ckpt_period; snapshot_cost = ckpt_cost; restore_cost = restart_cost })
+        |> Result.map_error (fun (field, detail) ->
+               Printf.sprintf "invalid %s: %s" field detail)
+        |> usage_exit
     in
     let seq = s.Strategy.build model d in
     let arrival_rate =
@@ -368,7 +368,7 @@ let cluster_cmd =
     in
     let rng = Randomness.Rng.create ~seed:(seed + 4) () in
     let workload =
-      Scheduler.Workload.generate ?checkpoint spec d ~sequence:seq rng
+      Scheduler.Workload.generate ~recovery spec d ~sequence:seq rng
     in
     with_obs obs_opts @@ fun obs _clock ->
     let result =
@@ -393,13 +393,13 @@ let cluster_cmd =
           | None -> "unlimited"
           | Some r -> string_of_int r)
           backoff);
-    (match checkpoint with
-    | None -> ()
-    | Some c ->
+    (match recovery with
+    | Restart -> ()
+    | Snapshot { period; snapshot_cost; restore_cost } ->
         Format.printf
           "checkpoints:  every %.2f h of work, snapshot %.2f h, restore %.2f \
            h@."
-          c.Scheduler.Job.period ckpt_cost restart_cost);
+          period snapshot_cost restore_cost);
     Format.printf "workload:     %d jobs, offered load %.2f (rate %.3f/h, \
                    %d-%d nodes/job)@."
       jobs

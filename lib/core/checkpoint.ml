@@ -3,8 +3,9 @@ module Dist = Distributions.Dist
 type params = { checkpoint_cost : float; restart_cost : float }
 
 let make_params ~checkpoint_cost ~restart_cost =
-  if checkpoint_cost < 0.0 || restart_cost < 0.0 then
-    invalid_arg "Checkpoint.make_params: overheads must be nonnegative";
+  let ok v = Float.is_finite v && v >= 0.0 in
+  if not (ok checkpoint_cost && ok restart_cost) then
+    invalid_arg "Checkpoint.make_params: overheads must be finite and nonnegative";
   { checkpoint_cost; restart_cost }
 
 let no_overhead = { checkpoint_cost = 0.0; restart_cost = 0.0 }

@@ -23,7 +23,7 @@ type params = {
 }
 
 val make_params : checkpoint_cost:float -> restart_cost:float -> params
-(** @raise Invalid_argument on negative overheads. *)
+(** @raise Invalid_argument on negative or non-finite overheads. *)
 
 val no_overhead : params
 (** Free checkpoints — useful for tests: with it every job finishes in

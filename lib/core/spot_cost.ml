@@ -2,7 +2,7 @@ type tier = On_demand | Spot
 
 let tier_name = function On_demand -> "on-demand" | Spot -> "spot"
 
-type recovery =
+type recovery = Attempt.recovery =
   | Restart
   | Snapshot of { period : float; snapshot_cost : float; restore_cost : float }
 
@@ -15,16 +15,9 @@ let make_regime ?(recovery = Restart) ~price_ratio ~revocation_rate () =
     invalid_arg "Spot_cost.make_regime: price_ratio must be finite in (0, 1]";
   if not (is_finite revocation_rate && revocation_rate >= 0.0) then
     invalid_arg "Spot_cost.make_regime: revocation_rate must be finite and >= 0";
-  (match recovery with
-  | Restart -> ()
-  | Snapshot { period; snapshot_cost; restore_cost } ->
-      if not (is_finite period && period > 0.0) then
-        invalid_arg "Spot_cost.make_regime: snapshot period must be finite and > 0";
-      if not (is_finite snapshot_cost && snapshot_cost >= 0.0) then
-        invalid_arg "Spot_cost.make_regime: snapshot_cost must be finite and >= 0";
-      if not (is_finite restore_cost && restore_cost >= 0.0) then
-        invalid_arg "Spot_cost.make_regime: restore_cost must be finite and >= 0");
-  { price_ratio; revocation_rate; recovery }
+  match Attempt.validate recovery with
+  | Error (field, detail) -> invalid_arg ("Spot_cost.make_regime: " ^ field ^ " " ^ detail)
+  | Ok recovery -> { price_ratio; revocation_rate; recovery }
 
 let on_demand_only = { price_ratio = 1.0; revocation_rate = 0.0; recovery = Restart }
 
@@ -80,41 +73,6 @@ let to_sequence plan =
 
 let price regime = function On_demand -> 1.0 | Spot -> regime.price_ratio
 
-(* Deterministic geometry of one attempt: what it costs in elapsed
-   time to finish from [progress] durable hours of a [total]-hour job
-   under the regime's recovery discipline. *)
-type attempt = { restore : float; snaps_to_finish : int; finish_elapsed : float }
-
-let attempt_of regime ~progress ~total =
-  match regime.recovery with
-  | Restart -> { restore = 0.0; snaps_to_finish = 0; finish_elapsed = total }
-  | Snapshot { period; snapshot_cost; restore_cost } ->
-      let restore = if progress > 0.0 then restore_cost else 0.0 in
-      let rem = total -. progress in
-      let snaps = max 0 (int_of_float (ceil (rem /. period)) - 1) in
-      {
-        restore;
-        snaps_to_finish = snaps;
-        finish_elapsed = restore +. rem +. (snapshot_cost *. float_of_int snaps);
-      }
-
-(* Snapshots completed [elapsed] hours into an attempt; each one makes
-   a further [period] of work durable. Capped at [snaps_to_finish]
-   (provable, but cheap to enforce). *)
-let snaps_by regime a ~elapsed =
-  match regime.recovery with
-  | Restart -> 0
-  | Snapshot { period; snapshot_cost; _ } ->
-      let c =
-        int_of_float (floor ((elapsed -. a.restore) /. (period +. snapshot_cost)))
-      in
-      max 0 (min c a.snaps_to_finish)
-
-let durable regime ~progress c =
-  match regime.recovery with
-  | Restart -> progress
-  | Snapshot { period; _ } -> progress +. (period *. float_of_int c)
-
 type outcome = { billed : float; progress : float; finished : bool; revoked : bool }
 
 let slot_outcome regime m ~tier ~length ~progress ~total ~revocation =
@@ -126,33 +84,15 @@ let slot_outcome regime m ~tier ~length ~progress ~total ~revocation =
     invalid_arg "Spot_cost.slot_outcome: revocation must be >= 0 (NaN rejected)";
   let open Cost_model in
   let p = price regime tier in
-  let revocation = match tier with On_demand -> infinity | Spot -> revocation in
-  let a = attempt_of regime ~progress ~total in
-  if a.finish_elapsed <= length && a.finish_elapsed <= revocation then
-    {
-      billed = (p *. m.alpha *. length) +. (m.beta *. a.finish_elapsed) +. m.gamma;
-      progress = total;
-      finished = true;
-      revoked = false;
-    }
-  else if revocation < length then
-    (* Revoked mid-attempt: pay-for-use billing, keep durable snapshots. *)
-    let c = snaps_by regime a ~elapsed:revocation in
-    {
-      billed = (((p *. m.alpha) +. m.beta) *. revocation) +. m.gamma;
-      progress = durable regime ~progress c;
-      finished = false;
-      revoked = true;
-    }
-  else
-    (* Expired: the reservation ran out before the job finished. *)
-    let c = snaps_by regime a ~elapsed:length in
-    {
-      billed = (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma;
-      progress = durable regime ~progress c;
-      finished = false;
-      revoked = false;
-    }
+  let interrupt = match tier with On_demand -> infinity | Spot -> revocation in
+  let a = Attempt.close regime.recovery ~length ~progress ~total ~interrupt in
+  let billed =
+    if a.interrupted then
+      (* Revoked mid-attempt: pay-for-use billing. *)
+      (((p *. m.alpha) +. m.beta) *. a.elapsed) +. m.gamma
+    else (p *. m.alpha *. length) +. (m.beta *. a.elapsed) +. m.gamma
+  in
+  { billed; progress = a.progress; finished = a.finished; revoked = a.interrupted }
 
 let is_degenerate regime =
   match regime.recovery with
@@ -215,11 +155,11 @@ let grown a i fill =
    holds [infinity] (walked past the extension) and index 1 holds [0.0]
    (the job is done). The memo grows geometrically and is reused across
    sizes: [touched] stacks the indices a size filled, and only those
-   are cleared for the next one. The attempt geometry is that of
-   [attempt_of] / [snaps_by], inlined; mins are written out as
-   [if a <= b then a else b], [Stdlib.min]'s own definition, so the
-   arithmetic and every result are bit-identical to the plain
-   recursion, which the tests keep as their oracle. *)
+   are cleared for the next one. The attempt geometry is {!Attempt}'s
+   scalar kernels, with [Restart] as an infinite period; mins are
+   written out as [if a <= b then a else b], [Stdlib.min]'s own
+   definition, so the arithmetic and every result are bit-identical to
+   the plain recursion, which the tests keep as their oracle. *)
 let plan_scorer regime m plan =
   let open Cost_model in
   let prune = 1e-13 in
@@ -273,23 +213,13 @@ let plan_scorer regime m plan =
     let p_alpha = if spot then alpha_spot else alpha_od in
     (* Attempt geometry: restore overhead, snapshots the attempt still
        has to write, and the elapsed time to finish. *)
-    let restore = if snapshot && progress > 0.0 then restore_cost else 0.0 in
-    let snaps =
-      if snapshot then
-        let s = int_of_float (ceil ((t -. progress) /. period)) - 1 in
-        if s > 0 then s else 0
-      else 0
-    in
-    let e_fin =
-      if snapshot then restore +. (t -. progress) +. (sigma *. float_of_int snaps) else t
-    in
+    let restore = Attempt.restore_overhead ~restore_cost ~progress in
+    let remaining = t -. progress in
+    let snaps = Attempt.snapshots_to_finish ~period ~remaining in
+    let e_fin = Attempt.finish_elapsed ~snapshot_cost:sigma ~restore ~remaining snaps in
     (* Snapshots durable when the reservation expires unfinished. *)
     let c_exp =
-      if snapshot && not (e_fin <= length) then
-        let c = int_of_float (floor ((length -. restore) /. stride)) in
-        let c = if c <= snaps then c else snaps in
-        if c <= 0 then 0 else c
-      else 0
+      if e_fin <= length then 0 else Attempt.snapshots_by ~stride ~restore ~cap:snaps length
     in
     let v =
       if not (spot && revocable) then

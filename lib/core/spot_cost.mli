@@ -10,16 +10,13 @@
     current attempt except for what the {!recovery} discipline has made
     durable.
 
-    Two recovery disciplines:
-    - {!Restart} — nothing survives a revocation or an expired
-      reservation; every attempt restarts the job from scratch (the
-      base paper's semantics).
-    - [Snapshot] — periodic in-reservation checkpoints: after every
-      [period] hours of useful work a snapshot costing [snapshot_cost]
-      hours is written; a later attempt resumes from the last durable
-      snapshot after paying [restore_cost]. Progress is durable in
-      whole periods, so a revocation loses strictly less than one
-      period of work (plus the in-flight snapshot overhead).
+    The {!recovery} discipline and its per-attempt geometry (restore,
+    snapshot writes, what survives an interruption) are {!Attempt}'s,
+    the kernel the cluster simulator's node-failure recovery shares:
+    under [Restart] every attempt starts from scratch (the base paper's
+    semantics); under [Snapshot] progress is durable in whole periods,
+    so a revocation loses less than one period of work (plus the
+    in-flight snapshot write).
 
     Billing is pay-for-use on revocation: a reservation that is revoked
     after [s < t_k] hours is billed [price * alpha * s + beta * s +
@@ -40,13 +37,15 @@ type tier = On_demand | Spot
 val tier_name : tier -> string
 (** ["on-demand"] or ["spot"]. *)
 
-type recovery =
+type recovery = Attempt.recovery =
   | Restart  (** Failed attempts restart from scratch (base model). *)
   | Snapshot of {
       period : float;  (** Useful-work hours between snapshots. *)
       snapshot_cost : float;  (** Hours to write one snapshot. *)
       restore_cost : float;  (** Hours to resume from a snapshot. *)
     }
+(** {!Attempt.recovery}, re-exported so plans and regimes can be built
+    from this module alone. *)
 
 type regime = {
   price_ratio : float;  (** Spot price as a fraction of on-demand, in (0, 1]. *)
@@ -59,9 +58,9 @@ val make_regime :
 (** [make_regime ~price_ratio ~revocation_rate ()] validates and builds
     a regime ([recovery] defaults to {!Restart}).
     @raise Invalid_argument if [price_ratio] is outside [(0, 1]] or not
-    finite, [revocation_rate] is negative or NaN or infinite, or a
-    [Snapshot] field is invalid ([period <= 0], negative costs, or any
-    non-finite value). *)
+    finite, [revocation_rate] is negative or NaN or infinite, or
+    {!Attempt.validate} rejects [recovery] (the message names the
+    field). *)
 
 val on_demand_only : regime
 (** [price_ratio = 1.0], [revocation_rate = 0.0], {!Restart}: the
@@ -123,10 +122,12 @@ val slot_outcome :
     has [total] hours of work, of which [progress] hours are already
     durable, and (for spot reservations) the capacity is revoked
     [revocation] hours into the attempt ([infinity] = no revocation;
-    on-demand attempts ignore [revocation]). Shared verbatim by the
-    analytic evaluator and the trace-driven simulator, so the two can
-    only disagree on revocation-time {e distribution}, never on
-    per-attempt accounting.
+    on-demand attempts ignore [revocation]). It is {!Attempt.close}
+    with the revocation as the interrupt, plus billing. The analytic
+    evaluator walks the same {!Attempt} geometry kernels and the
+    trace-driven simulator calls this function, so the two can only
+    disagree on revocation-time {e distribution}, never on per-attempt
+    accounting.
     @raise Invalid_argument if [progress < 0], [total <= progress],
     [length <= 0], or [revocation] is negative or NaN. *)
 

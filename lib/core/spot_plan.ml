@@ -17,9 +17,8 @@ let ladder_lengths regime ~upper chunk =
       let stride = period +. snapshot_cost in
       if chunk < restore_cost +. stride then None
       else
-        let useful =
-          period *. Float.of_int (int_of_float ((chunk -. restore_cost) /. stride))
-        in
+        let snaps = Attempt.snapshots_by ~stride ~restore:restore_cost ~cap:max_int chunk in
+        let useful = period *. Float.of_int snaps in
         if useful <= 0.0 then None
         else
           let n = int_of_float (ceil (upper /. useful)) in

@@ -1,6 +1,6 @@
 module Cost_model = Stochastic_core.Cost_model
 module Strategy = Stochastic_core.Strategy
-module Checkpoint = Stochastic_core.Checkpoint
+module Attempt = Stochastic_core.Attempt
 module Dist = Distributions.Dist
 
 type cell = {
@@ -35,10 +35,7 @@ let strategies cfg =
 
 (* Snapshot every hour of work at a 3-minute overhead (scaled by each
    job's size class in {!Scheduler.Workload.generate}). *)
-let checkpoint_spec =
-  Scheduler.Job.make_checkpoint
-    ~params:(Checkpoint.make_params ~checkpoint_cost:0.05 ~restart_cost:0.05)
-    ~period:1.0
+let snapshots = Attempt.Snapshot { period = 1.0; snapshot_cost = 0.05; restore_cost = 0.05 }
 
 let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null) ?(jobs = 240)
     ?(nodes = 16) () =
@@ -77,8 +74,8 @@ let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null) ?(jobs = 240)
        durations and node counts; only the failure process and the
        checkpoint discipline vary. *)
     let rng = Randomness.Rng.copy base_rng in
-    let checkpoint = if checkpointed then Some checkpoint_spec else None in
-    let workload = Scheduler.Workload.generate ?checkpoint spec d ~sequence rng in
+    let recovery = if checkpointed then snapshots else Attempt.Restart in
+    let workload = Scheduler.Workload.generate ~recovery spec d ~sequence rng in
     let faults =
       if rate <= 0.0 then None
       else

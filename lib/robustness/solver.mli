@@ -164,9 +164,9 @@ val spot_regime :
   unit ->
   (Stochastic_core.Spot_cost.regime, error) result
 (** Typed regime validation: [price_ratio] outside [(0, 1]], a
-    negative or non-finite [revocation_rate], or a bad [Snapshot]
-    field ([checkpoint_period <= 0], negative costs, non-finite
-    values) each return [Invalid_parameter] naming the field. *)
+    negative or non-finite [revocation_rate], or a [recovery] that
+    {!Stochastic_core.Attempt.validate} rejects each return
+    [Invalid_parameter] naming the field. *)
 
 val solve_spot :
   ?obs:Stochobs.Trace.sink ->

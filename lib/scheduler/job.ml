@@ -1,5 +1,5 @@
 module Sequence = Stochastic_core.Sequence
-module Checkpoint = Stochastic_core.Checkpoint
+module Attempt = Stochastic_core.Attempt
 
 type outcome = Success | Timeout | Node_failure
 
@@ -18,13 +18,6 @@ type attempt = {
   progress_after : float;
 }
 
-type checkpoint = { params : Checkpoint.params; period : float }
-
-let make_checkpoint ~params ~period =
-  if not (Float.is_finite period) || period <= 0.0 then
-    invalid_arg "Job.make_checkpoint: period must be positive and finite";
-  { params; period }
-
 type state = Waiting | Running | Done | Abandoned
 
 type t = {
@@ -33,7 +26,7 @@ type t = {
   duration : float;
   arrival : float;
   reservations : float array;
-  checkpoint : checkpoint option;
+  recovery : Attempt.recovery;
   mutable attempt : int;
   mutable progress : float; (* durably checkpointed work *)
   mutable failures : int; (* node-failure kills suffered *)
@@ -45,7 +38,10 @@ type t = {
   mutable finish : float;
 }
 
-let make ?checkpoint ~id ~nodes ~arrival ~duration sequence =
+let make ?(recovery = Attempt.Restart) ~id ~nodes ~arrival ~duration sequence =
+  (match Attempt.validate recovery with
+  | Error (field, detail) -> invalid_arg ("Job.make: " ^ field ^ " " ^ detail)
+  | Ok _ -> ());
   if nodes <= 0 then invalid_arg "Job.make: nodes must be positive";
   if not (Float.is_finite duration) || duration <= 0.0 then
     invalid_arg "Job.make: duration must be positive and finite";
@@ -68,7 +64,7 @@ let make ?checkpoint ~id ~nodes ~arrival ~duration sequence =
     duration;
     arrival;
     reservations;
-    checkpoint;
+    recovery;
     attempt = 0;
     progress = 0.0;
     failures = 0;
@@ -89,7 +85,7 @@ let submitted j = j.submitted
 let progress j = j.progress
 let failures j = j.failures
 let epoch j = j.epoch
-let checkpointed j = j.checkpoint <> None
+let checkpointed j = match j.recovery with Attempt.Restart -> false | Snapshot _ -> true
 let reservations j = Array.copy j.reservations
 
 let request j =
@@ -100,52 +96,25 @@ let request j =
 
 let remaining j = j.duration -. j.progress
 
-(* Time structure of an attempt under the periodic-checkpoint
-   discipline: restore the last snapshot (restart_cost, only when there
-   is one), then alternate [period] of work and a checkpoint
-   (checkpoint_cost); no checkpoint is taken at completion. Durable
-   progress advances only at completed checkpoints. *)
-
 let restore_time j =
-  match j.checkpoint with
-  | Some c when j.progress > 0.0 -> c.params.Checkpoint.restart_cost
-  | _ -> 0.0
+  match j.recovery with
+  | Attempt.Restart -> 0.0
+  | Snapshot { restore_cost; _ } -> Attempt.restore_overhead ~restore_cost ~progress:j.progress
 
-(* Checkpoints paid on the way to completing [w] more work. *)
-let ckpts_to_finish w period =
-  max 0 (int_of_float (Float.ceil ((w /. period) -. 1e-12)) - 1)
+(* The current attempt run to its natural end: completion or expiry. *)
+let close j =
+  Attempt.close j.recovery ~length:(request j) ~progress:j.progress ~total:j.duration
+    ~interrupt:infinity
 
 let attempt_span j =
   if j.state <> Waiting && j.state <> Running then
     invalid_arg "Job.attempt_span: job has no open attempt";
-  let l = request j in
-  let w = remaining j in
-  match j.checkpoint with
-  | None -> if l >= w then (w, true) else (l, false)
-  | Some { params; period } ->
-      let need =
-        restore_time j +. w
-        +. (params.Checkpoint.checkpoint_cost
-           *. float_of_int (ckpts_to_finish w period))
-      in
-      if need <= l +. 1e-9 then (need, true) else (l, false)
-
-(* Durable checkpoints completed [elapsed] into the current attempt. *)
-let snapshots_by j ~elapsed =
-  match j.checkpoint with
-  | None -> 0
-  | Some { params; period } ->
-      let r = restore_time j in
-      let cycle = period +. params.Checkpoint.checkpoint_cost in
-      let k =
-        if elapsed <= r then 0
-        else int_of_float (Float.floor (((elapsed -. r) /. cycle) +. 1e-12))
-      in
-      min (max 0 k) (ckpts_to_finish (remaining j) period)
+  let a = close j in
+  (a.Attempt.elapsed, a.Attempt.finished)
 
 let start j ~now =
   if j.state <> Waiting then invalid_arg "Job.start: job is not waiting";
-  if now < j.submitted -. 1e-9 then
+  if now < j.submitted then
     invalid_arg "Job.start: cannot start before submission";
   j.started <- now;
   j.epoch <- j.epoch + 1;
@@ -167,34 +136,26 @@ let record j ~elapsed ~outcome =
 let finish_attempt j ~now =
   if j.state <> Running then
     invalid_arg "Job.finish_attempt: job is not running";
-  let span, completes = attempt_span j in
-  if completes then begin
+  let a = close j in
+  if a.Attempt.finished then begin
     j.progress <- j.duration;
-    record j ~elapsed:span ~outcome:Success;
+    record j ~elapsed:a.Attempt.elapsed ~outcome:Success;
     j.state <- Done;
     j.finish <- now;
     true
   end
   else begin
-    (* Timed out: the reservation was consumed in full. Checkpointed
+    (* Timed out: the reservation was consumed in full. Snapshotting
        jobs keep the work covered by completed snapshots; plain jobs
        restart from scratch (the paper's execution model). *)
-    let l = request j in
-    (match j.checkpoint with
-    | None -> ()
-    | Some { period; _ } ->
-        let k = snapshots_by j ~elapsed:l in
-        let gained = float_of_int k *. period in
-        if
-          gained <= 0.0
-          && j.attempt >= Array.length j.reservations - 1
-        then
-          (* Every future attempt re-requests the same last reservation
-             and would gain nothing: the overheads have made the job
-             impossible to finish. *)
-          raise (Sequence.Not_covered j.duration);
-        j.progress <- j.progress +. gained);
-    record j ~elapsed:l ~outcome:Timeout;
+    if a.Attempt.progress <= j.progress && j.attempt >= Array.length j.reservations - 1
+    then
+      (* Every future attempt re-requests the same last reservation
+         and would gain nothing: the overheads have made the job
+         impossible to finish. *)
+      raise (Sequence.Not_covered j.duration);
+    j.progress <- a.Attempt.progress;
+    record j ~elapsed:a.Attempt.elapsed ~outcome:Timeout;
     j.attempt <- j.attempt + 1;
     j.submitted <- now;
     j.state <- Waiting;
@@ -204,14 +165,10 @@ let finish_attempt j ~now =
 let interrupt j ~now =
   if j.state <> Running then invalid_arg "Job.interrupt: job is not running";
   let elapsed = Float.max 0.0 (now -. j.started) in
-  (* Resume from the last completed snapshot; without checkpointing the
+  (* Resume from the last completed snapshot; without snapshots the
      attempt is lost entirely. The reservation index does not advance:
      the request was not too short, the node died under it. *)
-  (match j.checkpoint with
-  | None -> ()
-  | Some { period; _ } ->
-      let k = snapshots_by j ~elapsed in
-      j.progress <- j.progress +. (float_of_int k *. period));
+  j.progress <- Attempt.durable_by j.recovery ~progress:j.progress ~total:j.duration elapsed;
   record j ~elapsed ~outcome:Node_failure;
   j.failures <- j.failures + 1;
   j.state <- Waiting

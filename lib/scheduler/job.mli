@@ -17,14 +17,12 @@
     retries the {e same} reservation (subject to the engine's retry
     policy).
 
-    {b Checkpointing.} A job built with [?checkpoint] follows a
-    periodic discipline inside each attempt: restore the last snapshot
-    ([restart_cost], when one exists), then alternate [period] hours of
-    work with a checkpoint ([checkpoint_cost]); no checkpoint is taken
-    at completion. Work covered by a {e completed} checkpoint survives
-    both timeouts and node failures, so progress is monotone across
-    attempts; uncheckpointed work in the open period is lost with the
-    attempt. Without [?checkpoint] every attempt restarts from
+    {b Checkpointing.} Every attempt is accounted by
+    {!Stochastic_core.Attempt} under the job's recovery discipline.
+    With [Snapshot] recovery, work covered by a {e completed} snapshot
+    survives both timeouts and node failures, so progress is monotone
+    across attempts; work in the open period is lost with the attempt.
+    Under [Restart] (the default) every attempt restarts from
     scratch. *)
 
 type outcome = Success | Timeout | Node_failure
@@ -41,21 +39,12 @@ type attempt = {
   progress_after : float;  (** Durable work after the attempt closed. *)
 }
 
-type checkpoint = {
-  params : Stochastic_core.Checkpoint.params;
-  period : float;  (** Work hours between snapshots. *)
-}
-
-val make_checkpoint :
-  params:Stochastic_core.Checkpoint.params -> period:float -> checkpoint
-(** @raise Invalid_argument on a non-positive or infinite period. *)
-
 type state = Waiting | Running | Done | Abandoned
 
 type t
 
 val make :
-  ?checkpoint:checkpoint ->
+  ?recovery:Stochastic_core.Attempt.recovery ->
   id:int ->
   nodes:int ->
   arrival:float ->
@@ -64,8 +53,9 @@ val make :
   t
 (** [make ~id ~nodes ~arrival ~duration s] materialises the prefix of
     [s] needed to cover [duration] and creates a waiting job.
-    @raise Invalid_argument on non-positive [nodes]/[duration] or
-    negative [arrival].
+    @raise Invalid_argument on non-positive [nodes]/[duration],
+    negative [arrival], or a [recovery] that
+    {!Stochastic_core.Attempt.validate} rejects.
     @raise Stochastic_core.Sequence.Not_covered if [s] cannot cover
     [duration]. *)
 
@@ -103,9 +93,9 @@ val remaining : t -> float
 (** [duration - progress]. *)
 
 val restore_time : t -> float
-(** Snapshot-restore overhead the next attempt pays up front: the
-    checkpoint model's [restart_cost] when there is durable progress
-    to reload, [0.] otherwise (fresh jobs, uncheckpointed jobs). *)
+(** Snapshot-restore overhead the next attempt pays up front:
+    {!Stochastic_core.Attempt.restore_overhead}, [0.] under
+    [Restart]. *)
 
 val attempt_span : t -> float * bool
 (** [(span, completes)]: how long the current attempt will occupy its
@@ -123,7 +113,7 @@ val finish_attempt : t -> now:float -> bool
     end: records it, and either completes the job (returns [true]) or
     resubmits it at [now] with the next reservation (returns [false]).
     @raise Invalid_argument if the job is not running.
-    @raise Stochastic_core.Sequence.Not_covered if checkpoint overheads
+    @raise Stochastic_core.Sequence.Not_covered if snapshot overheads
     make progress impossible (no snapshot ever completes inside the
     last, largest reservation). *)
 

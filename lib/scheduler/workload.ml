@@ -77,7 +77,7 @@ let offered_load ?sequence spec ~cluster_nodes d =
   spec.arrival_rate *. hours_per_job *. mean_job_nodes spec *. mean_scale spec
   /. float_of_int cluster_nodes
 
-let generate ?checkpoint spec d ~sequence rng =
+let generate ?(recovery = Stochastic_core.Attempt.Restart) spec d ~sequence rng =
   let clock = ref 0.0 in
   Array.init spec.jobs (fun id ->
       clock :=
@@ -103,23 +103,19 @@ let generate ?checkpoint spec d ~sequence rng =
         + Randomness.Rng.int rng (spec.nodes_max - spec.nodes_min + 1)
       in
       let scaled_sequence = Seq.map (fun t -> scale *. t) sequence in
-      (* The checkpoint discipline scales with the job's size class:
+      (* The snapshot discipline scales with the job's size class:
          snapshot state (and therefore snapshot/restore time) grows
          with the job, and the period keeps the same proportional
          overhead a user would tune for their own jobs. *)
-      let checkpoint =
-        Option.map
-          (fun (c : Job.checkpoint) ->
-            Job.make_checkpoint
-              ~params:
-                (Stochastic_core.Checkpoint.make_params
-                   ~checkpoint_cost:
-                     (scale
-                     *. c.Job.params.Stochastic_core.Checkpoint.checkpoint_cost)
-                   ~restart_cost:
-                     (scale
-                     *. c.Job.params.Stochastic_core.Checkpoint.restart_cost))
-              ~period:(scale *. c.Job.period))
-          checkpoint
+      let recovery =
+        match recovery with
+        | Stochastic_core.Attempt.Restart -> recovery
+        | Snapshot { period; snapshot_cost; restore_cost } ->
+            Snapshot
+              {
+                period = scale *. period;
+                snapshot_cost = scale *. snapshot_cost;
+                restore_cost = scale *. restore_cost;
+              }
       in
-      Job.make ?checkpoint ~id ~nodes ~arrival:!clock ~duration scaled_sequence)
+      Job.make ~recovery ~id ~nodes ~arrival:!clock ~duration scaled_sequence)

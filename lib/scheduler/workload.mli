@@ -68,7 +68,7 @@ val offered_load :
 (** Inverse of {!rate_for_load}: the load a spec offers a cluster. *)
 
 val generate :
-  ?checkpoint:Job.checkpoint ->
+  ?recovery:Stochastic_core.Attempt.recovery ->
   spec ->
   Distributions.Dist.t ->
   sequence:Stochastic_core.Sequence.t ->
@@ -77,7 +77,8 @@ val generate :
 (** [generate spec d ~sequence rng] draws the workload. All jobs share
     [sequence] (they face the same distribution and cost model) but
     each materialises only the prefix covering its own duration.
-    When [checkpoint] is given every job checkpoints periodically, with
-    the period and the snapshot/restore overheads scaled by the job's
-    size class (snapshot state grows with the job). Deterministic given
-    the rng state. *)
+    Under [Snapshot] [recovery] (default [Restart]) every job
+    snapshots periodically, with the period and the overheads scaled by
+    its size class (snapshot state grows with the job); {!Job.make}
+    validates the scaled discipline. Deterministic given the rng
+    state. *)

@@ -9,9 +9,19 @@ let close ?(tol = 1e-9) name expected got =
   Alcotest.(check (float tol)) name expected got
 
 let test_params_validation () =
-  Alcotest.(check bool) "negative overhead rejected" true
-    (try ignore (Ck.make_params ~checkpoint_cost:(-1.0) ~restart_cost:0.0); false
-     with Invalid_argument _ -> true)
+  let rejected checkpoint_cost restart_cost =
+    try ignore (Ck.make_params ~checkpoint_cost ~restart_cost); false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative overhead rejected" true (rejected (-1.0) 0.0);
+  List.iter
+    (fun (name, c, r) -> Alcotest.(check bool) name true (rejected c r))
+    [
+      ("NaN checkpoint cost", Float.nan, 0.0);
+      ("infinite checkpoint cost", Float.infinity, 0.0);
+      ("NaN restart cost", 0.0, Float.nan);
+      ("infinite restart cost", 0.0, Float.infinity);
+    ]
 
 let test_free_checkpoints_accumulate_progress () =
   (* With zero overheads, sequence (2, 3) completes any job up to

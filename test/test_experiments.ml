@@ -141,6 +141,20 @@ let test_registry_table4 () =
   check_outcome "table4" ~text:(Experiments.Table4.to_string t)
     ~sanity:(Experiments.Table4.sanity t ~brute_force)
 
+(* Byte-identity gate: the quick-mode sections of the two cluster
+   simulator experiments, exactly as bench prints them, are committed
+   under fixtures/experiments. A change to attempt accounting, the
+   engine or the fault model that moves any number fails here. *)
+let test_rendered_fixture name () =
+  let e = registry_entry name in
+  let expected =
+    In_channel.with_open_bin
+      (Filename.concat "fixtures/experiments" (name ^ ".quick.txt"))
+      In_channel.input_all
+  in
+  Alcotest.(check string) name expected
+    (R.render e (e.R.run ~quick:true ~log:Stochobs.Log.null))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -162,4 +176,9 @@ let () =
           Alcotest.test_case "s1 and table3" `Slow test_registry_runs_module;
           Alcotest.test_case "table4 sanity" `Slow test_registry_table4;
         ] );
+      ( "fixtures",
+        List.map
+          (fun name ->
+            Alcotest.test_case (name ^ " quick text") `Quick (test_rendered_fixture name))
+          [ "fault-tolerance"; "cluster-contention" ] );
     ]

@@ -10,7 +10,7 @@ module Job = Scheduler.Job
 module Policy = Scheduler.Policy
 module Workload = Scheduler.Workload
 module Metrics = Scheduler.Metrics
-module Checkpoint = Stochastic_core.Checkpoint
+module Attempt = Stochastic_core.Attempt
 
 let models =
   [
@@ -20,14 +20,11 @@ let models =
     ("spot", Faults.spot ~mtbf:10.0 ());
   ]
 
-let ckpt =
-  Job.make_checkpoint
-    ~params:(Checkpoint.make_params ~checkpoint_cost:0.05 ~restart_cost:0.05)
-    ~period:1.0
+let ckpt = Attempt.Snapshot { period = 1.0; snapshot_cost = 0.05; restore_cost = 0.05 }
 
 (* Small jobs (0.1x-0.4x of LogNormal(3, 0.5)) so restart-from-scratch
    execution still terminates at MTBF 20 h. *)
-let small_workload ?checkpoint ~seed ~jobs () =
+let small_workload ?recovery ~seed ~jobs () =
   let d = Distributions.Lognormal.default in
   let sequence = Stochastic_core.Heuristics.mean_by_mean d in
   let spec =
@@ -35,7 +32,7 @@ let small_workload ?checkpoint ~seed ~jobs () =
       ~jobs ~arrival_rate:1.0 ()
   in
   let rng = Randomness.Rng.create ~seed () in
-  Workload.generate ?checkpoint spec d ~sequence rng
+  Workload.generate ?recovery spec d ~sequence rng
 
 let harsh_faults ~seed = Faults.make ~seed ~mean_repair:0.25 (Faults.exponential ~mtbf:20.0)
 
@@ -204,7 +201,7 @@ let prop_checkpoint_progress_monotone =
     ~name:"checkpointed progress is monotone across attempts"
     QCheck.(int_range 0 1_000)
     (fun seed ->
-      let jobs = small_workload ~checkpoint:ckpt ~seed ~jobs:40 () in
+      let jobs = small_workload ~recovery:ckpt ~seed ~jobs:40 () in
       let r =
         Engine.run
           (Engine.make_config ~faults:(harsh_faults ~seed:(seed + 2))
@@ -303,7 +300,7 @@ let test_zero_rate_equivalence () =
 let test_fault_run_deterministic () =
   let model = Stochastic_core.Cost_model.neuro_hpc in
   let run () =
-    let jobs = small_workload ~checkpoint:ckpt ~seed:31 ~jobs:60 () in
+    let jobs = small_workload ~recovery:ckpt ~seed:31 ~jobs:60 () in
     Engine.run
       (Engine.make_config ~faults:(harsh_faults ~seed:37) ~nodes:8
          ~policy:Policy.Easy_backfill ())
