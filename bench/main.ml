@@ -41,41 +41,48 @@ let obs_run ~quick:_ ~log:_ =
     for _ = 1 to reps do f () done;
     Sys.time () -. t0
   in
-  (* Calibrate the repetition count so the no-op arm runs long enough
-     (~1 s) to make the relative overhead measurable, then take the
-     best of three batches per arm to shed scheduling noise. *)
+  (* The arms alternate over [rounds] short batches (~0.1 s each), so a
+     slow spell on a shared host hits both; the overhead is the median
+     of the per-round ratios, which one noisy batch cannot move. *)
+  let rounds = 15 in
   solve Stochobs.Trace.null;
   let once = time_batch 1 (fun () -> solve Stochobs.Trace.null) in
-  let reps = max 10 (min 500 (int_of_float (1.0 /. Float.max 1e-4 once))) in
-  let best f =
-    let m = ref infinity in
-    for _ = 1 to 3 do m := Float.min !m (time_batch reps f) done;
-    !m
-  in
-  let wall_noop = best (fun () -> solve Stochobs.Trace.null) in
+  let reps = max 10 (min 5000 (int_of_float (0.1 /. Float.max 1e-5 once))) in
   let buf = Buffer.create 65536 in
   let sink =
     Stochobs.Trace.make ~clock:(Stochobs.Clock.fake ())
       (Stochobs.Writer.to_buffer buf)
   in
-  M.set_enabled M.default true;
   let before = M.snapshot M.default in
-  let wall_on = best (fun () -> solve sink) in
+  let noop = Array.make rounds 0.0 and on = Array.make rounds 0.0 in
+  for i = 0 to rounds - 1 do
+    noop.(i) <- time_batch reps (fun () -> solve Stochobs.Trace.null);
+    M.set_enabled M.default true;
+    on.(i) <- time_batch reps (fun () -> solve sink);
+    M.set_enabled M.default false
+  done;
   let delta = M.diff ~before ~after:(M.snapshot M.default) in
-  M.set_enabled M.default false;
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let wall_noop = median noop and wall_on = median on in
   let evaluations =
     match List.assoc_opt "robust.solver.evaluations" delta with
     | Some (M.Counter_v n) -> n
     | _ -> 0
   in
   let overhead =
-    if wall_noop > 0.0 then (wall_on -. wall_noop) /. wall_noop else 0.0
+    median
+      (Array.init rounds (fun i ->
+           if noop.(i) > 0.0 then (on.(i) -. noop.(i)) /. noop.(i) else 0.0))
   in
   let json =
     J.Obj
       [
         ("workload", J.Str "robust-solve lognormal quick-budget");
-        ("reps", num (float_of_int (3 * reps)));
+        ("reps", num (float_of_int (rounds * reps)));
         ("wall_seconds_noop", num wall_noop);
         ("wall_seconds_instrumented", num wall_on);
         ("overhead", num overhead);
@@ -87,9 +94,9 @@ let obs_run ~quick:_ ~log:_ =
   {
     R.text =
       Printf.sprintf
-        "no-op: %.4f s, instrumented: %.4f s over %d solves -> overhead \
-         %.2f%% (%d spans, %d trace bytes)\n"
-        wall_noop wall_on reps (100.0 *. overhead)
+        "no-op: %.4f s, instrumented: %.4f s per %d solves (median of %d \
+         alternating rounds) -> overhead %.2f%% (%d spans, %d trace bytes)\n"
+        wall_noop wall_on reps rounds (100.0 *. overhead)
         (Stochobs.Trace.spans_written sink)
         (Buffer.length buf);
     sanity = [ ("overhead below 10%", overhead < 0.10) ];

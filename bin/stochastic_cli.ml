@@ -619,7 +619,9 @@ let spot_term =
 
 let solve_cmd =
   let run dist trace fit hpc alpha beta gamma m n disc_n seed count strict
-      no_validate exact quick max_seconds max_evals tiers spot_opts obs_opts =
+      no_validate monte_carlo quick max_seconds max_evals tiers spot_opts
+      obs_opts =
+    let exact = not monte_carlo in
     let d = resolve_dist ~hpc dist trace fit in
     let model = resolve_model hpc alpha beta gamma in
     let base =
@@ -763,12 +765,13 @@ let solve_cmd =
          & info [ "no-validate" ]
              ~doc:"Skip the distribution self-check before solving.")
   in
-  let exact_arg =
+  let monte_carlo_arg =
     Arg.(value & flag
-         & info [ "exact" ]
+         & info [ "monte-carlo" ]
              ~doc:
-               "Rank brute-force candidates by the deterministic Eq. (4) \
-                series instead of Monte-Carlo.")
+               "Rank brute-force candidates by the paper's Monte-Carlo \
+                average over $(b,-n) draws (Eq. (13)) instead of the \
+                deterministic Eq. (4) series.")
   in
   let quick_budget_arg =
     Arg.(value & flag
@@ -805,7 +808,7 @@ let solve_cmd =
     Term.(
       const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
       $ beta_arg $ gamma_arg $ m_arg $ n_mc_arg $ disc_n_arg $ seed_arg
-      $ count_arg $ strict_arg $ no_validate_arg $ exact_arg
+      $ count_arg $ strict_arg $ no_validate_arg $ monte_carlo_arg
       $ quick_budget_arg $ max_seconds_arg $ max_evals_arg $ tiers_arg
       $ spot_term $ obs_term)
 

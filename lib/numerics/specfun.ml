@@ -106,8 +106,12 @@ let gamma_q a x =
 
 let upper_incomplete_gamma a x = gamma_q a x *. gamma a
 
-(* Inverse of P(a, .): Wilson–Hilferty initial guess, then safeguarded
-   Newton on P(a, x) - p with the analytic derivative (gamma pdf). *)
+(* Inverse of P(a, .): Wilson–Hilferty initial guess, then Halley
+   steps on P(a, x) - p with the analytic derivative (gamma pdf). Above
+   the median it solves Q(a, x) = 1 - p instead (the subtraction is
+   exact for p >= 1/2): there P rounds to 1 long before x is resolved,
+   so an absolute residual of 1e-12 can hold 1e-4 away from the root.
+   Convergence is judged on the step in x, not on the residual. *)
 let inverse_gamma_p a p =
   if a <= 0.0 then invalid_arg "Specfun.inverse_gamma_p: a must be positive";
   if p < 0.0 || p > 1.0 then
@@ -121,64 +125,71 @@ let inverse_gamma_p a p =
     let a1 = a -. 1.0 in
     let lna1 = if a > 1.0 then log a1 else 0.0 in
     let afac = if a > 1.0 then exp ((a1 *. (lna1 -. 1.0)) -. gln) else 0.0 in
+    let upper = p > 0.5 in
+    let q = 1.0 -. p in
+    (* P(a, x) - p, increasing in x, from whichever tail is small. *)
+    let residual x = if upper then q -. gamma_q a x else gamma_p a x -. p in
     (* Initial guess. *)
     let x0 =
       if a > 1.0 then begin
-        (* Wilson–Hilferty via the normal quantile. *)
-        let pp = if p < 0.5 then p else 1.0 -. p in
-        let t = sqrt (-2.0 *. log pp) in
-        let x =
-          ((2.30753 +. (t *. 0.27061)) /. (1.0 +. (t *. (0.99229 +. (t *. 0.04481)))))
-          -. t
+        (* Wilson–Hilferty via the normal quantile z of p. *)
+        let t = sqrt (-2.0 *. log (if upper then q else p)) in
+        let z =
+          t
+          -. ((2.30753 +. (t *. 0.27061))
+             /. (1.0 +. (t *. (0.99229 +. (t *. 0.04481)))))
         in
-        let x = if p < 0.5 then -.x else x in
+        let z = if upper then z else -.z in
         Float.max 1e-3
           (a
-          *. ((1.0 -. (1.0 /. (9.0 *. a)) +. (x /. (3.0 *. sqrt a))) ** 3.0))
+          *. ((1.0 -. (1.0 /. (9.0 *. a)) +. (z /. (3.0 *. sqrt a))) ** 3.0))
       end
       else begin
         let t = 1.0 -. (a *. (0.253 +. (a *. 0.12))) in
         if p < t then (p /. t) ** (1.0 /. a)
-        else 1.0 -. log (1.0 -. ((p -. t) /. (1.0 -. t)))
+        else 1.0 -. log (q /. (1.0 -. t))
       end
     in
-    let x = ref x0 in
-    for _ = 1 to 16 do
-      if !x > 0.0 then begin
-        let err = gamma_p a !x -. p in
-        let t =
-          if a > 1.0 then afac *. exp ((-. (!x -. a1)) +. (a1 *. (log !x -. lna1)))
-          else exp ((-. !x) +. (a1 *. log !x) -. gln)
-        in
-        if t > 0.0 then begin
-          let u = err /. t in
-          (* Halley correction, as in Numerical Recipes. *)
-          let dx = u /. (1.0 -. (0.5 *. Float.min 1.0 (u *. ((a1 /. !x) -. 1.0)))) in
-          x := !x -. dx;
-          if !x <= 0.0 then x := 0.5 *. (!x +. dx)
-        end
+    let density x =
+      if a > 1.0 then afac *. exp ((-. (x -. a1)) +. (a1 *. (log x -. lna1)))
+      else exp ((-. x) +. (a1 *. log x) -. gln)
+    in
+    let rec newton x steps =
+      let t = density x in
+      (* A vanished density leaves the root to the bisection below. *)
+      if steps = 0 || not (t > 0.0 && Float.is_finite t) then None
+      else begin
+        let u = residual x /. t in
+        (* Halley correction, as in Numerical Recipes. *)
+        let dx = u /. (1.0 -. (0.5 *. Float.min 1.0 (u *. ((a1 /. x) -. 1.0)))) in
+        let x' = if x -. dx <= 0.0 then 0.5 *. x else x -. dx in
+        if Float.abs dx <= 1e-13 *. x' then Some x' else newton x' (steps - 1)
       end
-    done;
-    (* Newton can stall deep in the tails where the derivative
-       underflows; verify and fall back to a bracketed bisection,
-       which is slow but unconditionally convergent. *)
-    let residual = gamma_p a !x -. p in
-    if Float.abs residual > 1e-12 then begin
-      let f y = gamma_p a y -. p in
-      let lo = ref 0.0 and hi = ref (Float.max (2.0 *. !x) (2.0 *. a)) in
-      while f !hi < 0.0 && !hi < 1e12 do
+    in
+    (* Where Newton does not settle, bisect a bracket, which is slow but
+       unconditionally convergent. It halves the ratio hi / lo while
+       that exceeds 2, so roots near 0 resolve too. *)
+    let bisect () =
+      let lo = ref Float.min_float and hi = ref (Float.max (2.0 *. a) 1.0) in
+      while residual !hi < 0.0 && !hi < 1e12 do
         hi := !hi *. 2.0
       done;
-      if f !hi >= 0.0 then begin
-        (* 200 bisection steps resolve to full double precision. *)
+      if residual !lo >= 0.0 then 0.0
+      else begin
         for _ = 1 to 200 do
-          let mid = 0.5 *. (!lo +. !hi) in
-          if f mid < 0.0 then lo := mid else hi := mid
+          let mid =
+            if !hi > 2.0 *. !lo then sqrt !lo *. sqrt !hi
+            else 0.5 *. (!lo +. !hi)
+          in
+          if residual mid < 0.0 then lo := mid else hi := mid
         done;
-        x := 0.5 *. (!lo +. !hi)
+        0.5 *. (!lo +. !hi)
       end
-    end;
-    !x
+    in
+    (* An initial guess that underflows to 0 is the answer: the root
+       lies below the smallest double. *)
+    if x0 <= 0.0 then 0.0
+    else match newton x0 32 with Some x -> x | None -> bisect ()
   end
 
 (* ------------------------------------------------------------------ *)

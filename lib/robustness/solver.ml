@@ -385,7 +385,7 @@ let attempt_tier st ~obs ~exact ~seed cost_model d tier =
 
 let solve ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
     ?(budget = default_budget) ?(tiers = all_tiers) ?(validate = true)
-    ?(exact = false) ?(seed = 42) cost_model d =
+    ?(exact = true) ?(seed = 42) cost_model d =
   match check_budget_params budget with
   | Some e -> Error e
   | None ->

@@ -128,10 +128,15 @@ val solve :
     bit-for-bit reproducible; [tiers] (default {!all_tiers}) restricts
     or reorders the cascade; [validate] (default [true]) runs
     {!Dist_check.run} first and refuses fatally inconsistent inputs;
-    [exact] (default [false]) makes the brute-force tier rank
-    candidates with the deterministic Eq. (4) series instead of
-    Monte-Carlo; [seed] (default [42]) drives the Monte-Carlo
-    evaluator. Never raises; never hangs (the wall-clock guard is
+    [exact] (default [true]) makes the brute-force tier rank
+    candidates with the deterministic Eq. (4) series, so the chosen
+    t1 is the grid candidate of least true cost and [cost] is that
+    candidate's cost; [~exact:false] ranks them instead by the paper's
+    Monte-Carlo average over [budget.mc_samples] draws (Eq. (13)),
+    the BRUTE-FORCE of Table 2 and the serve protocol's default, and
+    [seed] (default [42]) drives those draws. Either way [cost] and
+    [normalized] are {!Stochastic_core.Expected_cost.exact} of the
+    returned sequence. Never raises; never hangs (the wall-clock guard is
     checked between candidates, and every stage is
     iteration-bounded). *)
 

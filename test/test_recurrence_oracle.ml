@@ -148,7 +148,7 @@ let test_brute_force () =
 (* What [solve] must return when brute force wins: the oracle scan's
    t1, then the solver's vetting (head to the coverage point, exact
    cost) on the oracle's sequence. *)
-let expected_solution ?(exact = false) budget m d =
+let expected_solution ~exact budget m d =
   let st = { O.budget; evaluations = 0 } in
   let t1 = O.run_brute_force st ~exact ~seed:42 m d in
   let seq = O.sequence m d ~t1 in
@@ -171,16 +171,18 @@ let solution_key (s : Solver.solution) =
     (String.concat "; "
        (List.map (fun r -> Solver.error_to_string r.Solver.reason) dg.Solver.rejected))
 
-let test_solver () =
+(* [solve] ranks t1 by the Eq. (4) series unless told otherwise, and
+   [~exact:false] stays the paper's Monte-Carlo scan. *)
+let test_solver ~exact solve () =
   List.iter
     (fun (name, m, d) ->
       List.iter
         (fun (budget_name, budget) ->
-          match Solver.solve ~budget m d with
+          match solve ~budget m d with
           | Ok s ->
               check_same
                 (Printf.sprintf "%s solve %s" name budget_name)
-                (expected_solution budget m d) (solution_key s)
+                (expected_solution ~exact budget m d) (solution_key s)
           | Error e ->
               Alcotest.failf "%s solve %s: %s" name budget_name (Solver.error_to_string e))
         [ ("defaults", Solver.default_budget); ("quick_budget", Solver.quick_budget) ])
@@ -331,7 +333,10 @@ let () =
         [
           Alcotest.test_case "every candidate, 18 problems" `Quick test_every_candidate;
           Alcotest.test_case "brute force search/profile/cost_of_t1" `Quick test_brute_force;
-          Alcotest.test_case "solver defaults and quick budget" `Quick test_solver;
+          Alcotest.test_case "solver defaults and quick budget" `Quick
+            (test_solver ~exact:true (fun ~budget m d -> Solver.solve ~budget m d));
+          Alcotest.test_case "solver Monte-Carlo opt-out" `Quick
+            (test_solver ~exact:false (fun ~budget m d -> Solver.solve ~exact:false ~budget m d));
           Alcotest.test_case "solver on a raising pdf" `Quick test_solver_raising_pdf;
           Alcotest.test_case "exponential optimum" `Quick test_exponential_opt;
         ] );

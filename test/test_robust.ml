@@ -120,6 +120,40 @@ let test_exit_codes_distinct () =
   Alcotest.(check bool) "none collides with cmdliner's 0/1/2/3" true
     (List.for_all (fun c -> c > 3) codes)
 
+(* The default (Eq. (4) series) and the Monte-Carlo scan rank the same
+   t1 grid, and both solutions report [Expected_cost.exact] of the
+   vetted sequence, which the series score equals: the default's
+   normalized cost is the grid minimum, so never above the MC pick. *)
+let test_exact_never_worse () =
+  let models =
+    [
+      ("reservation_only", Stochastic_core.Cost_model.reservation_only);
+      ("neuro_hpc", Stochastic_core.Cost_model.neuro_hpc);
+    ]
+  in
+  let normalized label r =
+    match r with
+    | Ok sol -> sol.Solver.normalized
+    | Error e -> Alcotest.failf "%s: %s" label (Solver.error_to_string e)
+  in
+  List.iter
+    (fun (law, d) ->
+      List.iter
+        (fun (model, m) ->
+          List.iter
+            (fun (budget_name, budget) ->
+              let label = Printf.sprintf "%s/%s %s" law model budget_name in
+              let exact = normalized label (Solver.solve ~budget m d) in
+              let mc =
+                normalized (label ^ " MC") (Solver.solve ~budget ~exact:false m d)
+              in
+              if not (exact <= mc *. (1.0 +. 1e-12)) then
+                Alcotest.failf "%s: default normalized %.17g > Monte-Carlo %.17g"
+                  label exact mc)
+            [ ("defaults", Solver.default_budget); ("quick_budget", quick) ])
+        models)
+    Distributions.Table1.all
+
 (* --------------------- constructor validation --------------------- *)
 
 let contains msg sub =
@@ -182,6 +216,8 @@ let () =
             test_empty_tiers_refused;
           Alcotest.test_case "exit codes distinct" `Quick
             test_exit_codes_distinct;
+          Alcotest.test_case "exact default never worse than MC" `Quick
+            test_exact_never_worse;
         ] );
       ( "constructors",
         [

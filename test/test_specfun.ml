@@ -66,6 +66,21 @@ let test_inverse_gamma_p () =
     (Sf.inverse_gamma_p 2.0 1.0 = infinity);
   rel_close "roundtrip a=2, x=2" 2.0
     (Sf.inverse_gamma_p 2.0 (Sf.gamma_p 2.0 2.0))
+    ~tol:1e-9;
+  (* Q = 5.8e-9, inside the roundtrip property's guard: P rounds so
+     close to 1 that an answer 7.9e-5 off the root still had an
+     absolute residual of 4.4e-13 (QCHECK_SEED=775075158). *)
+  let a = 1.68121105314 and x = 21.1752018216 in
+  let x' = Sf.inverse_gamma_p a (Sf.gamma_p a x) in
+  Alcotest.(check bool)
+    (Printf.sprintf "upper-tail roundtrip a=%g x=%g (got %.17g)" a x x')
+    true
+    (Float.abs (x' -. x) <= 1e-6 *. (1.0 +. x));
+  (* Far lower tail: P(1.5, x) ~ x^1.5 / Gamma(2.5), so the root of
+     P = 1e-300 is (1e-300 * Gamma(2.5))^(2/3). *)
+  let root = (1e-300 *. Sf.gamma 2.5) ** (2.0 /. 3.0) in
+  rel_close "lower-tail root a=1.5, p=1e-300" 1.0
+    (Sf.inverse_gamma_p 1.5 1e-300 /. root)
     ~tol:1e-9
 
 let prop_gamma_p_roundtrip =
