@@ -49,8 +49,8 @@ let usage_exit = function
       Printf.eprintf "%s\n" msg;
       exit 2
 
-let resolve_dist ?hpc name trace fit =
-  usage_exit (Stochserve.Resolve.dist ?hpc ?trace:trace ~fit name)
+let resolve_dist name trace fit hpc =
+  usage_exit (Stochserve.Resolve.dist ~hpc ?trace ~fit name)
 
 let alpha_arg =
   Arg.(value & opt float 1.0 & info [ "alpha" ] ~docv:"A"
@@ -71,8 +71,22 @@ let hpc_arg =
              "Use the NeuroHPC cost model (alpha=0.95, beta=1, gamma=1.05 \
               hours) instead of --alpha/--beta/--gamma.")
 
-let resolve_model hpc alpha beta gamma =
-  usage_exit (Stochserve.Resolve.model ~hpc ~alpha ~beta ~gamma)
+(* The problem flags, resolved to (distribution, cost model): the
+   distribution first, then the model, a bad one exiting 2. Commands
+   apply the problem term (or [dist_term]) last, so cmdliner has parsed
+   every other flag before a name is resolved. *)
+let problem_term =
+  let resolve name trace fit hpc alpha beta gamma =
+    let d = resolve_dist name trace fit hpc in
+    (d, usage_exit (Stochserve.Resolve.model ~hpc ~alpha ~beta ~gamma))
+  in
+  Term.(
+    const resolve $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
+    $ beta_arg $ gamma_arg)
+
+(* The distribution flags alone, for commands without a cost model. *)
+let dist_term hpc =
+  Term.(const resolve_dist $ dist_arg $ input_trace_arg $ fit_arg $ hpc)
 
 let strategy_arg =
   let doc =
@@ -81,23 +95,47 @@ let strategy_arg =
   in
   Arg.(value & opt string "brute-force" & info [ "strategy"; "s" ] ~docv:"NAME" ~doc)
 
-let m_arg =
-  Arg.(value & opt int 5000
-       & info [ "m" ] ~docv:"M" ~doc:"Brute-force grid size.")
-
-let n_mc_arg =
-  Arg.(value & opt int 1000
-       & info [ "n" ] ~docv:"N" ~doc:"Monte-Carlo sample count.")
-
-let disc_n_arg =
-  Arg.(value & opt int 1000
-       & info [ "disc-n" ] ~docv:"K" ~doc:"Discretization sample count.")
-
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let resolve_strategy name ~m ~n ~disc_n ~seed =
-  usage_exit (Stochserve.Resolve.strategy ~m ~n ~disc_n ~seed name)
+(* The grid flags and --seed, resolved against a base budget: a grid
+   flag overrides one field, an absent one keeps the base's. The base
+   is the paper-scale default, or with [quick] (the --quick-budget
+   flag) the reduced budget. [disc_n:false] leaves out --disc-n for a
+   command without a discretization. *)
+let budget_term ?quick ~disc_n () =
+  let module S = Robust.Solver in
+  let grid name docv doc field =
+    let none =
+      match quick with
+      | None -> string_of_int (field S.default_budget)
+      | Some _ ->
+          Printf.sprintf "%d, or %d with --quick-budget"
+            (field S.default_budget) (field S.quick_budget)
+    in
+    Arg.(value & opt (some ~none int) None & info [ name ] ~docv ~doc)
+  in
+  let m = grid "m" "M" "Brute-force grid size." (fun b -> b.S.bf_candidates) in
+  let n = grid "n" "N" "Monte-Carlo sample count." (fun b -> b.S.mc_samples) in
+  let disc_n =
+    if disc_n then
+      grid "disc-n" "K" "Discretization sample count." (fun b -> b.S.dp_points)
+    else Term.const None
+  in
+  let base =
+    match quick with
+    | None -> Term.const S.default_budget
+    | Some quick ->
+        Term.(
+          const (fun q -> if q then S.quick_budget else S.default_budget)
+          $ quick)
+  in
+  Term.(
+    const (fun base m n disc_n seed -> (S.override ?m ?n ?disc_n base, seed))
+    $ base $ m $ n $ disc_n $ seed_arg)
+
+let resolve_strategy name (budget, seed) =
+  usage_exit (Stochserve.Resolve.strategy ~budget ~seed name)
 
 (* ----------------------- observability flags ---------------------- *)
 
@@ -192,10 +230,8 @@ let with_obs opts f =
 (* ---------------------------- commands ---------------------------- *)
 
 let sequence_cmd =
-  let run dist trace fit hpc alpha beta gamma strategy m n disc_n seed count =
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
-    let s = resolve_strategy strategy ~m ~n ~disc_n ~seed in
+  let run strategy budget count (d, model) =
+    let s = resolve_strategy strategy budget in
     let seq = s.Strategy.build model d in
     Format.printf "distribution: %a@." Dist.pp d;
     Format.printf "cost model:   %a@." Cost_model.pp model;
@@ -212,33 +248,25 @@ let sequence_cmd =
   Cmd.v
     (Cmd.info "sequence" ~doc:"Compute and print a reservation sequence.")
     Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg $ strategy_arg $ m_arg $ n_mc_arg $ disc_n_arg
-      $ seed_arg $ count_arg)
+      const run $ strategy_arg $ budget_term ~disc_n:true () $ count_arg
+      $ problem_term)
 
 let evaluate_cmd =
-  let run dist trace fit hpc alpha beta gamma strategy m n disc_n seed =
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
-    let s = resolve_strategy strategy ~m ~n ~disc_n ~seed in
+  let run strategy ((budget, seed) as b) (d, model) =
+    let s = resolve_strategy strategy b in
     let rng = Randomness.Rng.create ~seed:(seed + 1) () in
-    let v = Strategy.evaluate ~n ~rng model d s in
+    let v = Strategy.evaluate ~n:budget.Robust.Solver.mc_samples ~rng model d s in
     Format.printf "%s on %s: normalized expected cost %.4f@." s.Strategy.name
       d.Dist.name v
   in
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:"Monte-Carlo-evaluate a strategy's normalized expected cost.")
-    Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg $ strategy_arg $ m_arg $ n_mc_arg $ disc_n_arg
-      $ seed_arg)
+    Term.(const run $ strategy_arg $ budget_term ~disc_n:true () $ problem_term)
 
 let simulate_cmd =
-  let run dist trace fit hpc alpha beta gamma strategy m n disc_n seed jobs =
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
-    let s = resolve_strategy strategy ~m ~n ~disc_n ~seed in
+  let run strategy ((_, seed) as b) jobs (d, model) =
+    let s = resolve_strategy strategy b in
     let seq = s.Strategy.build model d in
     let rng = Randomness.Rng.create ~seed:(seed + 2) () in
     let report = Platform.Simulator.run ~jobs model d seq rng in
@@ -253,14 +281,11 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Replay a strategy through the job-flow simulator.")
     Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg $ strategy_arg $ m_arg $ n_mc_arg $ disc_n_arg
-      $ seed_arg $ jobs_arg)
+      const run $ strategy_arg $ budget_term ~disc_n:true () $ jobs_arg
+      $ problem_term)
 
 let bounds_cmd =
-  let run dist trace fit hpc alpha beta gamma =
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
+  let run (d, model) =
     let lo, hi = Stochastic_core.Bounds.search_interval model d in
     Format.printf "distribution: %a@." Dist.pp d;
     Format.printf "t1 search interval (Theorem 2): (%.6g, %.6g]@." lo hi;
@@ -272,17 +297,17 @@ let bounds_cmd =
   in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Print the Theorem 2 search bounds.")
-    Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg)
+    Term.(const run $ problem_term)
 
 let cloud_cmd =
-  let run dist trace fit ratio m n seed =
-    let d = resolve_dist dist trace fit in
+  let run ratio (budget, seed) d =
+    let n = budget.Robust.Solver.mc_samples in
     let pricing =
       Platform.Cloud.make_pricing ~reserved_hourly:1.0 ~on_demand_hourly:ratio
     in
-    let s = Strategy.brute_force ~m ~n ~seed () in
+    let s =
+      Strategy.brute_force ~m:budget.Robust.Solver.bf_candidates ~n ~seed ()
+    in
     let rng = Randomness.Rng.create ~seed:(seed + 3) () in
     let normalized =
       Strategy.evaluate ~n ~rng Cost_model.reservation_only d s
@@ -308,17 +333,15 @@ let cloud_cmd =
     (Cmd.info "cloud"
        ~doc:"Decide Reserved Instances vs On-Demand for a workload.")
     Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ ratio_arg $ m_arg $ n_mc_arg
-      $ seed_arg)
+      const run $ ratio_arg $ budget_term ~disc_n:false ()
+      $ dist_term (Term.const false))
 
 let cluster_cmd =
-  let run dist trace fit hpc alpha beta gamma strategy m n disc_n seed jobs
-      nodes policy load nodes_min nodes_max scale_min scale_max failure_rate
-      fault_model weibull_shape repair max_retries backoff ckpt_period
-      ckpt_cost restart_cost obs_opts =
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
-    let s = resolve_strategy strategy ~m ~n ~disc_n ~seed in
+  let run strategy ((budget, seed) as b) jobs nodes policy load nodes_min
+      nodes_max scale_min scale_max failure_rate fault_model weibull_shape
+      repair max_retries backoff ckpt_period ckpt_cost restart_cost obs_opts
+      (d, model) =
+    let s = resolve_strategy strategy b in
     let policy =
       match Scheduler.Policy.of_string policy with
       | Some p -> p
@@ -416,7 +439,7 @@ let cluster_cmd =
     | measured ->
         Format.printf "measured cost model: %a@." Cost_model.pp measured;
         let eval_rng = Randomness.Rng.create ~seed:(seed + 5) () in
-        let samples = Dist.samples d eval_rng n in
+        let samples = Dist.samples d eval_rng budget.Robust.Solver.mc_samples in
         Array.sort compare samples;
         let score m = Strategy.evaluate_on m d ~sorted_samples:samples s in
         Format.printf
@@ -522,19 +545,17 @@ let cluster_cmd =
           and measure the wait-time model that the NeuroHPC scenario \
           assumes.")
     Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg $ strategy_arg $ m_arg $ n_mc_arg $ disc_n_arg
-      $ seed_arg $ jobs_arg $ nodes_arg $ policy_arg $ load_arg
-      $ nodes_min_arg $ nodes_max_arg $ scale_min_arg $ scale_max_arg
-      $ failure_rate_arg $ fault_model_arg $ weibull_shape_arg $ repair_arg
-      $ max_retries_arg $ backoff_arg $ ckpt_period_arg $ ckpt_cost_arg
-      $ restart_cost_arg $ obs_term)
+      const run $ strategy_arg $ budget_term ~disc_n:true () $ jobs_arg
+      $ nodes_arg $ policy_arg $ load_arg $ nodes_min_arg $ nodes_max_arg
+      $ scale_min_arg $ scale_max_arg $ failure_rate_arg $ fault_model_arg
+      $ weibull_shape_arg $ repair_arg $ max_retries_arg $ backoff_arg
+      $ ckpt_period_arg $ ckpt_cost_arg $ restart_cost_arg $ obs_term
+      $ problem_term)
 
 (* --------------------- robust solving commands -------------------- *)
 
 let check_cmd =
-  let run dist trace fit hpc strict =
-    let d = resolve_dist ~hpc dist trace fit in
+  let run strict d =
     let report = Robust.Dist_check.run d in
     Format.printf "%a@." Robust.Dist_check.pp report;
     if not (Robust.Dist_check.is_valid report) then exit 4
@@ -550,8 +571,7 @@ let check_cmd =
        ~doc:
          "Run the numerical self-check on a distribution and print the \
           diagnostic report. Exits 4 on fatal inconsistencies.")
-    Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ strict_arg)
+    Term.(const run $ strict_arg $ dist_term hpc_arg)
 
 (* Two-tier spot options for `solve`: --spot-price turns the mode on;
    the rest shape the regime. Kept in a record so the solve term stays
@@ -618,25 +638,11 @@ let spot_term =
     $ price $ mtbf $ recovery $ ckpt_period $ ckpt_cost $ restore)
 
 let solve_cmd =
-  let run dist trace fit hpc alpha beta gamma m n disc_n seed count strict
-      no_validate monte_carlo quick max_seconds max_evals tiers spot_opts
-      obs_opts =
+  let run (budget, seed) max_seconds max_evaluations count strict no_validate
+      monte_carlo tiers spot_opts obs_opts (d, model) =
     let exact = not monte_carlo in
-    let d = resolve_dist ~hpc dist trace fit in
-    let model = resolve_model hpc alpha beta gamma in
-    let base =
-      if quick then Robust.Solver.quick_budget
-      else Robust.Solver.default_budget
-    in
     let budget =
-      {
-        Robust.Solver.bf_candidates = m;
-        mc_samples = n;
-        dp_points = disc_n;
-        max_seconds = Option.value max_seconds ~default:base.Robust.Solver.max_seconds;
-        max_evaluations =
-          Option.value max_evals ~default:base.Robust.Solver.max_evaluations;
-      }
+      Robust.Solver.override ?max_seconds ?max_evaluations budget
     in
     let tiers =
       match tiers with
@@ -806,27 +812,19 @@ let solve_cmd =
           3 strict-mode degradation, 4 invalid distribution, 5 \
           non-convergent, 6 budget exhausted, 7 invalid parameter.")
     Term.(
-      const run $ dist_arg $ input_trace_arg $ fit_arg $ hpc_arg $ alpha_arg
-      $ beta_arg $ gamma_arg $ m_arg $ n_mc_arg $ disc_n_arg $ seed_arg
-      $ count_arg $ strict_arg $ no_validate_arg $ monte_carlo_arg
-      $ quick_budget_arg $ max_seconds_arg $ max_evals_arg $ tiers_arg
-      $ spot_term $ obs_term)
+      const run
+      $ budget_term ~quick:quick_budget_arg ~disc_n:true ()
+      $ max_seconds_arg $ max_evals_arg $ count_arg $ strict_arg
+      $ no_validate_arg $ monte_carlo_arg $ tiers_arg $ spot_term $ obs_term
+      $ problem_term)
 
 let serve_cmd =
   let run socket capacity grid seed full_budget max_seconds max_evals persist
       deadline obs_opts =
-    let base =
-      if full_budget then Robust.Solver.default_budget
-      else Robust.Solver.quick_budget
-    in
     let budget =
-      {
-        base with
-        Robust.Solver.max_seconds =
-          Option.value max_seconds ~default:base.Robust.Solver.max_seconds;
-        max_evaluations =
-          Option.value max_evals ~default:base.Robust.Solver.max_evaluations;
-      }
+      Robust.Solver.(
+        override ?max_seconds ?max_evaluations:max_evals
+          (if full_budget then default_budget else quick_budget))
     in
     let config =
       {
@@ -923,27 +921,28 @@ let serve_cmd =
               (Some (Stochserve.Protocol.error_response ~id:None e), false))
     in
     let finish () = Stochserve.Server.close server in
+    (* The one line pump, for stdin and for each socket client: answer
+       request lines until end of input or a stop signal; [true] after
+       a shutdown request. *)
+    let rec pump ic oc =
+      (not !stop_requested)
+      &&
+      match In_channel.input_line ic with
+      | None -> false
+      | Some line ->
+          let resp, stop = handle_request line in
+          Option.iter
+            (fun r ->
+              output_string oc r;
+              output_char oc '\n';
+              flush oc)
+            resp;
+          stop || pump ic oc
+    in
     match socket with
     | None ->
-        let recv () =
-          if !stop_requested then None else In_channel.input_line stdin
-        in
-        let send line =
-          print_string line;
-          print_newline ();
-          flush stdout
-        in
         Fun.protect ~finally:finish (fun () ->
-            try
-              let rec loop () =
-                match recv () with
-                | None -> ()
-                | Some line ->
-                    let resp, stop = handle_request line in
-                    Option.iter send resp;
-                    if not stop then loop ()
-              in
-              loop ()
+            try ignore (pump stdin stdout)
             with Sys_error _ ->
               (* An interrupted stdin read during shutdown. *)
               ())
@@ -977,24 +976,11 @@ let serve_cmd =
               match accept_retry () with
               | None -> ()
               | Some (conn, _) ->
-                  let ic = Unix.in_channel_of_descr conn in
-                  let oc = Unix.out_channel_of_descr conn in
                   (try
-                     let rec pump () =
-                       match In_channel.input_line ic with
-                       | None -> ()
-                       | Some line ->
-                           let resp, stop = handle_request line in
-                           Option.iter
-                             (fun r ->
-                               output_string oc r;
-                               output_char oc '\n';
-                               flush oc)
-                             resp;
-                           if stop then stopped := true
-                           else if not !stop_requested then pump ()
-                     in
-                     pump ()
+                     stopped :=
+                       pump
+                         (Unix.in_channel_of_descr conn)
+                         (Unix.out_channel_of_descr conn)
                    with Sys_error _ | Unix.Unix_error _ ->
                      (* A dropped client must not take the daemon
                         down. *)

@@ -10,14 +10,20 @@ type regime = { price_ratio : float; revocation_rate : float; recovery : recover
 
 let is_finite x = Float.is_finite x
 
+let validate_regime r =
+  let fail field bound v =
+    Error (field, Printf.sprintf "must be finite %s, got %g" bound v)
+  in
+  if not (is_finite r.price_ratio && r.price_ratio > 0.0 && r.price_ratio <= 1.0)
+  then fail "price_ratio" "in (0, 1]" r.price_ratio
+  else if not (is_finite r.revocation_rate && r.revocation_rate >= 0.0) then
+    fail "revocation_rate" "and >= 0" r.revocation_rate
+  else Attempt.validate r.recovery |> Result.map (fun _ -> r)
+
 let make_regime ?(recovery = Restart) ~price_ratio ~revocation_rate () =
-  if not (is_finite price_ratio && price_ratio > 0.0 && price_ratio <= 1.0) then
-    invalid_arg "Spot_cost.make_regime: price_ratio must be finite in (0, 1]";
-  if not (is_finite revocation_rate && revocation_rate >= 0.0) then
-    invalid_arg "Spot_cost.make_regime: revocation_rate must be finite and >= 0";
-  match Attempt.validate recovery with
+  match validate_regime { price_ratio; revocation_rate; recovery } with
   | Error (field, detail) -> invalid_arg ("Spot_cost.make_regime: " ^ field ^ " " ^ detail)
-  | Ok recovery -> { price_ratio; revocation_rate; recovery }
+  | Ok r -> r
 
 let on_demand_only = { price_ratio = 1.0; revocation_rate = 0.0; recovery = Restart }
 

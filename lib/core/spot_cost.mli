@@ -53,14 +53,18 @@ type regime = {
   recovery : recovery;
 }
 
+val validate_regime : regime -> (regime, string * string) result
+(** [Ok r], or [Error (field, detail)] for the first bad field:
+    ["price_ratio"] unless finite in [(0, 1]], ["revocation_rate"]
+    unless finite and [>= 0], then whatever {!Attempt.validate} rejects
+    in [recovery]. *)
+
 val make_regime :
   ?recovery:recovery -> price_ratio:float -> revocation_rate:float -> unit -> regime
-(** [make_regime ~price_ratio ~revocation_rate ()] validates and builds
-    a regime ([recovery] defaults to {!Restart}).
-    @raise Invalid_argument if [price_ratio] is outside [(0, 1]] or not
-    finite, [revocation_rate] is negative or NaN or infinite, or
-    {!Attempt.validate} rejects [recovery] (the message names the
-    field). *)
+(** [make_regime ~price_ratio ~revocation_rate ()] builds a regime
+    ([recovery] defaults to {!Restart}) that {!validate_regime} accepts.
+    @raise Invalid_argument naming the field {!validate_regime}
+    rejects. *)
 
 val on_demand_only : regime
 (** [price_ratio = 1.0], [revocation_rate = 0.0], {!Restart}: the

@@ -24,12 +24,9 @@ let time f =
 let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null) () =
   let cost = C.reservation_only in
   let budget =
-    {
-      Robust.Solver.default_budget with
-      Robust.Solver.bf_candidates = cfg.Config.m;
-      mc_samples = cfg.Config.n_mc;
-      dp_points = cfg.Config.disc_n;
-    }
+    Robust.Solver.(
+      override ~m:cfg.Config.m ~n:cfg.Config.n_mc ~disc_n:cfg.Config.disc_n
+        default_budget)
   in
   let total = List.length Distributions.Table1.all in
   let rows =

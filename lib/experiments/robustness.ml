@@ -29,12 +29,9 @@ let run ?(cfg = Config.paper) ?(sample_sizes = default_sample_sizes)
   let oracle = B.search ~m ~evaluator:B.Exact cost truth in
   let oracle_normalized = oracle.B.normalized in
   let budget =
-    {
-      Robust.Solver.default_budget with
-      Robust.Solver.bf_candidates = m;
-      mc_samples = cfg.Config.n_mc;
-      dp_points = cfg.Config.disc_n;
-    }
+    Robust.Solver.(
+      override ~m ~n:cfg.Config.n_mc ~disc_n:cfg.Config.disc_n
+        default_budget)
   in
   let skip_reasons = ref [] in
   let points =

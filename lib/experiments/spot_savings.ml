@@ -46,12 +46,9 @@ let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null)
   let d = Distributions.Lognormal.default in
   let model = Stochastic_core.Cost_model.neuro_hpc in
   let budget =
-    {
-      Robust.Solver.default_budget with
-      Robust.Solver.bf_candidates = cfg.Config.m;
-      mc_samples = cfg.Config.n_mc;
-      dp_points = cfg.Config.disc_n;
-    }
+    Robust.Solver.(
+      override ~m:cfg.Config.m ~n:cfg.Config.n_mc ~disc_n:cfg.Config.disc_n
+        default_budget)
   in
   let base =
     match Robust.Solver.solve ~budget ~seed:cfg.Config.seed model d with

@@ -32,18 +32,41 @@ let quantile xs p =
   Array.sort compare copy;
   quantiles_sorted copy p
 
-let quantile_nearest_rank_sorted xs p =
-  let n = Array.length xs in
+(* Nearest-rank definition: the smallest sample value with at least a
+   [p] fraction of the sample at or below it, i.e. the order statistic
+   of rank ceil(p * n) (rank 1 when p = 0). Always an element of the
+   sample — no interpolation. *)
+let nearest_rank n p =
   if n = 0 then invalid_arg "Stats.quantile_nearest_rank: empty sample";
   if p < 0.0 || p > 1.0 then
     invalid_arg "Stats.quantile_nearest_rank: p must be in [0, 1]";
-  (* Nearest-rank definition: the smallest sample value with at least
-     a [p] fraction of the sample at or below it, i.e. the order
-     statistic of rank ceil(p * n) (rank 1 when p = 0). Always returns
-     an element of the sample — no interpolation. *)
   let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
-  let rank = if rank < 1 then 1 else if rank > n then n else rank in
-  xs.(rank - 1)
+  if rank < 1 then 1 else if rank > n then n else rank
+
+let quantile_nearest_rank_sorted xs p =
+  xs.(nearest_rank (Array.length xs) p - 1)
+
+(* The rank-r statistic of n values is their k-th largest, k = n - r + 1:
+   one pass keeps the k largest seen so far in [top], descending. *)
+let quantile_nearest_rank_upper ?len xs p =
+  let n = Option.value len ~default:(Array.length xs) in
+  if n < 0 || n > Array.length xs then
+    invalid_arg "Stats.quantile_nearest_rank_upper: len out of range";
+  let k = n - nearest_rank n p + 1 in
+  let top = Array.make k 0.0 in
+  for i = 0 to n - 1 do
+    let x = xs.(i) in
+    let last = if i < k then i else k - 1 in
+    if i < k || Float.compare x top.(last) > 0 then begin
+      let j = ref last in
+      while !j > 0 && Float.compare x top.(!j - 1) > 0 do
+        top.(!j) <- top.(!j - 1);
+        decr j
+      done;
+      top.(!j) <- x
+    end
+  done;
+  top.(k - 1)
 
 let quantile_nearest_rank xs p =
   let copy = Array.copy xs in

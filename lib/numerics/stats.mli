@@ -44,6 +44,17 @@ val quantile_nearest_rank : float array -> float -> float
 val quantile_nearest_rank_sorted : float array -> float -> float
 (** {!quantile_nearest_rank} on an already-sorted array; no copy. *)
 
+val quantile_nearest_rank_upper : ?len:int -> float array -> float -> float
+(** [quantile_nearest_rank_upper ?len xs p] is {!quantile_nearest_rank}
+    of the first [len] values of [xs] (default: all of them), without a
+    copy or a sort: one pass keeps the [len - r + 1] largest values,
+    [r] the nearest rank. That is cheap for upper quantiles of short
+    samples (at [p = 0.99] and [len <= 199] it keeps at most two). The
+    value is the sort's bit for bit unless the sample mixes [0.0] with
+    [-0.0] or NaNs of different payloads, which compare equal.
+    @raise Invalid_argument on [len] outside [[1, Array.length xs]] or
+    [p] outside [[0,1]]. *)
+
 val median : float array -> float
 (** [median xs] is [quantile xs 0.5]. *)
 

@@ -58,6 +58,16 @@ let quick_budget =
     max_seconds = 5.0;
   }
 
+let override ?m ?n ?disc_n ?max_seconds ?max_evaluations base =
+  let pick field base = Option.value field ~default:base in
+  {
+    bf_candidates = pick m base.bf_candidates;
+    mc_samples = pick n base.mc_samples;
+    dp_points = pick disc_n base.dp_points;
+    max_evaluations = pick max_evaluations base.max_evaluations;
+    max_seconds = pick max_seconds base.max_seconds;
+  }
+
 type error =
   | Invalid_distribution of Dist_check.report
   | Invalid_parameter of { name : string; detail : string }
@@ -506,18 +516,8 @@ type spot_solution = {
 }
 
 let spot_regime ?(recovery = Spot_cost.Restart) ~price_ratio ~revocation_rate () =
-  let bad name fmt_detail = Error (Invalid_parameter { name; detail = fmt_detail }) in
-  if not (Float.is_finite price_ratio && price_ratio > 0.0 && price_ratio <= 1.0)
-  then
-    bad "price_ratio"
-      (Printf.sprintf "must be finite in (0, 1], got %g" price_ratio)
-  else if not (Float.is_finite revocation_rate && revocation_rate >= 0.0) then
-    bad "revocation_rate"
-      (Printf.sprintf "must be finite and >= 0, got %g" revocation_rate)
-  else
-    match Stochastic_core.Attempt.validate recovery with
-    | Error (name, detail) -> bad name detail
-    | Ok recovery -> Ok (Spot_cost.make_regime ~recovery ~price_ratio ~revocation_rate ())
+  Spot_cost.validate_regime { price_ratio; revocation_rate; recovery }
+  |> Result.map_error (fun (name, detail) -> Invalid_parameter { name; detail })
 
 let solve_spot ?(obs = Trace.null) ?clock ?budget ?tiers ?validate ?exact ?seed
     ?recovery ?(disc_n = 500) ~price_ratio ~revocation_rate cost_model d =

@@ -47,6 +47,20 @@ val quick_budget : budget
 (** Reduced grids ([300]/[200]/[200]) under [2e5] evaluations and [5]
     seconds — for fuzzing, smoke tests and interactive use. *)
 
+val override :
+  ?m:int ->
+  ?n:int ->
+  ?disc_n:int ->
+  ?max_seconds:float ->
+  ?max_evaluations:int ->
+  budget ->
+  budget
+(** [override base] is [base] with each given field replaced: [m] sets
+    [bf_candidates], [n] [mc_samples], [disc_n] [dp_points]. Every
+    front end (CLI flags, serve requests and deadlines, experiment
+    configs) derives its budget through this one function; an absent
+    argument keeps the base's field. *)
+
 type error =
   | Invalid_distribution of Dist_check.report
       (** Input validation found fatal inconsistencies; the report
@@ -168,10 +182,10 @@ val spot_regime :
   revocation_rate:float ->
   unit ->
   (Stochastic_core.Spot_cost.regime, error) result
-(** Typed regime validation: [price_ratio] outside [(0, 1]], a
-    negative or non-finite [revocation_rate], or a [recovery] that
-    {!Stochastic_core.Attempt.validate} rejects each return
-    [Invalid_parameter] naming the field. *)
+(** {!Stochastic_core.Spot_cost.validate_regime} in the solver's
+    taxonomy: the field it rejects ([price_ratio], [revocation_rate] or
+    a {!Stochastic_core.Attempt.validate} recovery field) becomes an
+    [Invalid_parameter] of that name. *)
 
 val solve_spot :
   ?obs:Stochobs.Trace.sink ->

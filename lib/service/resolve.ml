@@ -64,9 +64,13 @@ let known_strategies =
     "equal-probability";
   ]
 
-let strategy ~m ~n ~disc_n ~seed name =
+let strategy ~(budget : Robust.Solver.budget) ~seed name =
+  let disc_n = budget.dp_points in
   match String.lowercase_ascii name with
-  | "brute-force" | "bruteforce" | "bf" -> Ok (Strategy.brute_force ~m ~n ~seed ())
+  | "brute-force" | "bruteforce" | "bf" ->
+      Ok
+        (Strategy.brute_force ~m:budget.bf_candidates ~n:budget.mc_samples
+           ~seed ())
   | "mean-by-mean" -> Ok Strategy.mean_by_mean
   | "mean-stdev" -> Ok Strategy.mean_stdev
   | "mean-doubling" -> Ok Strategy.mean_doubling

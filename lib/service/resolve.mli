@@ -35,17 +35,17 @@ val model :
     as [Error]. *)
 
 val strategy :
-  m:int ->
-  n:int ->
-  disc_n:int ->
+  budget:Robust.Solver.budget ->
   seed:int ->
   string ->
   (Stochastic_core.Strategy.t, string) result
-(** [strategy name] resolves the seven paper strategy names exactly as
-    the CLI always has: [brute-force]/[bruteforce]/[bf] (grid [m],
-    Monte-Carlo [n], [seed]), [mean-by-mean], [mean-stdev],
-    [mean-doubling], [median-by-median], [equal-time] and
-    [equal-probability]/[equal-prob] (discretization size [disc_n]). *)
+(** [strategy ~budget ~seed name] resolves the seven paper strategy
+    names exactly as the CLI always has: [brute-force]/[bruteforce]/[bf]
+    (grid [budget.bf_candidates], Monte-Carlo [budget.mc_samples],
+    [seed]), [mean-by-mean], [mean-stdev], [mean-doubling],
+    [median-by-median], [equal-time] and
+    [equal-probability]/[equal-prob] (discretization size
+    [budget.dp_points]). *)
 
 val tiers_of_string :
   string -> (Robust.Solver.tier list, string) result

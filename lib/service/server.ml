@@ -100,6 +100,9 @@ type t = {
   m_p99_window : M.gauge;
 }
 
+(* At most 128 entries: the nearest-rank p99 of n <= 128 values is
+   among their 2 largest, so refreshing the gauge on every request is
+   one pass that keeps two values. *)
 let window_size = 128
 
 let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
@@ -171,12 +174,7 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
 let window_p99 t =
   let n = min t.lat_seen window_size in
   if n = 0 then 0.0
-  else begin
-    let sorted = Array.sub t.lat_window 0 n in
-    Array.sort Float.compare sorted;
-    let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
+  else Numerics.Stats.quantile_nearest_rank_upper ~len:n t.lat_window 0.99
 
 let record_latency t elapsed =
   t.lat_window.(t.lat_seen mod window_size) <- elapsed;
@@ -237,16 +235,19 @@ let resolve_model (spec : Protocol.model_spec) =
       | Error msg -> Error { Protocol.code = 7; label = "invalid-parameter";
                              detail = msg })
 
+(* The request's budget fields over the configured base; the request
+   deadline caps the time budget: clients may ask for more, the
+   watchdog wins. *)
 let budget_of t (b : Protocol.budget_spec) =
-  let base = t.config.budget in
-  {
-    Solver.bf_candidates = Option.value b.m ~default:base.Solver.bf_candidates;
-    mc_samples = Option.value b.n ~default:base.Solver.mc_samples;
-    dp_points = Option.value b.disc_n ~default:base.Solver.dp_points;
-    max_seconds = Option.value b.max_seconds ~default:base.Solver.max_seconds;
-    max_evaluations =
-      Option.value b.max_evaluations ~default:base.Solver.max_evaluations;
-  }
+  let budget =
+    Solver.override ?m:b.m ?n:b.n ?disc_n:b.disc_n ?max_seconds:b.max_seconds
+      ?max_evaluations:b.max_evaluations t.config.budget
+  in
+  match t.config.deadline with
+  | None -> budget
+  | Some d ->
+      Solver.override ~max_seconds:(Float.min budget.Solver.max_seconds d)
+        budget
 
 let head_prefix ~count head =
   if Array.length head <= count then head else Array.sub head 0 count
@@ -288,55 +289,20 @@ let solve_direct strategy model d ~count =
                 detail = Printexc.to_string e;
               }))
 
-let solve_cold t (s : Protocol.solve) model d ~budget ~seed =
-  match Resolve.tiers_of_strategy s.Protocol.strategy with
-  | Some tiers -> (
-      match
-        Solver.solve ~obs:t.obs ~clock:t.clock ~budget ~tiers
-          ~exact:s.Protocol.exact ~seed model d
-      with
-      | Ok sol ->
-          Ok
-            {
-              Protocol.dist_name = d.Dist.name;
-              tier = Solver.tier_name sol.Solver.diagnostics.Solver.chosen;
-              degraded = Solver.degraded sol;
-              head = head_prefix ~count:s.Protocol.count sol.Solver.head;
-              cost = sol.Solver.cost;
-              normalized = sol.Solver.normalized;
-            }
-      | Error e -> Error (Protocol.error_of_solver e))
-  | None -> (
-      let b = budget in
-      match
-        Resolve.strategy ~m:b.Solver.bf_candidates ~n:b.Solver.mc_samples
-          ~disc_n:b.Solver.dp_points ~seed s.Protocol.strategy
-      with
-      | Error msg -> Error (Protocol.usage_error msg)
-      | Ok strategy -> solve_direct strategy model d ~count:s.Protocol.count)
-
-(* Under shedding pressure, a cache miss is answered by the cheapest
-   tier alone — mean doubling needs only the distribution's mean — and
-   the response is branded [degraded: true]. Shed answers are never
-   cached or journalled: once pressure drains, the same request gets
-   (and persists) the full-quality answer. *)
-let solve_shed t (s : Protocol.solve) model d ~budget ~seed =
-  (* Mean doubling is O(1); a shed answer must never itself time out,
-     so the request deadline's cap on [max_seconds] is lifted back to
-     the configured ceiling. *)
-  let budget =
-    { budget with Solver.max_seconds = t.config.budget.Solver.max_seconds }
-  in
+(* The one map from a cascade solution to the wire: a cold solve, or
+   under shedding pressure the cheapest tier alone (mean doubling needs
+   only the distribution's mean), branded [degraded: true]. *)
+let solve_cascade t (s : Protocol.solve) model d ~tiers ~budget ~seed ~shed =
   match
-    Solver.solve ~obs:t.obs ~clock:t.clock ~budget
-      ~tiers:[ Solver.Mean_doubling ] ~exact:s.Protocol.exact ~seed model d
+    Solver.solve ~obs:t.obs ~clock:t.clock ~budget ~tiers
+      ~exact:s.Protocol.exact ~seed model d
   with
   | Ok sol ->
       Ok
         {
           Protocol.dist_name = d.Dist.name;
           tier = Solver.tier_name sol.Solver.diagnostics.Solver.chosen;
-          degraded = true;
+          degraded = shed || Solver.degraded sol;
           head = head_prefix ~count:s.Protocol.count sol.Solver.head;
           cost = sol.Solver.cost;
           normalized = sol.Solver.normalized;
@@ -375,17 +341,6 @@ let handle_solve t ~id (s : Protocol.solve) =
         | Error e -> Error e
         | Ok model ->
             let budget = budget_of t s.Protocol.budget in
-            (* The request deadline caps every solve's time budget:
-               clients may ask for more, the watchdog wins. *)
-            let budget =
-              match t.config.deadline with
-              | None -> budget
-              | Some d ->
-                  {
-                    budget with
-                    Solver.max_seconds = Float.min budget.Solver.max_seconds d;
-                  }
-            in
             let seed = Option.value s.Protocol.seed ~default:t.config.seed in
             let key =
               Quantize.key ~grid:t.config.grid ~family ~params ~model
@@ -395,47 +350,64 @@ let handle_solve t ~id (s : Protocol.solve) =
                 ~count:s.Protocol.count ~exact:s.Protocol.exact
             in
             Trace.annotate t.obs [ ("key", Trace.Str key) ];
-            let answer =
-              match Cache.find t.cache key with
-              | Some solved ->
-                  M.incr t.m_hits;
-                  Trace.annotate t.obs [ ("cached", Trace.Bool true) ];
-                  Ok (true, key, solved)
-              | None
-                when t.shedding
-                     && Option.is_some
-                          (Resolve.tiers_of_strategy s.Protocol.strategy) -> (
-                  M.incr t.m_misses;
-                  (* Brand the shed decision with the live latency
-                     picture that justified it. *)
-                  Trace.annotate t.obs
-                    [
-                      ("cached", Trace.Bool false);
-                      ("shed", Trace.Bool true);
-                      ("pressure", Trace.Int t.pressure);
-                      ("p99_window", Trace.Num (window_p99 t));
-                    ];
-                  match solve_shed t s model d ~budget ~seed with
-                  | Error e -> Error e
-                  | Ok solved ->
-                      t.requests.shed <- t.requests.shed + 1;
-                      M.incr t.m_shed;
-                      Ok (false, key, solved))
-              | None -> (
-                  M.incr t.m_misses;
-                  Trace.annotate t.obs [ ("cached", Trace.Bool false) ];
-                  match solve_cold t s model d ~budget ~seed with
-                  | Error e -> Error e
-                  | Ok solved ->
-                      M.incr t.m_cold;
-                      (match Cache.put t.cache key solved with
-                      | Cache.Evicted _ -> M.incr t.m_evictions
-                      | Cache.Inserted | Cache.Replaced -> ());
-                      M.set t.m_size (float_of_int (Cache.size t.cache));
-                      journal_put t key solved;
-                      Ok (false, key, solved))
-            in
-            answer)
+            match Cache.find t.cache key with
+            | Some solved ->
+                M.incr t.m_hits;
+                Trace.annotate t.obs [ ("cached", Trace.Bool true) ];
+                Ok (true, key, solved)
+            | None -> (
+                M.incr t.m_misses;
+                let tiers = Resolve.tiers_of_strategy s.Protocol.strategy in
+                (* Shed answers are never cached or journalled: once
+                   pressure drains, the same request gets (and
+                   persists) the full-quality answer. *)
+                let shed = t.shedding && Option.is_some tiers in
+                Trace.annotate t.obs
+                  (("cached", Trace.Bool false)
+                  ::
+                  (if shed then
+                     (* Brand the shed decision with the live latency
+                        picture that justified it. *)
+                     [
+                       ("shed", Trace.Bool true);
+                       ("pressure", Trace.Int t.pressure);
+                       ("p99_window", Trace.Num (window_p99 t));
+                     ]
+                   else []));
+                let solved =
+                  match tiers with
+                  | Some _ when shed ->
+                      (* Mean doubling is O(1); a shed answer must never
+                         itself time out, so the deadline's cap on
+                         [max_seconds] is lifted back to the configured
+                         ceiling. *)
+                      solve_cascade t s model d ~tiers:[ Solver.Mean_doubling ]
+                        ~budget:
+                          (Solver.override
+                             ~max_seconds:t.config.budget.Solver.max_seconds
+                             budget)
+                        ~seed ~shed
+                  | Some tiers -> solve_cascade t s model d ~tiers ~budget ~seed ~shed
+                  | None -> (
+                      match Resolve.strategy ~budget ~seed s.Protocol.strategy with
+                      | Error msg -> Error (Protocol.usage_error msg)
+                      | Ok strategy ->
+                          solve_direct strategy model d ~count:s.Protocol.count)
+                in
+                match solved with
+                | Error e -> Error e
+                | Ok solved when shed ->
+                    t.requests.shed <- t.requests.shed + 1;
+                    M.incr t.m_shed;
+                    Ok (false, key, solved)
+                | Ok solved ->
+                    M.incr t.m_cold;
+                    (match Cache.put t.cache key solved with
+                    | Cache.Evicted _ -> M.incr t.m_evictions
+                    | Cache.Inserted | Cache.Replaced -> ());
+                    M.set t.m_size (float_of_int (Cache.size t.cache));
+                    journal_put t key solved;
+                    Ok (false, key, solved)))
   in
   match result with
   | Ok (cached, key, solved) ->

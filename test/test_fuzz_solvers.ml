@@ -18,13 +18,9 @@ let cost = Stochastic_core.Cost_model.reservation_only
 (* Small grids and a hard 2-second guard per solve: 500 cases per tier
    must finish in CI time, and the point is robustness, not optima. *)
 let fuzz_budget =
-  {
-    Solver.bf_candidates = 48;
-    mc_samples = 128;
-    dp_points = 128;
-    max_evaluations = 60_000;
-    max_seconds = 2.0;
-  }
+  Solver.(
+    override ~m:48 ~n:128 ~disc_n:128 ~max_evaluations:60_000 ~max_seconds:2.0
+      quick_budget)
 
 (* ------------------------- the generator -------------------------- *)
 

@@ -87,7 +87,7 @@ let test_invalid_distribution_refused () =
   | Ok _ -> Alcotest.fail "expected Invalid_distribution, got Ok"
 
 let test_invalid_budget_refused () =
-  let bad = { quick with Solver.bf_candidates = 0 } in
+  let bad = Solver.override ~m:0 quick in
   match Solver.solve ~budget:bad cost Distributions.Exponential.default with
   | Error (Solver.Invalid_parameter { name; _ }) ->
       Alcotest.(check string) "names the field" "bf_candidates" name
@@ -95,6 +95,54 @@ let test_invalid_budget_refused () =
       Alcotest.failf "expected Invalid_parameter, got %s"
         (Solver.error_to_string e)
   | Ok _ -> Alcotest.fail "expected Invalid_parameter, got Ok"
+
+(* Every front end builds its budget with [override]: an absent field
+   keeps the base's, a present one wins. The third base has five
+   distinct fields, so a field read from the wrong slot shows. *)
+let test_override () =
+  let fields (b : Solver.budget) =
+    [|
+      float_of_int b.bf_candidates;
+      float_of_int b.mc_samples;
+      float_of_int b.dp_points;
+      float_of_int b.max_evaluations;
+      b.max_seconds;
+    |]
+  in
+  let given = [| 7.0; 8.0; 9.0; 10.0; 0.25 |] in
+  let one_field =
+    [|
+      (fun b -> Solver.override ~m:7 b);
+      (fun b -> Solver.override ~n:8 b);
+      (fun b -> Solver.override ~disc_n:9 b);
+      (fun b -> Solver.override ~max_evaluations:10 b);
+      (fun b -> Solver.override ~max_seconds:0.25 b);
+    |]
+  in
+  let same name expected got =
+    Alcotest.(check (array (float 0.0))) name expected got
+  in
+  List.iter
+    (fun base ->
+      same "nothing given keeps the base" (fields base)
+        (fields (Solver.override base));
+      Array.iteri
+        (fun i override ->
+          same
+            (Printf.sprintf "field %d given wins, the rest keep the base" i)
+            (Array.mapi (fun j v -> if j = i then given.(i) else v) (fields base))
+            (fields (override base)))
+        one_field;
+      same "every field given wins" given
+        (fields
+           (Solver.override ~m:7 ~n:8 ~disc_n:9 ~max_evaluations:10
+              ~max_seconds:0.25 base)))
+    [
+      Solver.default_budget;
+      Solver.quick_budget;
+      Solver.override ~m:11 ~n:12 ~disc_n:13 ~max_evaluations:14
+        ~max_seconds:15.0 Solver.quick_budget;
+    ]
 
 let test_empty_tiers_refused () =
   match
@@ -212,6 +260,7 @@ let () =
             test_invalid_distribution_refused;
           Alcotest.test_case "refuses invalid budget" `Quick
             test_invalid_budget_refused;
+          Alcotest.test_case "budget override" `Quick test_override;
           Alcotest.test_case "refuses empty cascade" `Quick
             test_empty_tiers_refused;
           Alcotest.test_case "exit codes distinct" `Quick

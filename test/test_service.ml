@@ -188,7 +188,7 @@ let test_resolve_routing () =
   Alcotest.(check bool) "unknown tier is an error" true
     (Result.is_error (Resolve.tiers_of_string "bf,alphabetical"));
   Alcotest.(check bool) "unknown strategy is an error" true
-    (Result.is_error (Resolve.strategy ~m:10 ~n:10 ~disc_n:10 ~seed:1 "nope"));
+    (Result.is_error (Resolve.strategy ~budget:Robust.Solver.quick_budget ~seed:1 "nope"));
   Alcotest.(check bool) "unknown distribution is an error" true
     (Result.is_error (Resolve.dist "not-a-distribution"))
 

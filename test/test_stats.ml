@@ -110,6 +110,47 @@ let prop_quantile_bounds =
       let q = S.quantile a p in
       q >= mn -. 1e-12 && q <= mx +. 1e-12)
 
+(* The serve daemon's rolling p99 gauge selects instead of sorting:
+   the sort-based nearest rank is the oracle, bit for bit, over
+   windows of 1..128 latencies drawn with many ties (and the odd NaN
+   or infinity). *)
+let sorted_p99 w n =
+  let sorted = Array.sub w 0 n in
+  Array.sort Float.compare sorted;
+  let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let latency_window =
+  QCheck.(
+    pair (int_range 1 128)
+      (array_of_size (Gen.return 128)
+         (make
+            Gen.(
+              frequency
+                [
+                  (4, oneofl [ 0.0; 1e-6; 2.5e-5; 2.5e-5; 1e-3 ]);
+                  (4, float_bound_inclusive 1e-3);
+                  (1, oneofl [ Float.nan; Float.infinity ]);
+                ]))))
+
+let prop_nearest_rank_upper_p99 =
+  QCheck.Test.make ~count:2000
+    ~name:"p99 by selection equals the sorted window, bit for bit"
+    latency_window
+    (fun (n, w) ->
+      Int64.equal
+        (Int64.bits_of_float (S.quantile_nearest_rank_upper ~len:n w 0.99))
+        (Int64.bits_of_float (sorted_p99 w n)))
+
+let prop_nearest_rank_upper_any_p =
+  QCheck.Test.make ~count:500
+    ~name:"nearest rank by selection equals the sort at any p"
+    QCheck.(pair latency_window (float_range 0.0 1.0))
+    (fun ((n, w), p) ->
+      Int64.equal
+        (Int64.bits_of_float (S.quantile_nearest_rank_upper ~len:n w p))
+        (Int64.bits_of_float (S.quantile_nearest_rank (Array.sub w 0 n) p)))
+
 let () =
   Alcotest.run "stats"
     [
@@ -128,5 +169,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_online_matches_batch;
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
           QCheck_alcotest.to_alcotest prop_quantile_bounds;
+          QCheck_alcotest.to_alcotest prop_nearest_rank_upper_p99;
+          QCheck_alcotest.to_alcotest prop_nearest_rank_upper_any_p;
         ] );
     ]
