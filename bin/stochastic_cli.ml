@@ -101,8 +101,8 @@ let seed_arg =
 (* The grid flags and --seed, resolved against a base budget: a grid
    flag overrides one field, an absent one keeps the base's. The base
    is the paper-scale default, or with [quick] (the --quick-budget
-   flag) the reduced budget. [disc_n:false] leaves out --disc-n for a
-   command without a discretization. *)
+   flag) the reduced budget. [disc_n] is the help of --disc-n; [None]
+   leaves the flag out for a command without a discretization. *)
 let budget_term ?quick ~disc_n () =
   let module S = Robust.Solver in
   let grid name docv doc field =
@@ -118,9 +118,9 @@ let budget_term ?quick ~disc_n () =
   let m = grid "m" "M" "Brute-force grid size." (fun b -> b.S.bf_candidates) in
   let n = grid "n" "N" "Monte-Carlo sample count." (fun b -> b.S.mc_samples) in
   let disc_n =
-    if disc_n then
-      grid "disc-n" "K" "Discretization sample count." (fun b -> b.S.dp_points)
-    else Term.const None
+    match disc_n with
+    | Some doc -> grid "disc-n" "K" doc (fun b -> b.S.dp_points)
+    | None -> Term.const None
   in
   let base =
     match quick with
@@ -133,6 +133,8 @@ let budget_term ?quick ~disc_n () =
   Term.(
     const (fun base m n disc_n seed -> (S.override ?m ?n ?disc_n base, seed))
     $ base $ m $ n $ disc_n $ seed_arg)
+
+let disc_n_doc = Some "Discretization sample count."
 
 let resolve_strategy name (budget, seed) =
   usage_exit (Stochserve.Resolve.strategy ~budget ~seed name)
@@ -248,7 +250,7 @@ let sequence_cmd =
   Cmd.v
     (Cmd.info "sequence" ~doc:"Compute and print a reservation sequence.")
     Term.(
-      const run $ strategy_arg $ budget_term ~disc_n:true () $ count_arg
+      const run $ strategy_arg $ budget_term ~disc_n:disc_n_doc () $ count_arg
       $ problem_term)
 
 let evaluate_cmd =
@@ -262,7 +264,9 @@ let evaluate_cmd =
   Cmd.v
     (Cmd.info "evaluate"
        ~doc:"Monte-Carlo-evaluate a strategy's normalized expected cost.")
-    Term.(const run $ strategy_arg $ budget_term ~disc_n:true () $ problem_term)
+    Term.(
+      const run $ strategy_arg $ budget_term ~disc_n:disc_n_doc ()
+      $ problem_term)
 
 let simulate_cmd =
   let run strategy ((_, seed) as b) jobs (d, model) =
@@ -281,7 +285,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Replay a strategy through the job-flow simulator.")
     Term.(
-      const run $ strategy_arg $ budget_term ~disc_n:true () $ jobs_arg
+      const run $ strategy_arg $ budget_term ~disc_n:disc_n_doc () $ jobs_arg
       $ problem_term)
 
 let bounds_cmd =
@@ -333,7 +337,7 @@ let cloud_cmd =
     (Cmd.info "cloud"
        ~doc:"Decide Reserved Instances vs On-Demand for a workload.")
     Term.(
-      const run $ ratio_arg $ budget_term ~disc_n:false ()
+      const run $ ratio_arg $ budget_term ~disc_n:None ()
       $ dist_term (Term.const false))
 
 let cluster_cmd =
@@ -545,7 +549,7 @@ let cluster_cmd =
           and measure the wait-time model that the NeuroHPC scenario \
           assumes.")
     Term.(
-      const run $ strategy_arg $ budget_term ~disc_n:true () $ jobs_arg
+      const run $ strategy_arg $ budget_term ~disc_n:disc_n_doc () $ jobs_arg
       $ nodes_arg $ policy_arg $ load_arg $ nodes_min_arg $ nodes_max_arg
       $ scale_min_arg $ scale_max_arg $ failure_rate_arg $ fault_model_arg
       $ weibull_shape_arg $ repair_arg $ max_retries_arg $ backoff_arg
@@ -813,7 +817,13 @@ let solve_cmd =
           non-convergent, 6 budget exhausted, 7 invalid parameter.")
     Term.(
       const run
-      $ budget_term ~quick:quick_budget_arg ~disc_n:true ()
+      $ budget_term ~quick:quick_budget_arg
+          ~disc_n:
+            (Some
+               "Discretization sample count of the DP tier. Under \
+                $(b,--spot-price) it sizes only that tier: the spot \
+                assignment's evaluator keeps its own 500 points.")
+          ()
       $ max_seconds_arg $ max_evals_arg $ count_arg $ strict_arg
       $ no_validate_arg $ monte_carlo_arg $ tiers_arg $ spot_term $ obs_term
       $ problem_term)

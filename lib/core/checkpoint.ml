@@ -45,7 +45,13 @@ let cost_of_run ?(max_steps = 100_000) p m s t =
   in
   go 1 0.0 s
 
-let expected_cost ?(tail_eps = 1e-12) ?(max_steps = 500_000) p m d s =
+(* [expected_cost] stops once the remaining tail mass drops below
+   [tail_eps], and calls a strategy still running after [max_slots]
+   slots one that never finishes. *)
+let tail_eps = 1e-12
+let max_slots = 500_000
+
+let expected_cost p m d s =
   (* Exact closed-form expectation: a job of duration t succeeds at the
      first reservation k with t <= c_k, where c_k = progress_(k-1) +
      (l_k - restart_k) is the coverage reached by slot k. On the slab
@@ -73,7 +79,7 @@ let expected_cost ?(tail_eps = 1e-12) ?(max_steps = 500_000) p m d s =
   in
   let acc = Numerics.Kahan.create () in
   let rec go k prefix progress c_prev s =
-    if k > max_steps then infinity
+    if k > max_slots then infinity
     else
       match Seq.uncons s with
       | None -> if Dist.sf d c_prev > tail_eps then infinity else Numerics.Kahan.sum acc

@@ -46,8 +46,6 @@ val cost_of_run :
     contribute nothing), or after [max_steps] reservations. *)
 
 val expected_cost :
-  ?tail_eps:float ->
-  ?max_steps:int ->
   params ->
   Cost_model.t ->
   Distributions.Dist.t ->
@@ -59,9 +57,9 @@ val expected_cost :
     is a sum of slab masses and partial expectations (computed from the
     distribution's conditional mean) — [O(slots)], no quadrature. The
     series is truncated once the remaining tail mass drops below
-    [tail_eps] (default [1e-12]). Returns [infinity] for sequences
-    that stop making progress (slots shorter than the overheads) or
-    exceed [max_steps] (default [500_000]) slots. *)
+    [1e-12]. Returns [infinity] for sequences that stop making
+    progress (slots shorter than the overheads) or exceed [500_000]
+    slots. *)
 
 val periodic : chunk:float -> params -> float Seq.t
 (** [periodic ~chunk p] is the infinite sequence whose every

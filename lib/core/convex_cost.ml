@@ -50,7 +50,12 @@ let sequence gc d ~t1 =
   in
   Sequence.sanitize ~support:d.Dist.support raw
 
-let expected_cost ?(tail_eps = 1e-16) ?(max_terms = 100_000) gc d s =
+(* [expected_cost] truncates the series once the tail mass drops below
+   [tail_eps] or after [max_terms] terms. *)
+let tail_eps = 1e-16
+let max_terms = 100_000
+
+let expected_cost gc d s =
   let acc = Numerics.Kahan.create () in
   Numerics.Kahan.add acc (gc.beta *. d.Dist.mean);
   let rec go i t_prev sf_prev s =

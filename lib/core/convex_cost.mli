@@ -38,10 +38,11 @@ val sequence : g -> Distributions.Dist.t -> t1:float -> Sequence.t
 (** [sequence g d ~t1] is the sanitized recurrence sequence from
     [t1]. *)
 
-val expected_cost :
-  ?tail_eps:float -> ?max_terms:int -> g -> Distributions.Dist.t -> Sequence.t -> float
+val expected_cost : g -> Distributions.Dist.t -> Sequence.t -> float
 (** [expected_cost g d s] evaluates
-    [beta E(X) + sum_(i>=0) (G(t_(i+1)) + beta t_i) P(X >= t_i)]. *)
+    [beta E(X) + sum_(i>=0) (G(t_(i+1)) + beta t_i) P(X >= t_i)],
+    truncated once the tail mass [P(X >= t_i)] drops below [1e-16] or
+    after [100_000] terms. *)
 
 val search :
   ?m:int -> g -> Distributions.Dist.t -> upper:float -> float * float

@@ -2,7 +2,7 @@ type t = float Seq.t
 
 exception Not_covered of float
 
-let validate_increasing ts =
+let of_list ts =
   let prev = ref 0.0 in
   List.iter
     (fun x ->
@@ -11,16 +11,8 @@ let validate_increasing ts =
           "Sequence.of_list: reservations must be positive, finite and \
            strictly increasing";
       prev := x)
-    ts
-
-let of_list ts =
-  validate_increasing ts;
+    ts;
   List.to_seq ts
-
-let of_array ts =
-  let ts = Array.copy ts in
-  validate_increasing (Array.to_list ts);
-  Array.to_seq ts
 
 let take n s = List.of_seq (Seq.take n s)
 

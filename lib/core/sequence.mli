@@ -20,9 +20,6 @@ val of_list : float list -> t
     @raise Invalid_argument if [ts] is not strictly increasing or
     contains a non-positive value. *)
 
-val of_array : float array -> t
-(** [of_array ts] — same as {!of_list} for arrays. The array is copied. *)
-
 val take : int -> t -> float list
 (** [take n s] is the list of the first (at most) [n] elements. *)
 

@@ -38,7 +38,10 @@ let chunk_grid regime ~upper =
       |> List.filter (fun c -> Float.is_finite c && c > 0.0 && c <= 4.0 *. upper)
       |> List.sort_uniq compare
 
-let assign ?(disc_n = 500) ?(eps = 1e-8) ?(passes = 2) regime m d lengths =
+(* Greedy single-slot flip passes [assign] runs at most. *)
+let passes = 2
+
+let assign ?(disc_n = 500) ?(eps = 1e-8) regime m d lengths =
   let eval = Spot_cost.evaluator ~disc_n ~eps regime m d in
   let n = Array.length lengths in
   let evaluated = ref 0 in

@@ -18,7 +18,7 @@
       chunks sized to survive between revocations dominate escalating
       lengths whenever the price discount outruns the checkpoint
       overhead;
-    - {b greedy single-slot flips} from the best candidate (bounded
+    - {b greedy single-slot flips} from the best candidate (at most two
       passes, skipped for large ladders whose slots are
       interchangeable).
 
@@ -43,7 +43,6 @@ type assignment = {
 val assign :
   ?disc_n:int ->
   ?eps:float ->
-  ?passes:int ->
   Spot_cost.regime ->
   Cost_model.t ->
   Distributions.Dist.t ->
@@ -52,8 +51,8 @@ val assign :
 (** [assign regime m d lengths] searches plans for a [d]-distributed
     job whose base reservation head is [lengths] (finite, strictly
     increasing). [disc_n] (default [500]) and [eps] (default [1e-8])
-    size the shared evaluator's discretization; [passes] (default [2])
-    bounds the greedy flip passes.
+    size the shared evaluator's discretization; the greedy flips stop
+    after [2] passes.
     @raise Invalid_argument on an empty [lengths] or non-positive
     entries (as {!Spot_cost.make_plan}) or bad discretization
     parameters. *)

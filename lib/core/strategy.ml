@@ -34,15 +34,6 @@ let brute_force ?(m = 5000) ?(n = 1000) ?(seed = 42) () =
         r.Brute_force.sequence);
   }
 
-let brute_force_exact ?(m = 5000) () =
-  {
-    name = "Brute-Force(exact)";
-    build =
-      (fun cost d ->
-        let r = Brute_force.search ~m ~evaluator:Brute_force.Exact cost d in
-        r.Brute_force.sequence);
-  }
-
 let dp_discretized ?(eps = 1e-7) ~scheme ~n () =
   {
     name = Discretize.scheme_name scheme;

@@ -26,9 +26,6 @@ val brute_force : ?m:int -> ?n:int -> ?seed:int -> unit -> t
     from a private stream seeded with [seed] — deterministic across
     runs. *)
 
-val brute_force_exact : ?m:int -> unit -> t
-(** BRUTE-FORCE with the deterministic Eq. (4) evaluator. *)
-
 val dp_discretized : ?eps:float -> scheme:Discretize.scheme -> n:int -> unit -> t
 (** [dp_discretized ~scheme ~n] discretizes with [scheme] and [n]
     samples ([eps] defaults to the paper's [1e-7]) and solves the

@@ -74,28 +74,6 @@ let numeric_mean d =
   | Bounded (a, b) -> Numerics.Integrate.gauss_kronrod integrand a b
   | Unbounded a -> Numerics.Integrate.to_infinity integrand a
 
-let check d =
-  let fail msg = invalid_arg (Printf.sprintf "Dist.check(%s): %s" d.name msg) in
-  let a = lower d and b = upper d in
-  if a < 0.0 then fail "support must be nonnegative";
-  if not (b > a) then fail "support upper bound must exceed lower bound";
-  if Float.abs (d.cdf a) > 1e-6 then fail "F(lower) should be ~ 0";
-  (match d.support with
-  | Bounded (_, b) ->
-      if Float.abs (d.cdf b -. 1.0) > 1e-6 then fail "F(upper) should be ~ 1"
-  | Unbounded _ -> ());
-  (* Monotonicity of F on a coarse probe grid. *)
-  let probe_hi = if is_bounded d then b else d.quantile 0.999 in
-  let prev = ref (d.cdf a) in
-  for i = 1 to 32 do
-    let t = a +. (float_of_int i /. 32.0 *. (probe_hi -. a)) in
-    let ft = d.cdf t in
-    if ft < !prev -. 1e-9 then fail "F must be nondecreasing";
-    prev := ft
-  done;
-  if Float.is_nan d.mean || d.mean < a then fail "mean must lie in the support";
-  if d.variance < 0.0 then fail "variance must be nonnegative"
-
 let pp fmt d =
   let support_str =
     match d.support with

@@ -78,11 +78,5 @@ val numeric_mean : t -> float
 (** [numeric_mean d] integrates [t * f(t)] over the support; reference
     implementation for tests. *)
 
-val check : t -> unit
-(** [check d] validates basic invariants cheaply (support ordering,
-    [F(lower) ~ 0], [F] nondecreasing on a coarse grid, mean within
-    support bounds) and raises [Invalid_argument] on violation. Called
-    by constructors in debug paths and by tests. *)
-
 val pp : Format.formatter -> t -> unit
 (** [pp fmt d] prints a one-line summary (name, support, mean, std). *)

@@ -35,14 +35,15 @@ type t = {
 let checkpoint_period = 1.0
 let checkpoint_cost = 0.05
 let restore_cost = 0.05
+let mtbfs = [ 5.0; 20.0; 100.0 ]
 
 let snapshot =
   Spot_cost.Snapshot
     { period = checkpoint_period; snapshot_cost = checkpoint_cost; restore_cost }
 
 let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null)
-    ?(mtbfs = [ 5.0; 20.0; 100.0 ]) ?(ratios = [ 0.2; 0.3; 0.5; 0.8 ])
-    ?(mc_reps = 20_000) ?(assign_disc_n = 400) () =
+    ?(ratios = [ 0.2; 0.3; 0.5; 0.8 ]) ?(mc_reps = 20_000)
+    ?(assign_disc_n = 400) () =
   let d = Distributions.Lognormal.default in
   let model = Stochastic_core.Cost_model.neuro_hpc in
   let budget =

@@ -55,16 +55,15 @@ type t = {
 val run :
   ?cfg:Config.t ->
   ?log:Stochobs.Log.t ->
-  ?mtbfs:float list ->
   ?ratios:float list ->
   ?mc_reps:int ->
   ?assign_disc_n:int ->
   unit ->
   t
-(** Defaults: [mtbfs = [5; 20; 100]] hours, [ratios = [0.2; 0.3; 0.5;
-    0.8]], [mc_reps = 20_000] trace replications per validated cell,
-    [assign_disc_n = 400] discretization points for the assignment
-    evaluator. The LogNormal(3, 0.5) law (mean about 22.8 h) under the
+(** Revocation MTBFs [5], [20] and [100] hours. Defaults: [ratios =
+    [0.2; 0.3; 0.5; 0.8]], [mc_reps = 20_000] trace replications per
+    validated cell, [assign_disc_n = 400] discretization points for the
+    assignment evaluator. The LogNormal(3, 0.5) law (mean about 22.8 h) under the
     neuro-HPC cost model; checkpoints every hour costing 0.05 h with a
     0.05 h restore. Three cells (cheapest ratio at every MTBF) are
     Monte-Carlo validated. [log] receives one line per cell. *)

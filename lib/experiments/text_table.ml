@@ -39,5 +39,3 @@ let render ~header rows =
 
 let fmt_ratio v =
   if Float.is_finite v then Printf.sprintf "%.2f" v else "-"
-
-let fmt_g v = Printf.sprintf "%.4g" v

@@ -10,6 +10,3 @@ val render : header:string list -> string list list -> string
 val fmt_ratio : float -> string
 (** Formats a normalized cost with two decimals (the paper's table
     precision); non-finite values render as ["-"]. *)
-
-val fmt_g : float -> string
-(** Shortest-ish general float formatting ([%.4g]). *)

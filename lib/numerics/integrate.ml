@@ -130,14 +130,3 @@ let to_infinity ?(tol = default_tol) f a =
     f x /. (one_minus *. one_minus)
   in
   gauss_kronrod ~tol ~initial:32 g 0.0 1.0
-
-let trapezoid f a b n =
-  if n <= 0 then invalid_arg "Integrate.trapezoid: n must be positive";
-  let h = (b -. a) /. float_of_int n in
-  let acc = Kahan.create () in
-  Kahan.add acc (0.5 *. f a);
-  for i = 1 to n - 1 do
-    Kahan.add acc (f (a +. (float_of_int i *. h)))
-  done;
-  Kahan.add acc (0.5 *. f b);
-  h *. Kahan.sum acc

@@ -35,8 +35,3 @@ val to_infinity : ?tol:float -> (float -> float) -> float -> float
     to [u] in [(0, 1)] with [x = a + u/(1-u)] and applying
     {!gauss_kronrod} (whose nodes avoid [u = 1]). Requires [f] to decay
     at infinity fast enough to be integrable. *)
-
-val trapezoid : (float -> float) -> float -> float -> int -> float
-(** [trapezoid f a b n] is the plain composite trapezoid rule with [n]
-    panels; exposed for tests and for integrating tabulated data.
-    @raise Invalid_argument if [n <= 0]. *)

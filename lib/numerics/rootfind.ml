@@ -110,71 +110,3 @@ let brent ?(tol = 1e-14) ?(max_iter = 200) f a b =
     done;
     !b
   end
-
-let newton_safe ?(tol = 1e-13) ?(max_iter = 100) ~f ~df ~lo ~hi x0 =
-  let flo = f lo and fhi = f hi in
-  (* stochlint: allow FLOAT_EQ — exact root hit at the bracket endpoint short-circuits the search *)
-  if flo = 0.0 then lo
-  (* stochlint: allow FLOAT_EQ — exact root hit at the bracket endpoint short-circuits the search *)
-  else if fhi = 0.0 then hi
-  else begin
-    if same_sign flo fhi then
-      (* stochlint: allow EXN_IN_CORE — No_bracket is the documented bracketing contract; Robust.Solver maps it into the typed taxonomy *)
-      raise (No_bracket "Rootfind.newton_safe: interval does not bracket a root");
-    (* Orient so that f(xl) < 0 < f(xh). *)
-    let xl = ref (if flo < 0.0 then lo else hi) in
-    let xh = ref (if flo < 0.0 then hi else lo) in
-    let x = ref (Float.max (Float.min x0 (Float.max lo hi)) (Float.min lo hi)) in
-    let dxold = ref (Float.abs (hi -. lo)) in
-    let dx = ref !dxold in
-    let fx = ref (f !x) in
-    let dfx = ref (df !x) in
-    let i = ref 0 in
-    let finished = ref false in
-    while (not !finished) && !i < max_iter do
-      incr i;
-      let newton_out_of_bracket =
-        ((!x -. !xh) *. !dfx -. !fx) *. ((!x -. !xl) *. !dfx -. !fx) > 0.0
-      in
-      let slow = Float.abs (2.0 *. !fx) > Float.abs (!dxold *. !dfx) in
-      (* stochlint: allow FLOAT_EQ — exact-zero derivative forces the bisection fallback step *)
-      if newton_out_of_bracket || slow || !dfx = 0.0 then begin
-        dxold := !dx;
-        dx := 0.5 *. (!xh -. !xl);
-        x := !xl +. !dx
-      end
-      else begin
-        dxold := !dx;
-        dx := !fx /. !dfx;
-        x := !x -. !dx
-      end;
-      if Float.abs !dx < tol then finished := true
-      else begin
-        fx := f !x;
-        dfx := df !x;
-        if !fx < 0.0 then xl := !x else xh := !x
-      end
-    done;
-    !x
-  end
-
-let expand_bracket ?(factor = 1.6) ?(max_iter = 60) f a b =
-  if a = b then invalid_arg "Rootfind.expand_bracket: empty interval";
-  let a = ref a and b = ref b in
-  let fa = ref (f !a) and fb = ref (f !b) in
-  let i = ref 0 in
-  while same_sign !fa !fb && !i < max_iter do
-    incr i;
-    if Float.abs !fa < Float.abs !fb then begin
-      a := !a +. (factor *. (!a -. !b));
-      fa := f !a
-    end
-    else begin
-      b := !b +. (factor *. (!b -. !a));
-      fb := f !b
-    end
-  done;
-  if same_sign !fa !fb then
-    (* stochlint: allow EXN_IN_CORE — No_bracket is the documented bracketing contract; Robust.Solver maps it into the typed taxonomy *)
-    raise (No_bracket "Rootfind.expand_bracket: no sign change found")
-  else (!a, !b)

@@ -1,8 +1,7 @@
 (** Scalar root finding.
 
-    Bracketing solvers used to invert CDFs numerically (empirical and
-    truncated distributions) and as a safeguarded fallback for the
-    special-function inverses. *)
+    Bracketing solvers. {!brent} inverts the mixture CDF in
+    [Mixture.quantile]; {!bisection} is kept as its test oracle. *)
 
 exception No_bracket of string
 (** Raised when the supplied interval does not bracket a sign change. *)
@@ -20,26 +19,3 @@ val brent :
     Converges superlinearly on smooth functions while retaining the
     bisection guarantee.
     @raise No_bracket if [f a] and [f b] have the same strict sign. *)
-
-val newton_safe :
-  ?tol:float ->
-  ?max_iter:int ->
-  f:(float -> float) ->
-  df:(float -> float) ->
-  lo:float ->
-  hi:float ->
-  float ->
-  float
-(** [newton_safe ~f ~df ~lo ~hi x0] runs Newton iterations from [x0],
-    falling back to bisection of [[lo, hi]] whenever a Newton step
-    leaves the bracket or makes insufficient progress.
-    @raise No_bracket if [f lo] and [f hi] have the same strict sign. *)
-
-val expand_bracket :
-  ?factor:float -> ?max_iter:int -> (float -> float) -> float -> float ->
-  float * float
-(** [expand_bracket f a b] geometrically expands the interval [[a, b]]
-    until it brackets a sign change of [f], and returns the bracketing
-    pair.
-    @raise No_bracket if no sign change is found after [max_iter]
-    (default [60]) expansions. *)

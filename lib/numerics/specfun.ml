@@ -307,17 +307,6 @@ let erf_inv z =
     else invalid_arg "Specfun.erf_inv: argument must be in [-1, 1]"
   else normal_quantile ((z +. 1.0) /. 2.0) /. sqrt_two
 
-let erfc_inv q =
-  if q <= 0.0 then
-    (* stochlint: allow FLOAT_EQ — endpoint convention: q = 0 maps to +inf, anything below is a domain error *)
-    if q = 0.0 then infinity
-    else invalid_arg "Specfun.erfc_inv: argument must be in [0, 2]"
-  else if q >= 2.0 then
-    (* stochlint: allow FLOAT_EQ — endpoint convention: q = 2 maps to -inf, anything above is a domain error *)
-    if q = 2.0 then neg_infinity
-    else invalid_arg "Specfun.erfc_inv: argument must be in [0, 2]"
-  else erf_inv (1.0 -. q)
-
 (* ------------------------------------------------------------------ *)
 (* Beta functions.                                                     *)
 (* ------------------------------------------------------------------ *)

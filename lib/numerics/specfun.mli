@@ -58,10 +58,6 @@ val erf_inv : float -> float
 (** [erf_inv z] is the inverse error function on [(-1, 1)]. Returns
     [neg_infinity] / [infinity] at the closed endpoints. *)
 
-val erfc_inv : float -> float
-(** [erfc_inv q] is the inverse complementary error function on
-    [(0, 2)]. *)
-
 val normal_cdf : float -> float
 (** [normal_cdf x] is the standard normal cumulative distribution
     function [Phi(x)]. *)

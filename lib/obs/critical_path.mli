@@ -17,10 +17,8 @@ type step = {
           a zero-length root. *)
 }
 
-val of_root : Trace_read.span -> step list
-(** Root-to-leaf chain, root first. Singleton for a childless root. *)
-
 val compute : Trace_read.t -> step list list
-(** One chain per root, in root id order. *)
+(** One root-to-leaf chain per root, in root id order, root first; a
+    childless root's chain is a singleton. *)
 
 val pp : Format.formatter -> step list list -> unit

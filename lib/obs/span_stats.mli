@@ -24,14 +24,6 @@ val compute : Trace_read.t -> row list
 
 val find : row list -> string -> row option
 
-val diff_changes : old_rows:row list -> new_rows:row list ->
-  (string * row option * row option) list
-(** Span names whose [count] or [total] differ between the two runs
-    (exact comparison — two runs of the same fake-clock workload
-    produce bit-identical rows, so their diff is empty), with the row
-    on each side ([None] = the name only exists on the other side).
-    Sorted by name. *)
-
 type change = {
   c_name : string;
   c_old : row option;
@@ -48,8 +40,11 @@ type change = {
 
 val diff : threshold:float -> old_rows:row list -> new_rows:row list ->
   change list
-(** {!diff_changes} scored against a relative regression threshold
-    ([0.25] = flag a span name whose total time grew more than 25%).
+(** Span names whose [count] or [total] differ between the two runs
+    (exact comparison — two runs of the same fake-clock workload
+    produce bit-identical rows, so their diff is empty), sorted by name
+    and scored against a relative regression threshold ([0.25] = flag
+    a span name whose total time grew more than 25%).
     @raise Invalid_argument if [threshold] is negative or not finite. *)
 
 val to_json : row list -> Stochobs.Json.t

@@ -56,18 +56,13 @@ val spans : t -> span list
 
 val span_count : t -> int
 
-val of_lines : string Seq.t -> t
-(** Core reader: parse each line, validate the record shape (type,
-    name, finite [start]/[end] with [end >= start], positive id, a
-    parent distinct from the id itself), keep what checks out and
-    count the rest as [skipped]. Never raises. *)
-
 val of_string : string -> t
-(** {!of_lines} over the newline-split string. *)
-
-val of_channel : in_channel -> t
-(** {!of_lines} over the channel's lines; the caller closes. *)
+(** Read a trace from its text, one record a line: parse each line,
+    validate the record shape (type, name, finite [start]/[end] with
+    [end >= start], positive id, a parent distinct from the id
+    itself), keep what checks out and count the rest as [skipped].
+    Never raises. *)
 
 val of_file : string -> (t, string) result
-(** Read a trace file; [Error] only for an unreadable file — damaged
-    {e contents} are a skip count, not an error. *)
+(** {!of_string} over a file's lines; [Error] only for an unreadable
+    file — damaged {e contents} are a skip count, not an error. *)

@@ -1,8 +1,11 @@
 type job_record = { requested : float; wait : float }
 type log = job_record array
 
+(* Longest requested runtime of the synthetic log, hours. *)
+let max_requested = 12.0
+
 let synthetic_log ?(jobs = 5000) ?(alpha = 0.95) ?(gamma = 1.05)
-    ?(noise = 0.35) ?(max_requested = 12.0) rng =
+    ?(noise = 0.35) rng =
   if jobs <= 0 then invalid_arg "Hpc_queue.synthetic_log: jobs must be > 0";
   Array.init jobs (fun _ ->
       (* Log-uniform requested runtimes: many short requests, few long

@@ -28,13 +28,12 @@ val synthetic_log :
   ?alpha:float ->
   ?gamma:float ->
   ?noise:float ->
-  ?max_requested:float ->
   Randomness.Rng.t ->
   log
 (** [synthetic_log rng] generates a scheduler log of [jobs] (default
-    [5000]) jobs with requested runtimes spread over
-    [(0, max_requested]] (default [12.] hours, log-uniformly, mimicking
-    batch-queue request distributions) and waits
+    [5000]) jobs with requested runtimes spread log-uniformly over
+    [(0.25, 12)] hours (mimicking batch-queue request distributions)
+    and waits
     [alpha * requested + gamma] (defaults [0.95] / [1.05]) perturbed by
     multiplicative LogNormal noise of coefficient of variation [noise]
     (default [0.35]), truncated at zero. *)

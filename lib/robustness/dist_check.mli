@@ -46,12 +46,12 @@ type report = {
   elapsed : float;  (** Wall-clock seconds spent checking. *)
 }
 
-val run : ?grid:int -> ?tol:float -> ?mass_tol:float -> Distributions.Dist.t -> report
-(** [run d] probes [d] on [grid] (default [33]) quantile-spaced interior
-    points plus fixed near-tail probabilities. [tol] (default [1e-6])
-    bounds hard numerical identities (monotonicity slack, round-trip
-    deficit); [mass_tol] (default [5e-3]) bounds the pdf/cdf mass
-    discrepancies, which go through quadrature. Never raises. *)
+val run : Distributions.Dist.t -> report
+(** [run d] probes [d] on [33] quantile-spaced interior points plus
+    fixed near-tail probabilities. Hard numerical identities
+    (monotonicity slack, round-trip deficit) hold within [1e-6]; the
+    pdf/cdf mass discrepancies, which go through quadrature, within
+    [5e-3]. Never raises. *)
 
 val is_valid : report -> bool
 (** [is_valid r] is [true] iff [r] contains no [Fatal] issue. *)

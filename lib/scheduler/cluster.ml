@@ -28,17 +28,6 @@ let create ~nodes =
 
 let nodes t = t.nodes
 let free t = t.free_count
-let busy_nodes t = t.busy_count
-
-let up_nodes t =
-  let n = ref 0 in
-  Array.iter (fun u -> if u then incr n) t.up;
-  !n
-
-let is_up t i =
-  if i < 0 || i >= t.nodes then invalid_arg "Cluster.is_up: node out of range";
-  t.up.(i)
-
 let advance t now =
   if now < t.clock -. 1e-9 then
     invalid_arg "Cluster.advance: time moved backwards";

@@ -21,15 +21,6 @@ val nodes : t -> int
 val free : t -> int
 (** Nodes currently up {e and} unallocated — the dispatchable pool. *)
 
-val busy_nodes : t -> int
-(** Nodes currently allocated to jobs. *)
-
-val up_nodes : t -> int
-(** Nodes currently up (allocated or free). *)
-
-val is_up : t -> int -> bool
-(** @raise Invalid_argument on an out-of-range node id. *)
-
 val advance : t -> float -> unit
 (** [advance t now] accumulates busy node-time up to [now] and moves
     the internal clock forward. Idempotent at the same instant.

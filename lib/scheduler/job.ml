@@ -3,11 +3,6 @@ module Attempt = Stochastic_core.Attempt
 
 type outcome = Success | Timeout | Node_failure
 
-let outcome_name = function
-  | Success -> "success"
-  | Timeout -> "timeout"
-  | Node_failure -> "node-failure"
-
 type attempt = {
   requested : float;
   submitted : float;

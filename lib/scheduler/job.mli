@@ -27,8 +27,6 @@
 
 type outcome = Success | Timeout | Node_failure
 
-val outcome_name : outcome -> string
-
 type attempt = {
   requested : float;  (** Requested walltime [t_i]. *)
   submitted : float;  (** When this attempt entered the queue. *)

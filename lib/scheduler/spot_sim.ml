@@ -12,17 +12,13 @@ type result = {
 }
 
 let run ?(obs = Trace.null) ?(metrics = Stochobs.Metrics.default)
-    ?(reps = 10_000) ?(seed = 42) ?max_slots regime m d plan =
+    ?(reps = 10_000) ?(seed = 42) regime m d plan =
   if reps <= 0 then invalid_arg "Spot_sim.run: reps must be positive";
   let m_reps = Stochobs.Metrics.counter metrics "spot.sim.reps" in
   let m_attempts = Stochobs.Metrics.counter metrics "spot.sim.attempts" in
   let m_revocations = Stochobs.Metrics.counter metrics "spot.sim.revocations" in
   let m_resumes = Stochobs.Metrics.counter metrics "spot.sim.resumes" in
-  let max_slots =
-    match max_slots with
-    | None -> Array.length plan.Spot_cost.lengths + 128
-    | Some k -> if k <= 0 then invalid_arg "Spot_sim.run: max_slots must be positive" else k
-  in
+  let max_slots = Array.length plan.Spot_cost.lengths + 128 in
   let rate = regime.Spot_cost.revocation_rate in
   let revocation_mtbf = if rate > 0.0 then 1.0 /. rate else infinity in
   let faults =

@@ -19,8 +19,9 @@ type result = {
   revocations : int;  (** Attempts killed by a revocation. *)
   resumes : int;  (** Attempts started from a durable snapshot. *)
   incomplete : int;
-      (** Replications aborted at [max_slots] — always [0] for sane
-          plans (the on-demand doubling extension finishes any job). *)
+      (** Replications aborted after plan length + 128 slots — always
+          [0] for sane plans (the on-demand doubling extension finishes
+          any job). *)
 }
 
 val run :
@@ -28,7 +29,6 @@ val run :
   ?metrics:Stochobs.Metrics.t ->
   ?reps:int ->
   ?seed:int ->
-  ?max_slots:int ->
   Stochastic_core.Spot_cost.regime ->
   Stochastic_core.Cost_model.t ->
   Distributions.Dist.t ->
@@ -38,10 +38,10 @@ val run :
     independent job executions under seeded revocation traces
     ([seed] default [42]; replication [i] uses fault stream node [i],
     so results are bit-for-bit reproducible for a fixed seed and
-    independent of replication order). [max_slots] (default plan
-    length + 128) bounds each walk. Emits a
+    independent of replication order). Each walk is bounded at plan
+    length + 128 slots. Emits a
     ["scheduler.spot_sim.run"] span on [obs] and bumps the
     [spot.sim.*] counters on [metrics] (default
     {!Stochobs.Metrics.default}; pass a per-domain registry from a
     multicore fan-out and {!Stochobs.Metrics.merge} the snapshots).
-    @raise Invalid_argument if [reps <= 0] or [max_slots <= 0]. *)
+    @raise Invalid_argument if [reps <= 0]. *)

@@ -101,13 +101,6 @@ let hit_rate t =
   let total = t.hits + t.misses in
   if total = 0 then 0.0 else float_of_int t.hits /. float_of_int total
 
-let keys_mru t =
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some node -> walk (node.key :: acc) node.next
-  in
-  walk [] t.head
-
 let bindings_lru t =
   (* Walk from the MRU head accumulating without the final reverse:
      the result comes out tail-first, i.e. least recently used first,

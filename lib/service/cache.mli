@@ -39,10 +39,6 @@ val evictions : 'a t -> int
 val hit_rate : 'a t -> float
 (** [hits / (hits + misses)]; [0.] before any lookup. *)
 
-val keys_mru : 'a t -> string list
-(** Keys from most to least recently used — the eviction order
-    reversed. Exposed for tests and the [stats] response. *)
-
 val bindings_lru : 'a t -> (string * 'a) list
 (** Bindings from least to most recently used. Replaying the list
     through {!put} in order rebuilds both the contents and the recency

@@ -89,6 +89,11 @@ type t = {
   m_misses : M.counter;
   m_evictions : M.counter;
   m_cold : M.counter;
+  m_req_solve : M.counter;
+  m_req_fit : M.counter;
+  m_req_stats : M.counter;
+  m_req_metrics : M.counter;
+  m_req_shutdown : M.counter;
   m_errors : M.counter;
   m_size : M.gauge;
   m_latency : M.histogram;
@@ -156,6 +161,11 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
     m_misses = M.counter metrics "service.cache.misses";
     m_evictions = M.counter metrics "service.cache.evictions";
     m_cold = M.counter metrics "service.solves.cold";
+    m_req_solve = M.counter metrics "service.requests.solve";
+    m_req_fit = M.counter metrics "service.requests.fit";
+    m_req_stats = M.counter metrics "service.requests.stats";
+    m_req_metrics = M.counter metrics "service.requests.metrics";
+    m_req_shutdown = M.counter metrics "service.requests.shutdown";
     m_errors = M.counter metrics "service.requests.errors";
     m_size = M.gauge metrics "service.cache.size";
     m_latency =
@@ -503,15 +513,24 @@ let kind_name = function
   | Protocol.Metrics -> "metrics"
   | Protocol.Shutdown -> "shutdown"
 
-let count_request t = function
-  | Protocol.Solve _ -> t.requests.solve <- t.requests.solve + 1
-  | Protocol.Fit _ -> t.requests.fit <- t.requests.fit + 1
-  | Protocol.Stats -> t.requests.stats <- t.requests.stats + 1
-  | Protocol.Metrics -> t.requests.metrics <- t.requests.metrics + 1
-  | Protocol.Shutdown -> t.requests.shutdown <- t.requests.shutdown + 1
-
-let request_counter t req =
-  M.counter t.registry ("service.requests." ^ kind_name req)
+let count_request t req =
+  let r = t.requests in
+  match req with
+  | Protocol.Solve _ ->
+      r.solve <- r.solve + 1;
+      M.incr t.m_req_solve
+  | Protocol.Fit _ ->
+      r.fit <- r.fit + 1;
+      M.incr t.m_req_fit
+  | Protocol.Stats ->
+      r.stats <- r.stats + 1;
+      M.incr t.m_req_stats
+  | Protocol.Metrics ->
+      r.metrics <- r.metrics + 1;
+      M.incr t.m_req_metrics
+  | Protocol.Shutdown ->
+      r.shutdown <- r.shutdown + 1;
+      M.incr t.m_req_shutdown
 
 let dispatch t ~id req =
   match req with
@@ -596,7 +615,6 @@ let handle_line t line =
               (Protocol.error_response ~id e, false))
       | Ok (id, req) ->
           count_request t req;
-          M.incr (request_counter t req);
           Trace.with_span t.obs
             ~attrs:(("kind", Trace.Str (kind_name req)) :: request_id_attrs id)
             "service.request"

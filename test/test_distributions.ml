@@ -19,9 +19,6 @@ let probe_points d =
   (* Representative quantiles within the support. *)
   List.map d.Dist.quantile [ 0.05; 0.25; 0.5; 0.75; 0.9; 0.99 ]
 
-let test_check_passes () =
-  List.iter (fun (_, d) -> Dist.check d) all
-
 let test_pdf_integrates_to_one () =
   List.iter
     (fun (name, d) ->
@@ -316,7 +313,6 @@ let () =
     [
       ( "battery",
         [
-          Alcotest.test_case "Dist.check passes" `Quick test_check_passes;
           Alcotest.test_case "pdf integrates to 1" `Quick test_pdf_integrates_to_one;
           Alcotest.test_case "cdf = integral of pdf" `Quick
             test_cdf_matches_pdf_integral;

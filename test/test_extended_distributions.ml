@@ -12,8 +12,6 @@ let rel_close ?(tol = 1e-6) name expected got =
 
 (* ------------------------ generic battery ------------------------- *)
 
-let test_check_passes () = List.iter (fun (_, d) -> Dist.check d) extras
-
 let test_pdf_integrates_to_one () =
   List.iter
     (fun (name, d) ->
@@ -248,7 +246,6 @@ let () =
     [
       ( "battery",
         [
-          Alcotest.test_case "Dist.check" `Quick test_check_passes;
           Alcotest.test_case "pdf integrates to 1" `Quick
             test_pdf_integrates_to_one;
           Alcotest.test_case "quantile/cdf roundtrip" `Quick

@@ -13,17 +13,31 @@ let quick = Solver.quick_budget
 
 (* ------------------------------ checks ---------------------------- *)
 
+(* Every registry law (Table 1 and the extras) and two [Dist.scale]d
+   laws, one on bounded support, pass with no warning. *)
 let test_check_accepts_table1 () =
+  let scaled =
+    List.map
+      (fun d -> (d.Dist.name, d))
+      [
+        Dist.scale 0.5 Distributions.Uniform_dist.default;
+        Dist.scale 3.0 Distributions.Lognormal.default;
+      ]
+  in
   List.iter
     (fun (name, d) ->
       let r = Check.run d in
       Alcotest.(check bool)
         (Printf.sprintf "%s valid" name)
         true (Check.is_valid r);
+      Alcotest.(check int)
+        (Printf.sprintf "%s warnings" name)
+        0
+        (List.length (Check.warnings r));
       Alcotest.(check bool)
         (Printf.sprintf "%s probed" name)
         true (r.Check.probes > 0))
-    Distributions.Table1.all
+    (Distributions.Registry.all @ scaled)
 
 let broken_cdf =
   let d = Distributions.Exponential.default in
