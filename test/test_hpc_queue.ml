@@ -16,6 +16,20 @@ let test_synthetic_log_shape () =
       if r.H.wait < 0.0 then Alcotest.failf "negative wait: %g" r.H.wait)
     log
 
+(* Requested runtimes are log-uniform on (0.25, 12) hours: both ends are
+   reached and the median sits at the geometric mean sqrt 3. *)
+let test_synthetic_log_requested_range () =
+  let rng = Randomness.Rng.create ~seed:6 () in
+  let req = Array.map (fun r -> r.H.requested) (H.synthetic_log ~jobs:4000 rng) in
+  Array.sort compare req;
+  let n = Array.length req in
+  Alcotest.(check bool) "above 0.25 h" true (req.(0) > 0.25);
+  Alcotest.(check bool) "below 12 h" true (req.(n - 1) < 12.0);
+  Alcotest.(check bool) "short requests reached" true (req.(0) < 0.3);
+  Alcotest.(check bool) "long requests reached" true (req.(n - 1) > 11.0);
+  Alcotest.(check (float 0.15)) "median at the geometric mean" (sqrt 3.0)
+    req.(n / 2)
+
 let test_noiseless_log_is_affine () =
   let rng = Randomness.Rng.create ~seed:2 () in
   let log = H.synthetic_log ~jobs:500 ~alpha:0.8 ~gamma:2.0 ~noise:0.0 rng in
@@ -122,6 +136,8 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "synthetic log shape" `Quick test_synthetic_log_shape;
+          Alcotest.test_case "requested runtime range" `Quick
+            test_synthetic_log_requested_range;
           Alcotest.test_case "noiseless affine" `Quick test_noiseless_log_is_affine;
           Alcotest.test_case "bin_log" `Quick test_bin_log;
           Alcotest.test_case "fit recovers truth" `Quick
