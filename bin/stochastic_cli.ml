@@ -822,7 +822,10 @@ let solve_cmd =
             (Some
                "Discretization sample count of the DP tier. Under \
                 $(b,--spot-price) it sizes only that tier: the spot \
-                assignment's evaluator keeps its own 500 points.")
+                assignment's evaluator keeps its own disc_n of 500: 500 \
+                equal-probability job sizes under restart recovery, a \
+                snapshot lattice resolved to about 1/500 of the \
+                probability under checkpoint recovery.")
           ()
       $ max_seconds_arg $ max_evals_arg $ count_arg $ strict_arg
       $ no_validate_arg $ monte_carlo_arg $ tiers_arg $ spot_term $ obs_term

@@ -25,10 +25,11 @@
     for its full length [t_k] as in Eq. (1).
 
     The analytic evaluator {!expected_cost} conditions on the job size
-    via an equal-probability discretization and solves the per-size
-    recovery recursion exactly (closed-form exponential revocation
-    windows); {!Scheduler.Spot_sim} validates it against seeded
-    trace-driven simulation. In the degenerate regime [price_ratio = 1,
+    and solves the recovery recursion exactly (closed-form exponential
+    revocation windows): one chain of states per size under [Restart],
+    one table per offset of the snapshot lattice under [Snapshot];
+    {!Scheduler.Spot_sim} validates it against seeded trace-driven
+    simulation. In the degenerate regime [price_ratio = 1,
     revocation_rate = 0, Restart] the evaluator delegates to
     {!Expected_cost.exact} and reproduces Eq. (1) bit-for-bit. *)
 
@@ -138,25 +139,65 @@ val slot_outcome :
 val expected_cost :
   ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t -> plan -> float
 (** [expected_cost regime m d plan] is the analytic expected cost of
-    running a [d]-distributed job under [plan]. The job-size law is
-    discretized into [disc_n] (default [2000]) equal-probability points
-    truncated at quantile [1 - eps] (default [1e-9]); for each size the
-    attempt recursion over (reservation index, durable snapshots) is
-    solved exactly with closed-form revocation window probabilities.
-    One flat float memo per plan serves all its sizes (only the states a
-    size filled are cleared for the next), and the window edges'
-    [exp] terms are tabulated per regime and restore offset, so a state
-    costs a few float operations and no allocation. The arithmetic is
-    that of the plain hashtable-memoized recursion, which the tests keep
-    as an oracle: every cost is bit-identical to it. Degenerate regimes
-    ({!on_demand_only}-equal) with
-    strictly increasing lengths bypass the discretization and delegate
-    to {!Expected_cost.exact} (bit-for-bit Eq. (1) equivalence).
-    @raise Invalid_argument as {!Discretize.run} on bad [disc_n]/[eps]. *)
+    running a [d]-distributed job under [plan], conditioned on the job
+    size being at most [b], its quantile at [1 - eps] (default [1e-9]).
+    The size law is discretized, and each size's attempt recursion is
+    solved exactly with closed-form exponential revocation windows.
+    [disc_n] (default [2000]) sets the resolution:
+    - under [Restart], the sizes are the [disc_n] midpoints of an
+      equal-probability grid, each of weight [1 / disc_n]; a size's
+      states form one chain over the slots. The costs are bit-identical
+      to the plain (slot, snapshots) recursion, which the tests keep as
+      an oracle;
+    - under [Snapshot], the sizes lie on the snapshot lattice
+      [n period + f]. The lattice ends at [tau], the lower edge of the
+      midpoint grid's last cell (mass [1 / disc_n]), and the mass above
+      [tau] sits at its conditional mean. A period is cut into a
+      uniform sub-grid, fine enough that no cell holds much more than
+      [1 / disc_n] of the mass, and at every size where an attempt
+      stops fitting its slot; each cell's midpoint is a node weighted
+      by the cell's mass. One table over (slot, periods left, restore
+      due) per offset [f] serves every [n], at O(1) per state. Each
+      node's cost agrees with the per-size recursion at its size to
+      within 1e-10 relative, which the tests pin.
+    Degenerate regimes ({!on_demand_only}-equal) with strictly
+    increasing lengths bypass the discretization and delegate to
+    {!Expected_cost.exact} (bit-for-bit Eq. (1) equivalence). A plan
+    whose 128 extension doublings cannot finish the longest size costs
+    [infinity].
+    @raise Invalid_argument if [disc_n <= 0] or [eps] is not in
+    [(0, 1)]. *)
 
 val evaluator :
   ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t ->
   (plan -> float)
 (** [evaluator regime m d] precomputes the discretization once and
-    returns a closure evaluating plans against it — use when scoring
-    many candidate plans (tier assignment). *)
+    returns a closure evaluating plans against it, as {!expected_cost}
+    — use when scoring many candidate plans (tier assignment). *)
+
+type scored = {
+  cost : float;  (** {!expected_cost}. *)
+  states : int;
+      (** Recursion states filled: lattice states under [Snapshot],
+          chain states summed over sizes under [Restart], [0] on the
+          degenerate Eq. (1) path. Deterministic work count. *)
+}
+
+val scorer :
+  ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t ->
+  (plan -> scored)
+(** {!evaluator}, also reporting the work each plan took. *)
+
+type node = {
+  size : float;  (** Job size in hours. *)
+  weight : float;  (** Probability mass the node stands for. *)
+  value : float;  (** The cost of a job of exactly [size] under the plan. *)
+}
+
+val nodes :
+  ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t -> plan ->
+  node array
+(** The discretized cost function the general evaluator sums: the
+    expected cost is the compensated sum of [weight *. value] over the
+    nodes, in order (the degenerate Eq. (1) path aside). For inspecting
+    and testing the discretization. *)

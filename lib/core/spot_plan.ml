@@ -4,6 +4,7 @@ type assignment = {
   on_demand_cost : float;
   all_spot_cost : float;
   evaluated : int;
+  states : int;
 }
 
 (* A chunked ladder: the same reservation length repeated until the
@@ -42,12 +43,15 @@ let chunk_grid regime ~upper =
 let passes = 2
 
 let assign ?(disc_n = 500) ?(eps = 1e-8) regime m d lengths =
-  let eval = Spot_cost.evaluator ~disc_n ~eps regime m d in
+  let scorer = Spot_cost.scorer ~disc_n ~eps regime m d in
   let n = Array.length lengths in
   let evaluated = ref 0 in
+  let states = ref 0 in
   let score plan =
+    let s = scorer plan in
     incr evaluated;
-    (plan, eval plan)
+    states := !states + s.Spot_cost.states;
+    (plan, s.Spot_cost.cost)
   in
   let score_tiers tiers = score (Spot_cost.make_plan ~lengths ~tiers) in
   let threshold i =
@@ -127,4 +131,5 @@ let assign ?(disc_n = 500) ?(eps = 1e-8) regime m d lengths =
     on_demand_cost = !best_od;
     all_spot_cost = spot_cost;
     evaluated = !evaluated;
+    states = !states;
   }

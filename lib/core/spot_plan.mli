@@ -38,6 +38,9 @@ type assignment = {
           [cost <= on_demand_cost] always. *)
   all_spot_cost : float;  (** The naive all-spot head's cost. *)
   evaluated : int;  (** Candidate plans scored. *)
+  states : int;
+      (** Evaluator states filled, summed over the scored plans
+          ({!Spot_cost.scored}): a deterministic work count. *)
 }
 
 val assign :

@@ -17,7 +17,12 @@ let record (r : result) =
 
 let invphi = (sqrt 5.0 -. 1.0) /. 2.0 (* 1/phi *)
 
-let golden_section ?(tol = 1e-10) ?(max_iter = 200) f a b =
+(* Iterations either minimiser runs at most: a bound when [tol] is out
+   of reach (golden section shrinks the bracket by 0.618 a step, so 200
+   steps take it below 1e-41 of its width). *)
+let max_iter = 200
+
+let golden_section ?(tol = 1e-10) f a b =
   let a = ref (Float.min a b) and b = ref (Float.max a b) in
   let evals = ref 0 in
   let feval x =
@@ -49,7 +54,7 @@ let golden_section ?(tol = 1e-10) ?(max_iter = 200) f a b =
   let xmin = if !fc < !fd then !c else !d in
   record { xmin; fmin = Float.min !fc !fd; evaluations = !evals }
 
-let brent_min ?(tol = 1e-10) ?(max_iter = 200) f a b =
+let brent_min ?(tol = 1e-10) f a b =
   let cgold = 0.3819660112501051 in
   let zeps = 1e-18 in
   let a = ref (Float.min a b) and b = ref (Float.max a b) in

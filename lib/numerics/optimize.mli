@@ -11,17 +11,17 @@ type result = {
   evaluations : int;  (** Number of objective evaluations performed. *)
 }
 
-val golden_section :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
+val golden_section : ?tol:float -> (float -> float) -> float -> float -> result
 (** [golden_section f a b] minimises a unimodal [f] on [[a, b]] by
     golden-section search. [tol] (default [1e-10]) bounds the final
-    bracket width relative to the scale of [x]. *)
+    bracket width relative to the scale of [x]; the search stops after
+    200 steps if it is out of reach. *)
 
-val brent_min :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> result
+val brent_min : ?tol:float -> (float -> float) -> float -> float -> result
 (** [brent_min f a b] minimises [f] on [[a, b]] with Brent's parabolic
     interpolation method, falling back to golden-section steps. Faster
-    than {!golden_section} on smooth objectives. *)
+    than {!golden_section} on smooth objectives. Stops after 200
+    iterations if [tol] (default [1e-10]) is out of reach. *)
 
 val grid :
   ?refine:bool -> n:int -> (float -> float) -> float -> float -> result

@@ -2,7 +2,11 @@ exception No_bracket of string
 
 let same_sign x y = (x > 0.0 && y > 0.0) || (x < 0.0 && y < 0.0)
 
-let bisection ?(tol = 1e-12) ?(max_iter = 200) f a b =
+(* Iterations either solver runs at most, whatever [tol] asks: 200
+   bisection steps shrink a bracket by 2^-200. *)
+let max_iter = 200
+
+let bisection ?(tol = 1e-12) f a b =
   let fa = f a and fb = f b in
   (* stochlint: allow FLOAT_EQ — exact root hit at the bracket endpoint short-circuits the search *)
   if fa = 0.0 then a
@@ -32,7 +36,7 @@ let bisection ?(tol = 1e-12) ?(max_iter = 200) f a b =
     0.5 *. (!a +. !b)
   end
 
-let brent ?(tol = 1e-14) ?(max_iter = 200) f a b =
+let brent ?(tol = 1e-14) f a b =
   let fa = f a and fb = f b in
   (* stochlint: allow FLOAT_EQ — exact root hit at the bracket endpoint short-circuits the search *)
   if fa = 0.0 then a

@@ -561,6 +561,7 @@ let solve_spot ?(obs = Trace.null) ?clock ?budget ?tiers ?validate ?exact ?seed
                   [
                     ("spot_slots", Trace.Int slots);
                     ("savings", Trace.Num savings);
+                    ("spot.states", Trace.Int a.Spot_plan.states);
                   ];
                 Ok
                   {

@@ -208,6 +208,8 @@ val solve_spot :
     {!Stochastic_core.Spot_plan.assign} ([disc_n], default [500],
     sizes the assignment evaluator's discretization; [recovery]
     defaults to [Restart]). Emits a ["robust.solver.spot"] span with
-    [spot_slots]/[savings] attributes and bumps the
+    [spot_slots]/[savings] attributes and [spot.states], the
+    evaluator states the assignment filled
+    ({!Stochastic_core.Spot_plan.assignment}), and bumps the
     [robust.solver.spot.*] counters ([all_on_demand] counts solves
     that degraded to zero spot reservations). Never raises. *)

@@ -22,6 +22,18 @@ let test_brent_min () =
   Alcotest.(check bool) "brent uses fewer evals than golden" true
     (r.O.evaluations < 100)
 
+(* A tolerance of 0 is never met: golden section must stop at its
+   200-step cap (two evaluations to start, one a step), and Brent's
+   method within the same cap. *)
+let test_iteration_cap () =
+  let f x = (x -. 1.5) ** 2.0 in
+  let g = O.golden_section ~tol:0.0 f 0.0 4.0 in
+  Alcotest.(check int) "golden evaluations" 202 g.O.evaluations;
+  close "golden argmin" 1.5 g.O.xmin;
+  let b = O.brent_min ~tol:0.0 f 0.0 4.0 in
+  Alcotest.(check bool) "brent evaluations" true (b.O.evaluations <= 201);
+  close "brent argmin" 1.5 b.O.xmin
+
 let test_grid () =
   let r = O.grid ~n:100 (fun x -> (x -. 0.613) ** 2.0) 0.0 1.0 in
   close "grid+refine argmin" 0.613 r.O.xmin ~tol:1e-4;
@@ -67,6 +79,7 @@ let () =
         [
           Alcotest.test_case "golden section" `Quick test_golden_section;
           Alcotest.test_case "brent min" `Quick test_brent_min;
+          Alcotest.test_case "iteration cap" `Quick test_iteration_cap;
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "grid invalid points" `Quick test_grid_invalid_points;
         ] );

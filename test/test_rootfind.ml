@@ -46,6 +46,21 @@ let test_brent_endpoint_roots () =
   close "endpoint root a" 1.0 (R.brent (fun x -> x -. 1.0) 1.0 2.0) ~tol:0.0;
   close "endpoint root b" 2.0 (R.brent (fun x -> x -. 2.0) 1.0 2.0) ~tol:0.0
 
+(* A tolerance of 0 is out of reach once the bracket is two adjacent
+   floats; the 200-iteration cap must still end both loops, after one
+   evaluation per iteration plus the two at the ends. *)
+let test_iteration_cap () =
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    (x *. x) -. 2.0
+  in
+  close "bisection root" (sqrt 2.0) (R.bisection ~tol:0.0 f 0.0 2.0);
+  Alcotest.(check bool) "bisection evaluations" true (!calls <= 202);
+  calls := 0;
+  close "brent root" (sqrt 2.0) (R.brent ~tol:0.0 f 0.0 2.0);
+  Alcotest.(check bool) "brent evaluations" true (!calls <= 202)
+
 let prop_brent_polynomial =
   QCheck.Test.make ~count:300 ~name:"brent finds the planted root"
     QCheck.(pair (float_range (-10.0) 10.0) (float_range 0.1 5.0))
@@ -78,6 +93,7 @@ let () =
           Alcotest.test_case "no bracket" `Quick test_bisection_no_bracket;
           Alcotest.test_case "brent" `Quick test_brent;
           Alcotest.test_case "brent no bracket" `Quick test_brent_no_bracket;
+          Alcotest.test_case "iteration cap" `Quick test_iteration_cap;
           Alcotest.test_case "brent endpoint roots" `Quick
             test_brent_endpoint_roots;
         ] );
