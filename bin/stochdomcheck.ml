@@ -25,233 +25,93 @@
                           (lib:NAME | bin | test | other)
      --quiet              findings only, no summary line
 
-   Exit codes: 0 clean, 1 findings, 2 load/usage error. *)
+   Exit codes: 0 clean, 1 findings, 2 load/usage error (every .cmt that
+   fails to load is named on stderr). *)
 
 module L = Stochlint_lib
 
-let usage () =
-  prerr_endline
-    "usage: stochdomcheck [--json] [--report FILE] [--baseline FILE]\n\
-    \                     [--update-baseline] [--entry PATH]...\n\
-    \                     [--source-root DIR] [--context CTX] [--quiet]\n\
-    \                     [CMT_ROOT...]";
-  exit 2
+let usage =
+  "usage: stochdomcheck [--json] [--report FILE] [--baseline FILE]\n\
+  \                     [--update-baseline] [--entry PATH]...\n\
+  \                     [--source-root DIR] [--context CTX] [--quiet]\n\
+  \                     [CMT_ROOT...]"
 
-type options = {
-  json : bool;
-  report : string option;
-  baseline : string option;
-  update_baseline : bool;
-  entries : string list;  (* reversed *)
-  source_root : string option;
-  context : L.Rules.context option;
-  quiet : bool;
-  roots : string list;  (* reversed *)
-}
-
-let parse_args argv =
+let () =
   let opts =
-    ref
-      {
-        json = false;
-        report = None;
-        baseline = None;
-        update_baseline = false;
-        entries = [];
-        source_root = None;
-        context = None;
-        quiet = false;
-        roots = [];
-      }
+    L.Report.parse ~tool:"stochdomcheck" ~usage
+      ~value_flags:[ "--report"; "--entry"; "--source-root" ]
+      ~out:(Stochobs.Writer.of_channel stdout)
+      ~err:(Stochobs.Writer.of_channel stderr) Sys.argv
   in
-  let rec go = function
-    | [] -> ()
-    | "--json" :: rest ->
-        opts := { !opts with json = true };
-        go rest
-    | "--update-baseline" :: rest ->
-        opts := { !opts with update_baseline = true };
-        go rest
-    | "--quiet" :: rest ->
-        opts := { !opts with quiet = true };
-        go rest
-    | "--report" :: file :: rest ->
-        opts := { !opts with report = Some file };
-        go rest
-    | "--baseline" :: file :: rest ->
-        opts := { !opts with baseline = Some file };
-        go rest
-    | "--entry" :: path :: rest ->
-        opts := { !opts with entries = path :: !opts.entries };
-        go rest
-    | "--source-root" :: dir :: rest ->
-        opts := { !opts with source_root = Some dir };
-        go rest
-    | "--context" :: ctx :: rest -> (
-        match L.Rules.context_of_string ctx with
-        | Ok c ->
-            opts := { !opts with context = Some c };
-            go rest
-        | Error msg ->
-            prerr_endline ("stochdomcheck: " ^ msg);
-            usage ())
-    | ("--help" | "-h") :: _ -> usage ()
-    | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
-        prerr_endline ("stochdomcheck: unknown option " ^ arg);
-        usage ()
-    | root :: rest ->
-        opts := { !opts with roots = root :: !opts.roots };
-        go rest
-  in
-  go (List.tl (Array.to_list argv));
-  let o = !opts in
   let roots =
-    match o.roots with
+    match opts.roots with
     | [] ->
         if Sys.file_exists "_build/default" then [ "_build/default" ]
         else [ "." ]
-    | r -> List.rev r
+    | r -> r
   in
+  (* Entries reach the analysis last-declared first, the order the
+     effect report lists them in. *)
   let entries =
-    match o.entries with
-    | [] -> L.Domcheck.default_entries
-    | e -> List.rev e
-  in
-  { o with roots; entries = List.rev entries }
-
-let severity_json rule =
-  L.Json.Str (L.Finding.severity_to_string (L.Finding.severity rule))
-
-let finding_json (f : L.Finding.t) =
-  L.Json.Obj
-    [
-      ("file", L.Json.Str f.file);
-      ("line", L.Json.Num (float_of_int f.line));
-      ("col", L.Json.Num (float_of_int f.col));
-      ("rule", L.Json.Str (L.Finding.rule_id f.rule));
-      ("severity", severity_json f.rule);
-      ("message", L.Json.Str f.message);
-    ]
-
-let () =
-  let opts = parse_args Sys.argv in
-  let baseline =
-    match opts.baseline with
-    | None -> L.Baseline.empty
-    | Some file when opts.update_baseline ->
-        if Sys.file_exists file then
-          match L.Baseline.load file with
-          | Ok b -> b
-          | Error msg ->
-              prerr_endline ("stochdomcheck: " ^ msg);
-              exit 2
-        else L.Baseline.empty
-    | Some file -> (
-        match L.Baseline.load file with
-        | Ok b -> b
-        | Error msg ->
-            prerr_endline ("stochdomcheck: " ^ msg);
-            exit 2)
+    match
+      List.filter_map
+        (fun (f, v) -> if f = "--entry" then Some v else None)
+        opts.values
+    with
+    | [] -> List.rev L.Domcheck.default_entries
+    | e -> e
   in
   let source_root =
-    match (opts.source_root, opts.roots) with
+    match (List.assoc_opt "--source-root" opts.values, roots) with
     | Some d, _ -> d
     | None, root :: _ -> root
     | None, [] -> "."
   in
   let outcome =
-    L.Domcheck.analyze ?context:opts.context ~source_root
-      ~entries:opts.entries opts.roots
+    L.Domcheck.analyze ?context:opts.context ~source_root ~entries roots
   in
-  if outcome.units = 0 then begin
-    Printf.eprintf
-      "stochdomcheck: no .cmt files under %s — build with -bin-annot first \
-       (dune does by default)\n"
-      (String.concat " " opts.roots);
+  if outcome.units = 0 && outcome.load_errors = [] then begin
+    opts.err
+      (Printf.sprintf
+         "stochdomcheck: no .cmt files under %s — build with -bin-annot \
+          first (dune does by default)"
+         (String.concat " " roots));
     exit 2
   end;
   List.iter
     (fun name ->
-      Printf.eprintf
-        "stochdomcheck: warning: entry `%s` matched no analysed function\n"
-        name)
+      opts.err
+        (Printf.sprintf
+           "stochdomcheck: warning: entry `%s` matched no analysed function"
+           name))
     outcome.unresolved_entries;
-  (match opts.report with
-  | None -> ()
-  | Some file ->
-      let oc = open_out_bin file in
-      output_string oc (L.Json.to_string (L.Domcheck.report_json outcome));
-      output_string oc "\n";
-      close_out oc);
-  if opts.update_baseline then begin
-    match opts.baseline with
-    | None ->
-        prerr_endline
-          "stochdomcheck: --update-baseline requires --baseline FILE";
-        exit 2
-    | Some file ->
-        let b = L.Baseline.of_findings outcome.findings in
-        let oc = open_out_bin file in
-        output_string oc (L.Baseline.to_json_string b);
-        close_out oc;
-        Printf.printf
-          "stochdomcheck: wrote %s (%d findings grandfathered)\n" file
-          (List.length outcome.findings);
-        exit 0
-  end;
-  let applied = L.Baseline.apply baseline outcome.findings in
-  let kept = applied.kept in
-  if opts.json then
-    print_string
-      (L.Json.to_string
-         (L.Json.Obj
-            [
-              ("version", L.Json.Num 1.0);
-              ("units", L.Json.Num (float_of_int outcome.units));
-              ("functions", L.Json.Num (float_of_int outcome.functions));
-              ("findings", L.Json.Arr (List.map finding_json kept));
-              ( "suppressed",
-                L.Json.Num (float_of_int outcome.suppressed) );
-              ("baselined", L.Json.Num (float_of_int applied.baselined));
-              ( "load_errors",
-                L.Json.Arr
-                  (List.map
-                     (fun (e : L.Cmt_load.load_error) ->
-                       L.Json.Obj
-                         [
-                           ("file", L.Json.Str e.le_file);
-                           ("message", L.Json.Str e.le_message);
-                         ])
-                     outcome.load_errors) );
-            ])
-      ^ "\n")
-  else begin
-    List.iter (fun f -> print_endline (L.Finding.to_human f)) kept;
-    List.iter
-      (fun (file, rule, found, allowed) ->
-        Printf.printf
-          "%s: %s count %d exceeds the baselined %d — fix the new site or \
-           refresh the baseline\n"
-          file (L.Finding.rule_id rule) found allowed)
-      applied.exceeded;
-    if not opts.quiet then begin
-      let errors, warnings =
-        List.partition
-          (fun (f : L.Finding.t) ->
-            L.Finding.severity f.rule = L.Finding.Error)
-          kept
-      in
-      Printf.printf
-        "stochdomcheck: %d units, %d functions, %d globals (%d suppressed \
-         inline), %d findings (%d errors, %d warnings), %d baselined\n"
-        outcome.units outcome.functions
-        (List.length outcome.globals)
-        (List.length
-           (List.filter
-              (fun (g : L.Domcheck.global) -> Option.is_some g.g_suppressed)
-              outcome.globals))
-        (List.length kept) (List.length errors) (List.length warnings)
-        applied.baselined
-    end
-  end;
-  if kept <> [] then exit 1 else exit 0
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc
+            (Stochobs.Json.to_string (L.Domcheck.report_json outcome) ^ "\n")))
+    (List.assoc_opt "--report" opts.values);
+  let suppressed_globals =
+    List.filter
+      (fun (g : L.Domcheck.global) -> Option.is_some g.g_suppressed)
+      outcome.globals
+  in
+  L.Report.finish opts
+    {
+      counts = [ ("units", outcome.units); ("functions", outcome.functions) ];
+      findings = outcome.findings;
+      suppressed = outcome.suppressed;
+      errors_key = "load_errors";
+      error_verb = "cannot load";
+      errors = outcome.load_errors;
+      wrote_note = "";
+      summary =
+        (fun ~findings ~baselined ->
+          Printf.sprintf
+            "%d units, %d functions, %d globals (%d suppressed inline), %s, \
+             %d baselined"
+            outcome.units outcome.functions
+            (List.length outcome.globals)
+            (List.length suppressed_globals)
+            findings baselined);
+    }

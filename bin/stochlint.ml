@@ -21,190 +21,48 @@
 
 module L = Stochlint_lib
 
-let usage () =
-  prerr_endline
-    "usage: stochlint [--json] [--baseline FILE] [--update-baseline]\n\
-    \                 [--context lib:NAME|bin|test|other] [--quiet] [PATH...]";
-  exit 2
-
-type options = {
-  json : bool;
-  baseline : string option;
-  update_baseline : bool;
-  context : L.Rules.context option;
-  quiet : bool;
-  paths : string list;
-}
-
-let parse_args argv =
-  let opts =
-    ref
-      {
-        json = false;
-        baseline = None;
-        update_baseline = false;
-        context = None;
-        quiet = false;
-        paths = [];
-      }
-  in
-  let rec go = function
-    | [] -> ()
-    | "--json" :: rest ->
-        opts := { !opts with json = true };
-        go rest
-    | "--update-baseline" :: rest ->
-        opts := { !opts with update_baseline = true };
-        go rest
-    | "--quiet" :: rest ->
-        opts := { !opts with quiet = true };
-        go rest
-    | "--baseline" :: file :: rest ->
-        opts := { !opts with baseline = Some file };
-        go rest
-    | "--context" :: ctx :: rest -> (
-        match L.Rules.context_of_string ctx with
-        | Ok c ->
-            opts := { !opts with context = Some c };
-            go rest
-        | Error msg ->
-            prerr_endline ("stochlint: " ^ msg);
-            usage ())
-    | ("--help" | "-h") :: _ -> usage ()
-    | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
-        prerr_endline ("stochlint: unknown option " ^ arg);
-        usage ()
-    | path :: rest ->
-        opts := { !opts with paths = path :: !opts.paths };
-        go rest
-  in
-  go (List.tl (Array.to_list argv));
-  let o = !opts in
-  {
-    o with
-    paths =
-      (match o.paths with
-      | [] -> [ "lib"; "bin"; "test"; "bench"; "examples" ]
-      | p -> List.rev p);
-  }
-
-let severity_json rule =
-  L.Json.Str (L.Finding.severity_to_string (L.Finding.severity rule))
-
-let finding_json (f : L.Finding.t) =
-  L.Json.Obj
-    [
-      ("file", L.Json.Str f.file);
-      ("line", L.Json.Num (float_of_int f.line));
-      ("col", L.Json.Num (float_of_int f.col));
-      ("rule", L.Json.Str (L.Finding.rule_id f.rule));
-      ("severity", severity_json f.rule);
-      ("message", L.Json.Str f.message);
-    ]
-
-let error_json (e : L.Driver.parse_error) =
-  L.Json.Obj
-    [
-      ("file", L.Json.Str e.pe_file);
-      ("line", L.Json.Num (float_of_int e.pe_line));
-      ("col", L.Json.Num (float_of_int e.pe_col));
-      ("message", L.Json.Str e.pe_message);
-    ]
+let usage =
+  "usage: stochlint [--json] [--baseline FILE] [--update-baseline]\n\
+  \                 [--context lib:NAME|bin|test|other] [--quiet] [PATH...]"
 
 let () =
-  let opts = parse_args Sys.argv in
-  let baseline =
-    match opts.baseline with
-    | None -> L.Baseline.empty
-    | Some file when opts.update_baseline ->
-        (* The file is about to be rewritten; it may not exist yet. *)
-        if Sys.file_exists file then
-          match L.Baseline.load file with
-          | Ok b -> b
-          | Error msg ->
-              prerr_endline ("stochlint: " ^ msg);
-              exit 2
-        else L.Baseline.empty
-    | Some file -> (
-        match L.Baseline.load file with
-        | Ok b -> b
-        | Error msg ->
-            prerr_endline ("stochlint: " ^ msg);
-            exit 2)
+  let opts =
+    L.Report.parse ~tool:"stochlint" ~usage
+      ~out:(Stochobs.Writer.of_channel stdout)
+      ~err:(Stochobs.Writer.of_channel stderr) Sys.argv
   in
-  let outcome = L.Driver.run ?context:opts.context opts.paths in
-  let all_findings = L.Driver.findings outcome in
-  let suppressed =
-    List.fold_left (fun acc r -> acc + r.L.Driver.fr_suppressed) 0
-      outcome.reports
+  let paths =
+    match opts.roots with
+    | [] -> [ "lib"; "bin"; "test"; "bench"; "examples" ]
+    | p -> p
   in
+  let outcome = L.Driver.run ?context:opts.context paths in
   List.iter
     (fun (r : L.Driver.file_report) ->
       List.iter
         (fun (line, msg) ->
-          Printf.eprintf
-            "stochlint: %s:%d: warning: unparseable suppression comment (%s)\n"
-            r.fr_file line msg)
+          opts.err
+            (Printf.sprintf
+               "stochlint: %s:%d: warning: unparseable suppression comment \
+                (%s)"
+               r.fr_file line msg))
         r.fr_malformed)
     outcome.reports;
-  if opts.update_baseline then begin
-    match opts.baseline with
-    | None ->
-        prerr_endline "stochlint: --update-baseline requires --baseline FILE";
-        exit 2
-    | Some file ->
-        let b = L.Baseline.of_findings all_findings in
-        let oc = open_out_bin file in
-        output_string oc (L.Baseline.to_json_string b);
-        close_out oc;
-        Printf.printf
-          "stochlint: wrote %s (%d findings grandfathered across %d files)\n"
-          file (List.length all_findings) outcome.files;
-        exit (if outcome.errors = [] then 0 else 2)
-  end;
-  let applied = L.Baseline.apply baseline all_findings in
-  let kept = applied.kept in
-  if opts.json then
-    print_string
-      (L.Json.to_string
-         (L.Json.Obj
-            [
-              ("version", L.Json.Num 1.0);
-              ("files", L.Json.Num (float_of_int outcome.files));
-              ("findings", L.Json.Arr (List.map finding_json kept));
-              ("suppressed", L.Json.Num (float_of_int suppressed));
-              ( "baselined",
-                L.Json.Num (float_of_int applied.baselined) );
-              ("errors", L.Json.Arr (List.map error_json outcome.errors));
-            ])
-      ^ "\n")
-  else begin
-    List.iter (fun f -> print_endline (L.Finding.to_human f)) kept;
-    List.iter
-      (fun (file, rule, found, allowed) ->
-        Printf.printf
-          "%s: %s count %d exceeds the baselined %d — the whole group is \
-           shown above; fix the new site or refresh the baseline\n"
-          file (L.Finding.rule_id rule) found allowed)
-      applied.exceeded;
-    List.iter
-      (fun (e : L.Driver.parse_error) ->
-        Printf.eprintf "stochlint: %s:%d:%d: cannot parse: %s\n" e.pe_file
-          e.pe_line e.pe_col e.pe_message)
-      outcome.errors;
-    if not opts.quiet then begin
-      let errors, warnings =
-        List.partition
-          (fun (f : L.Finding.t) -> L.Finding.severity f.rule = L.Finding.Error)
-          kept
-      in
-      Printf.printf
-        "stochlint: %d files, %d findings (%d errors, %d warnings), %d \
-         suppressed inline, %d baselined\n"
-        outcome.files (List.length kept) (List.length errors)
-        (List.length warnings) suppressed applied.baselined
-    end
-  end;
-  if outcome.errors <> [] then exit 2
-  else if kept <> [] then exit 1
-  else exit 0
+  let suppressed =
+    List.fold_left (fun acc r -> acc + r.L.Driver.fr_suppressed) 0
+      outcome.reports
+  in
+  L.Report.finish opts
+    {
+      counts = [ ("files", outcome.files) ];
+      findings = L.Driver.findings outcome;
+      suppressed;
+      errors_key = "errors";
+      error_verb = "cannot parse";
+      errors = outcome.errors;
+      wrote_note = Printf.sprintf " across %d files" outcome.files;
+      summary =
+        (fun ~findings ~baselined ->
+          Printf.sprintf "%d files, %s, %d suppressed inline, %d baselined"
+            outcome.files findings suppressed baselined);
+    }

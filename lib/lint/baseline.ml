@@ -1,3 +1,5 @@
+module Json = Stochobs.Json
+
 type t = (string * Finding.rule * int) list
 (* (file, rule, count), kept sorted for stable serialisation *)
 
@@ -9,13 +11,7 @@ let sort = List.sort (fun (f1, r1, _) (f2, r2, _) ->
     else String.compare (Finding.rule_id r1) (Finding.rule_id r2))
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
+  match Driver.read_file path with
   | exception Sys_error msg -> Error msg
   | text -> (
       match Json.of_string text with

@@ -10,14 +10,6 @@ type unit_info = {
   ui_structure : Typedtree.structure;
 }
 
-type load_error = { le_file : string; le_message : string }
-
-let normalise path =
-  let path = String.concat "/" (String.split_on_char '\\' path) in
-  if String.length path > 2 && String.sub path 0 2 = "./" then
-    String.sub path 2 (String.length path - 2)
-  else path
-
 (* Walk [root] for .cmt files. Dot-directories are NOT skipped: dune
    hides its object trees under lib/<x>/.<lib>.objs/byte. Interfaces
    (.cmti) and native duplicates never match — only .cmt. *)
@@ -37,15 +29,17 @@ let find_cmts root =
   List.sort String.compare !out
 
 let load path =
+  let error message =
+    Error { Finding.err_file = path; err_pos = None; err_message = message }
+  in
   match Cmt_format.read_cmt path with
-  | exception exn ->
-      Error { le_file = path; le_message = Printexc.to_string exn }
+  | exception exn -> error (Printexc.to_string exn)
   | cmt -> (
       match cmt.cmt_annots with
       | Cmt_format.Implementation structure ->
           let source =
             match cmt.cmt_sourcefile with
-            | Some s -> normalise s
+            | Some s -> Driver.normalise s
             | None -> path
           in
           Ok
@@ -56,29 +50,21 @@ let load path =
               ui_structure = structure;
             }
       | Cmt_format.Partial_implementation _ ->
-          Error
-            {
-              le_file = path;
-              le_message = "partial implementation (compilation failed?)";
-            }
-      | _ -> Error { le_file = path; le_message = "not an implementation" })
+          error "partial implementation (compilation failed?)"
+      | _ -> error "not an implementation")
 
 (* Load every unit under [roots], deduplicating on unit name (a byte
    and a native build can leave two identical cmts). *)
 let load_all roots =
+  let units, errors =
+    List.partition_map
+      (fun cmt -> Result.fold ~ok:Either.left ~error:Either.right (load cmt))
+      (List.concat_map find_cmts roots)
+  in
   let seen = Hashtbl.create 64 in
-  let units = ref [] and errors = ref [] in
-  List.iter
-    (fun root ->
-      List.iter
-        (fun cmt ->
-          match load cmt with
-          | Ok u ->
-              if not (Hashtbl.mem seen u.ui_name) then begin
-                Hashtbl.add seen u.ui_name ();
-                units := u :: !units
-              end
-          | Error e -> errors := e :: !errors)
-        (find_cmts root))
-    roots;
-  (List.rev !units, List.rev !errors)
+  let first u =
+    let fresh = not (Hashtbl.mem seen u.ui_name) in
+    Hashtbl.replace seen u.ui_name ();
+    fresh
+  in
+  (List.filter first units, errors)

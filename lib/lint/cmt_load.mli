@@ -9,19 +9,10 @@ type unit_info = {
   ui_structure : Typedtree.structure;
 }
 
-type load_error = { le_file : string; le_message : string }
-
-val find_cmts : string -> string list
-(** Recursively collect [.cmt] paths under a directory. Dot-dirs are
-    walked (dune hides object trees under [.<lib>.objs]); [.git] is
-    skipped. *)
-
-val load : string -> (unit_info, load_error) result
+val load : string -> (unit_info, Finding.input_error) result
 (** Read one [.cmt]. Fails on wrong magic, interface-only and partial
     implementations. *)
 
-val load_all : string list -> unit_info list * load_error list
+val load_all : string list -> unit_info list * Finding.input_error list
 (** Load every unit under the given roots, first-wins deduplicated on
     unit name. *)
-
-val normalise : string -> string

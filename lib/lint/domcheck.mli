@@ -54,7 +54,7 @@ type outcome = {
   entries : entry_report list;
   functions : int;
   units : int;
-  load_errors : Cmt_load.load_error list;
+  load_errors : Finding.input_error list;
   unresolved_entries : string list;
       (** entry names that matched no analysed function *)
 }
@@ -75,6 +75,4 @@ val analyze :
     file into one lint context (fixtures in tests); the default maps
     paths with [Rules.context_of_path]. *)
 
-val report_json : outcome -> Json.t
-val pretty : string -> string
-(** ["A__B.c"] -> ["A.B.c"]. *)
+val report_json : outcome -> Stochobs.Json.t

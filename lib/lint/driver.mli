@@ -1,12 +1,5 @@
 (** File discovery, parsing and rule orchestration. *)
 
-type parse_error = {
-  pe_file : string;
-  pe_line : int;
-  pe_col : int;
-  pe_message : string;
-}
-
 type file_report = {
   fr_file : string;
   fr_findings : Finding.t list;  (** after inline suppression *)
@@ -18,17 +11,22 @@ type file_report = {
 type outcome = {
   files : int;
   reports : file_report list;
-  errors : parse_error list;
+  errors : Finding.input_error list;
 }
 
+val normalise : string -> string
+(** Forward slashes, no leading ["./"]: the file names findings carry. *)
+
+val read_file : string -> string
+
 val collect_files : string list -> string list
-(** Expand each path: a directory is walked recursively for [.ml]
-    files, skipping [_build], [.git] and [fixtures] subtrees (fixture
+(** Expand each path: a directory is walked recursively for [.ml] and
+    [.mli] files, skipping [_build], [.git] and [fixtures] subtrees (fixture
     sources violate rules on purpose); a file path is taken verbatim,
     so tests can point directly at fixtures. Sorted, de-duplicated. *)
 
 val lint_file :
-  ?context:Rules.context -> string -> (file_report, parse_error) result
+  ?context:Rules.context -> string -> (file_report, Finding.input_error) result
 (** Parse with compiler-libs ([Parse.implementation]) and run the
     rules. [context] overrides path-based classification. *)
 

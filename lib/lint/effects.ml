@@ -45,8 +45,6 @@ let join a b =
 
 let equal (a : t) (b : t) = a = b
 
-let is_pure t = equal t pure
-
 let to_string t =
   let tags =
     List.filter_map
@@ -249,17 +247,13 @@ let () =
 let io_prefixes = [ "Unix."; "Stdlib.Printf.fprintf"; "Stdlib.Format.fprintf" ]
 let rng_prefixes = [ "Stdlib.Random." ]
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 let classify path =
   match Hashtbl.find_opt table path with
   | Some kind -> kind
   | None ->
-      if List.exists (fun p -> has_prefix ~prefix:p path) rng_prefixes then Rng
-      else if List.exists (fun p -> has_prefix ~prefix:p path) io_prefixes then
-        Io
+      let under prefix = String.starts_with ~prefix path in
+      if List.exists under rng_prefixes then Rng
+      else if List.exists under io_prefixes then Io
       else Opaque
 
 (* Type constructors whose values are mutable regardless of any local

@@ -23,7 +23,6 @@ type t = {
 val pure : t
 val join : t -> t -> t
 val equal : t -> t -> bool
-val is_pure : t -> bool
 
 val to_string : t -> string
 (** ["pure"] or a [+]-joined tag list, e.g.
@@ -45,5 +44,3 @@ val mutable_type_heads : string list
 
 val rng_type_heads : string list
 (** Canonical type paths that are RNG state ([Randomness.Rng.t]). *)
-
-val has_prefix : prefix:string -> string -> bool

@@ -11,6 +11,12 @@ type rule =
 
 type severity = Error | Warning
 
+type input_error = {
+  err_file : string;
+  err_pos : (int * int) option;
+  err_message : string;
+}
+
 type t = {
   rule : rule;
   file : string;

@@ -22,6 +22,14 @@ type rule =
 
 type severity = Error | Warning
 
+(** An input a pass could not read: a source that does not parse, or a
+    [.cmt] that does not load. *)
+type input_error = {
+  err_file : string;
+  err_pos : (int * int) option;  (** (line, col) of a parse error *)
+  err_message : string;
+}
+
 type t = {
   rule : rule;
   file : string;  (** normalised, '/'-separated, no leading "./" *)

@@ -100,10 +100,14 @@ let scan source =
   scan_line n;
   { directives = List.rev !directives; malformed = List.rev !malformed }
 
-let active t ~rule ~line =
-  List.exists
-    (fun d -> d.rule = rule && (d.line = line || d.line = line - 1))
+let reason t ~rule ~line =
+  List.find_map
+    (fun d ->
+      if d.rule = rule && (d.line = line || d.line = line - 1) then
+        Some d.reason
+      else None)
     t.directives
 
-let directives t = t.directives
+let active t ~rule ~line = Option.is_some (reason t ~rule ~line)
+
 let malformed t = t.malformed

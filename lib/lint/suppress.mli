@@ -18,20 +18,17 @@
 
 type t
 
-type directive = {
-  line : int;  (** 1-based line the comment starts on *)
-  rule : Finding.rule;
-  reason : string;  (** may be empty *)
-}
-
 val scan : string -> t
 (** Scan raw source text for suppression directives. Tolerant of the
     comment marker appearing anywhere on the line. *)
 
+val reason : t -> rule:Finding.rule -> line:int -> string option
+(** The reason text (possibly empty) of the directive that suppresses
+    a finding of [rule] on [line], if one does. *)
+
 val active : t -> rule:Finding.rule -> line:int -> bool
 (** Is a finding of [rule] on [line] suppressed? *)
 
-val directives : t -> directive list
 val malformed : t -> (int * string) list
 (** Suppression markers whose directive could not be parsed —
     reported so a typo cannot silently disable a suppression. *)

@@ -300,7 +300,7 @@ let scan (unit_info : Cmt_load.unit_info) =
         bindings :=
           {
             b_key = key;
-            b_file = Cmt_load.normalise loc.pos_fname;
+            b_file = Driver.normalise loc.pos_fname;
             b_line = loc.pos_lnum;
             b_col = loc.pos_cnum - loc.pos_bol;
             b_is_fun = is_arrow ty;
