@@ -121,11 +121,12 @@ type node = { size : float; weight : float; value : float }
    chance of reaching slot k + 1 times V(k + 1), and [infinity] past the
    extension. [restart_scorer regime m plan] is [(value, states)]:
    [value t 0] is the cost of a t-hour job and [states] counts the
-   states it filled. Every expression is the one the (slot, snapshots)
+   states it filled. The terms are those the (slot, snapshots)
    recursion evaluates at zero snapshots, the window walk reduced to its
-   single window, so costs are bit-identical to that recursion.
-   Branches with reach weight below [prune] contribute nothing
-   detectable and are cut. *)
+   single window, except that the window's billing takes the lattice's
+   [expm1] form: the recursion's 1/lam - (m + 1/lam) e^(-lam m) cancels
+   all but a few digits at small rates. Branches with reach weight
+   below [prune] contribute nothing detectable and are cut. *)
 let restart_scorer regime m plan =
   let open Cost_model in
   let prune = 1e-13 in
@@ -164,7 +165,7 @@ let restart_scorer regime m plan =
         let m_lim = if fits then t else length in
         let pe = if fits then 0.0 else exp (-.lam *. length) in
         let e_hi = exp (-.lam *. m_lim) in
-        let prob = 1.0 -. e_hi in
+        let prob = -.Float.expm1 (-.lam *. m_lim) in
         let expiry_next = (not fits) && pe > prune in
         let next = if expiry_next || prob > prune then value t (k + 1) else 0.0 in
         let acc =
@@ -173,7 +174,7 @@ let restart_scorer regime m plan =
             let acc = 0.0 +. (pe *. ((p_alpha *. length) +. (beta *. length) +. gamma)) in
             if expiry_next then acc +. (pe *. next) else acc
         in
-        let acc = acc +. (crate *. (inv -. ((m_lim +. inv) *. e_hi))) +. (gamma *. prob) in
+        let acc = acc +. (crate *. ((prob *. inv) -. (m_lim *. e_hi))) +. (gamma *. prob) in
         if prob > prune then acc +. (prob *. next) else acc
       end
     end

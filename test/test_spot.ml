@@ -59,11 +59,12 @@ let test_degenerate_evaluator_closure () =
     (Int64.bits_of_float (eval plan) = Int64.bits_of_float base)
 
 (* ------------------------------------------------------------------ *)
-(* Oracles. Restart: the chain evaluator against the hashtable        *)
-(* recursion (Spot_oracle), bit for bit. Snapshot: every lattice node *)
-(* against the per-size flat-memo scorer (Spot_flat_oracle) at the    *)
-(* node's size. The flat-memo scorer is itself pinned bit for bit to  *)
-(* the hashtable recursion.                                           *)
+(* Oracles. The degenerate regime: the evaluator against the          *)
+(* hashtable recursion (Spot_oracle), bit for bit. Otherwise, under   *)
+(* Restart and Snapshot alike: every node against the per-size        *)
+(* flat-memo scorer (Spot_flat_oracle) at the node's size. The        *)
+(* flat-memo scorer is itself pinned bit for bit to the hashtable     *)
+(* recursion.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
@@ -80,7 +81,9 @@ let check_bits ~what ?disc_n ?eps regime m d plan =
    skips the recursion's 1e-13 pruning. Each of those moves a cost by
    a few ulps per state, or by 1e-13 of a pruned branch, and at small
    revocation rates the recursion's window billing, scaled by 1/lam,
-   cancels a few more digits. The worst gaps observed are 2e-12 on the
+   cancels a few more digits. A Restart node differs from the
+   recursion only by that billing, which the evaluator writes in the
+   lattice's expm1 form. The worst gaps observed are 2e-12 on the
    random property below (over 14 seeds) and 6e-15 on the benchmark's
    plans, so 1e-10 leaves a factor of 50. *)
 let kernel_rel = 1e-10
@@ -103,9 +106,9 @@ let check_nodes ~what ?disc_n ?eps regime m d plan =
       (Numerics.Kahan.sum acc)
 
 let check_against_oracles ~what ?disc_n ?eps regime m d plan =
-  match regime.Spot_cost.recovery with
-  | Spot_cost.Restart -> check_bits ~what ?disc_n ?eps regime m d plan
-  | Spot_cost.Snapshot _ -> check_nodes ~what ?disc_n ?eps regime m d plan
+  if Spot_flat_oracle.is_degenerate regime then
+    check_bits ~what ?disc_n ?eps regime m d plan
+  else check_nodes ~what ?disc_n ?eps regime m d plan
 
 (* The benchmark's spot workload: LogNormal(3, 0.5) under NeuroHPC with
    snapshot recovery, in its four (MTBF, price) cells. The plans
@@ -292,7 +295,7 @@ let prop_flat_oracle_bit_for_bit =
 
 let prop_matches_oracle =
   QCheck.Test.make ~count:300
-    ~name:"evaluator matches the oracles: Restart bit for bit, Snapshot nodes within 1e-10"
+    ~name:"evaluator matches the oracles: degenerate bit for bit, nodes within 1e-10"
     (QCheck.make ~print:print_oracle_case gen_oracle_case)
     (fun c ->
       let regime =
@@ -553,6 +556,31 @@ let test_restart_revocation_loses_everything () =
   Alcotest.(check (float 0.0)) "no durable progress" 0.0 o.Spot_cost.progress;
   Alcotest.(check bool) "not finished" false o.Spot_cost.finished
 
+(* As the revocation rate goes to 0, a restart plan's cost moves away
+   from its rate-0 cost linearly in the rate. The shift scaled by the
+   rate must be the same at 1e-10 and 1e-12 as at 1e-8: a window
+   billing that cancels at small rates breaks this by orders of
+   magnitude. *)
+let test_restart_small_rates_linear () =
+  let d = Distributions.Lognormal.make ~mu:3.0 ~sigma:0.5 in
+  let plan = Spot_cost.uniform_plan Spot_cost.Spot (head_of d) in
+  let cost revocation_rate =
+    Spot_cost.expected_cost
+      (Spot_cost.make_regime ~price_ratio:0.3 ~revocation_rate ())
+      m_hpc d plan
+  in
+  let c0 = cost 0.0 in
+  let slope rate = (cost rate -. c0) /. c0 /. rate in
+  let reference = slope 1e-8 in
+  Alcotest.(check bool) "the cost rises with the rate" true (reference > 0.0);
+  List.iter
+    (fun rate ->
+      let s = slope rate in
+      if not (abs_float (s -. reference) <= 0.01 *. reference) then
+        Alcotest.failf "rate %g: relative shift / rate %.6g, at 1e-8 %.6g" rate
+          s reference)
+    [ 1e-10; 1e-12 ]
+
 (* A NaN revocation time is rejected like a negative one, on either
    tier, instead of being read as "never revoked". *)
 let test_nan_revocation_rejected () =
@@ -722,6 +750,8 @@ let () =
             test_revoked_attempt_billing;
           Alcotest.test_case "restart recovery loses everything" `Quick
             test_restart_revocation_loses_everything;
+          Alcotest.test_case "small revocation rates shift the cost linearly"
+            `Quick test_restart_small_rates_linear;
           Alcotest.test_case "NaN revocation rejected" `Quick
             test_nan_revocation_rejected;
         ] );
