@@ -141,19 +141,22 @@ let test_registry_table4 () =
   check_outcome "table4" ~text:(Experiments.Table4.to_string t)
     ~sanity:(Experiments.Table4.sanity t ~brute_force)
 
-(* Byte-identity gate: the quick-mode sections of the two cluster
-   simulator experiments, exactly as bench prints them, are committed
-   under fixtures/experiments. A change to attempt accounting, the
-   engine or the fault model that moves any number fails here. *)
-let test_rendered_fixture name () =
+(* Byte-identity gate: sections exactly as bench prints them, committed
+   under fixtures/experiments. The two cluster simulator experiments are
+   pinned at the quick configuration (a change to attempt accounting,
+   the engine or the fault model that moves any number fails here); the
+   Sect. 5 artefacts built on the Eq. (13) scorer and the Theorem 5 DP
+   at Config.paper, the scale the paper's tables are printed at. *)
+let test_rendered_fixture ~quick name () =
   let e = registry_entry name in
   let expected =
     In_channel.with_open_bin
-      (Filename.concat "fixtures/experiments" (name ^ ".quick.txt"))
+      (Filename.concat "fixtures/experiments"
+         (name ^ if quick then ".quick.txt" else ".paper.txt"))
       In_channel.input_all
   in
   Alcotest.(check string) name expected
-    (R.render e (e.R.run ~quick:true ~log:Stochobs.Log.null))
+    (R.render e (e.R.run ~quick ~log:Stochobs.Log.null))
 
 let () =
   Alcotest.run "experiments"
@@ -179,6 +182,12 @@ let () =
       ( "fixtures",
         List.map
           (fun name ->
-            Alcotest.test_case (name ^ " quick text") `Quick (test_rendered_fixture name))
-          [ "fault-tolerance"; "cluster-contention" ] );
+            Alcotest.test_case (name ^ " quick text") `Quick
+              (test_rendered_fixture ~quick:true name))
+          [ "fault-tolerance"; "cluster-contention" ]
+        @ List.map
+            (fun name ->
+              Alcotest.test_case (name ^ " paper text") `Quick
+                (test_rendered_fixture ~quick:false name))
+            [ "table2"; "table3"; "table4"; "fig3"; "fig4" ] );
     ]
