@@ -1,9 +1,9 @@
 (** Optimal reservation sequences for discrete distributions
     (Theorem 5).
 
-    For [X ~ (v_i, f_i), i = 1..n] the problem is solved exactly in
-    [O(n^2)] time by dynamic programming over suffixes: [E*_i], the
-    optimal expected cost given [X >= v_i], satisfies
+    For [X ~ (v_i, f_i), i = 1..n] the problem is solved exactly by
+    dynamic programming over suffixes: [E*_i], the optimal expected
+    cost given [X >= v_i], satisfies
 
     {[ E*_i = min_(i <= j <= n)
          ( alpha v_j + gamma + sum_(k=i..j) f'_k beta v_k
@@ -11,9 +11,15 @@
 
     with the conditional probabilities [f'_k = f_k / sum_(l>=i) f_l].
     The implementation works with the unconditional weights
-    [W_i = S_i E*_i] and suffix prefix-sums so that each state is
-    evaluated in [O(n - i)] arithmetic operations without
-    renormalisation, and recovers the arg-min chain by backtracking. *)
+    [W_i = S_i E*_i] and suffix prefix-sums, without renormalisation.
+    For fixed [j] the candidate is a line in the suffix mass [S_i],
+    whose slope [alpha v_j + gamma] falls as [j] falls while [S_i]
+    rises: a monotone convex-hull deque finds every arg-min in [O(n)]
+    total time. Ties go to the smallest [j] and the winner's cost is
+    evaluated by the candidate expression above, as in the [O(n^2)]
+    scan over every [j]; the two agree bit for bit whenever they pick
+    the same arg-min, which the tests check on the paper's solves and
+    on random laws. The arg-min chain is recovered by backtracking. *)
 
 type solution = {
   reservations : float array;
@@ -21,6 +27,9 @@ type solution = {
           ending with [v_n]. *)
   expected_cost : float;
       (** [E*_1] under the normalized discrete law. *)
+  candidates : int;
+      (** Candidate costs evaluated: at most [3 n], against the
+          [n (n + 1) / 2] of a scan over every [j]. *)
 }
 
 val solve : Cost_model.t -> Distributions.Discrete.t -> solution

@@ -10,6 +10,9 @@ let default_factors = [| 1.0; 2.0; 4.0; 6.0; 8.0; 10.0 |]
 let base_mean = 1253.37 /. 3600.0
 let base_std = 258.261 /. 3600.0
 
+let law f =
+  Distributions.Lognormal.of_moments ~mean:(base_mean *. f) ~std:(base_std *. f)
+
 let run ?(cfg = Config.paper) ?(factors = default_factors) () =
   let cost = Cost_model.neuro_hpc in
   let strategies = Table2.strategies cfg in
@@ -17,10 +20,7 @@ let run ?(cfg = Config.paper) ?(factors = default_factors) () =
     Array.to_list factors
     |> List.map (fun f ->
            let mean_hours = base_mean *. f and std_hours = base_std *. f in
-           let d =
-             Distributions.Lognormal.of_moments ~mean:mean_hours
-               ~std:std_hours
-           in
+           let d = law f in
            let rng = Config.rng_for cfg (Printf.sprintf "fig4/%g" f) in
            let samples =
              Distributions.Dist.samples d rng cfg.Config.n_mc

@@ -23,6 +23,10 @@ val default_factors : float array
 (** [|1.; 2.; 4.; 6.; 8.; 10.|] — scaling factors applied to both
     moments. *)
 
+val law : float -> Distributions.Dist.t
+(** [law f] is the LogNormal job-length law of the point at scaling
+    factor [f]: the VBMQA moments (Sect. 5.3) times [f], in hours. *)
+
 val run : ?cfg:Config.t -> ?factors:float array -> unit -> t
 val to_string : t -> string
 

@@ -2,7 +2,7 @@ type t = { mutable sum : float; mutable comp : float }
 
 let create () = { sum = 0.0; comp = 0.0 }
 
-(* Inlined so that hot loops (the Eq. (13) scorer adds once per sample)
+(* Inlined so that hot loops (the Eq. (4) series adds once per term)
    pass [x] unboxed instead of allocating it on every call. *)
 let[@inline] add acc x =
   let t = acc.sum +. x in
@@ -13,6 +13,8 @@ let[@inline] add acc x =
   acc.sum <- t
 
 let[@inline] sum acc = acc.sum +. acc.comp
+
+let parts acc = (acc.sum, acc.comp)
 
 let reset acc =
   acc.sum <- 0.0;

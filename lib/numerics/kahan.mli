@@ -20,6 +20,11 @@ val add : t -> float -> unit
 val sum : t -> float
 (** [sum acc] is the current compensated value of the accumulator. *)
 
+val parts : t -> float * float
+(** [parts acc] is the running sum and its compensation, whose sum is
+    {!sum}: prefix sums kept as both parts let a difference of two
+    prefixes keep the compensated digits. *)
+
 val reset : t -> unit
 (** [reset acc] sets the accumulator back to [0.0]. *)
 

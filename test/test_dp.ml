@@ -180,6 +180,76 @@ let prop_dp_never_worse_than_single_shot =
       in
       dp <= single +. 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* The convex-hull DP against the O(n^2) scan it replaced: the same    *)
+(* reservations and expected cost, bit for bit.                        *)
+(* ------------------------------------------------------------------ *)
+
+let bits x = Printf.sprintf "%h" x
+
+let solution_key reservations cost =
+  String.concat " " (Array.to_list (Array.map bits reservations)) ^ " -> " ^ bits cost
+
+let oracle_key m d =
+  let o = Dp_oracle.solve m d in
+  solution_key o.Dp_oracle.reservations o.Dp_oracle.expected_cost
+
+let dp_key m d =
+  let sol = Dp.solve m d in
+  solution_key sol.Dp.reservations sol.Dp.expected_cost
+
+let test_paper_solves_match_oracle () =
+  List.iter
+    (fun { Paper_solves.label; model; discrete } ->
+      Alcotest.(check string) label (oracle_key model discrete) (dp_key model discrete))
+    (Paper_solves.table2 () @ Paper_solves.table4 () @ Paper_solves.fig4 ())
+
+(* Random laws of 1 to 120 points: spread values, values a few ulps to
+   1e-9 apart (lines of near-equal slope), small integers (ties in the
+   candidate costs) and values over 14 decades; cost models the paper's
+   two and random ones. *)
+let law_gen =
+  let open QCheck.Gen in
+  let* n = frequency [ (1, return 1); (9, int_range 1 120) ] in
+  let* base = float_range 0.1 50.0 in
+  let* values =
+    oneof
+      [
+        array_repeat n (float_range 0.1 50.0);
+        array_repeat n (map (fun k -> base +. (base *. 1e-15 *. float_of_int k)) (int_range 0 60));
+        array_repeat n (map (fun u -> base *. (1.0 +. (1e-9 *. u))) (float_range 0.0 1.0));
+        array_repeat n (map float_of_int (int_range 1 8));
+        array_repeat n (map (fun e -> Float.pow 10.0 e) (float_range (-6.0) 8.0));
+      ]
+  in
+  let* probs = array_repeat n (float_range 0.01 1.0) in
+  let* model =
+    oneof
+      [
+        oneofl [ C.reservation_only; C.neuro_hpc ];
+        map3
+          (fun alpha beta gamma -> C.make ~alpha ~beta ~gamma ())
+          (float_range 0.1 3.0) (float_range 0.0 2.0) (float_range 0.0 2.0);
+      ]
+  in
+  let total = Array.fold_left ( +. ) 0.0 probs in
+  return (model, D.make (Array.init n (fun i -> (values.(i), probs.(i) /. total))))
+
+let print_law ((m : C.t), d) =
+  Printf.sprintf "alpha=%g beta=%g gamma=%g law [%s]" m.alpha m.beta m.gamma
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi (fun i v -> Printf.sprintf "%h:%h" v d.D.probs.(i)) d.D.values)))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~count:2000 ~name:"convex-hull DP = O(n^2) scan, bit for bit"
+    (QCheck.make ~print:print_law law_gen)
+    (fun (m, d) ->
+      let expected = oracle_key m d and got = dp_key m d in
+      if expected <> got then
+        QCheck.Test.fail_reportf "oracle %s\n  dp     %s" expected got;
+      true)
+
 let () =
   Alcotest.run "dp"
     [
@@ -200,7 +270,12 @@ let () =
             test_sequence_for_extends_unbounded;
           Alcotest.test_case "brute validation" `Quick
             test_expected_cost_brute_validation;
+          Alcotest.test_case "Tables 2/4 and Fig. 4 solves = oracle" `Quick
+            test_paper_solves_match_oracle;
         ] );
       ( "property",
-        [ QCheck_alcotest.to_alcotest prop_dp_never_worse_than_single_shot ] );
+        [
+          QCheck_alcotest.to_alcotest prop_dp_never_worse_than_single_shot;
+          QCheck_alcotest.to_alcotest prop_matches_oracle;
+        ] );
     ]

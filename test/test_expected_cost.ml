@@ -144,6 +144,89 @@ let prop_any_sequence_beats_omniscient =
       in
       E.exact m d s >= E.omniscient m d -. 1e-6)
 
+(* The Eq. (13) scorer sums each reservation's covered samples as one
+   segment; [Recurrence_oracle.mean_cost_sorted] is the per-sample loop
+   it replaced. Both must raise the same [Not_covered] and agree on
+   NaN, infinite and finite costs, the last within 4 eps relative (see
+   test_recurrence_oracle). *)
+let eq13_outcome f =
+  match f () with
+  | c when Float.is_nan c -> `Nan
+  | c when Float.is_finite c -> `Cost c
+  | c -> `Inf (c > 0.0)
+  | exception S.Not_covered x -> `Not_covered (Int64.bits_of_float x)
+  | exception e -> `Raised (Printexc.to_string e)
+
+let same_eq13 expected got =
+  match (expected, got) with
+  | `Cost e, `Cost g -> Float.abs (g -. e) <= 4.0 *. epsilon_float *. Float.abs e
+  | e, g -> e = g
+
+let test_segments_past_max_steps () =
+  (* A reservation below every sample covers none: step 100,001 gives
+     up with the first uncovered sample. *)
+  let samples = [| 1.0; 2.0; 2.0 |] in
+  let run f = eq13_outcome (fun () -> f (Seq.repeat 0.5)) in
+  let expected = run (fun s -> Recurrence_oracle.mean_cost_sorted C.neuro_hpc s samples) in
+  Alcotest.(check bool) "oracle gives up" true (expected = `Not_covered (Int64.bits_of_float 1.0));
+  Alcotest.(check bool) "segments give up alike" true
+    (expected = run (fun s -> E.mean_cost_presampled C.neuro_hpc ~sorted_samples:samples s))
+
+let prop_segments_match_per_sample =
+  let gen =
+    let open QCheck.Gen in
+    (* Small integers give tied samples and reservations equal to a
+       sample; the specials NaN and +-inf are reservations only. *)
+    let value = oneof [ map float_of_int (int_range 0 12); float_range 0.0 12.0 ] in
+    let* samples = array_size (int_range 1 40) value in
+    let reservation =
+      frequency
+        [
+          (6, value);
+          (3, oneofl (Array.to_list samples));
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+        ]
+    in
+    let* raw = list_size (int_range 0 12) reservation in
+    let* sorted = bool in
+    let* model =
+      oneof
+        [
+          oneofl [ C.reservation_only; C.neuro_hpc ];
+          map3
+            (fun alpha beta gamma -> C.make ~alpha ~beta ~gamma ())
+            (float_range 0.1 3.0) (float_range 0.0 2.0) (float_range 0.0 2.0);
+        ]
+    in
+    Array.sort compare samples;
+    return (samples, (if sorted then List.sort compare raw else raw), model)
+  in
+  let print (samples, raw, (m : C.t)) =
+    let floats l = String.concat "; " (List.map (Printf.sprintf "%h") l) in
+    Printf.sprintf "samples [%s] reservations [%s] alpha=%g beta=%g gamma=%g"
+      (floats (Array.to_list samples)) (floats raw) m.alpha m.beta m.gamma
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"Eq. (13) by segments = per-sample loop (NaN, inf, ties)"
+    (QCheck.make ~print gen)
+    (fun (samples, raw, m) ->
+      let expected =
+        eq13_outcome (fun () ->
+            Recurrence_oracle.mean_cost_sorted m (List.to_seq raw) samples)
+      in
+      let presampled =
+        eq13_outcome (fun () ->
+            E.mean_cost_presampled m ~sorted_samples:samples (List.to_seq raw))
+      in
+      (* The scorer [sample] builds, fed reservation by reservation. *)
+      let fed =
+        eq13_outcome (fun () ->
+            let sc = E.scorer (E.sample (Array.copy samples)) m Distributions.Exponential.default in
+            E.feed_seq sc (List.to_seq raw);
+            E.total sc)
+      in
+      same_eq13 expected presampled && same_eq13 expected fed)
+
 let () =
   Alcotest.run "expected_cost"
     [
@@ -160,10 +243,13 @@ let () =
           Alcotest.test_case "presampled reuse" `Quick test_presampled_reuse;
           Alcotest.test_case "normalized" `Quick test_normalized;
           Alcotest.test_case "normalized >= 1" `Quick test_normalized_at_least_one;
+          Alcotest.test_case "Eq. (13) gives up past max_steps" `Quick
+            test_segments_past_max_steps;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_exact_monotone_in_gamma;
           QCheck_alcotest.to_alcotest prop_any_sequence_beats_omniscient;
+          QCheck_alcotest.to_alcotest prop_segments_match_per_sample;
         ] );
     ]
