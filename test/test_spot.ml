@@ -308,52 +308,6 @@ let prop_matches_oracle =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Exact work counts: the benchmark's four spot cells through          *)
-(* solve_spot with library defaults. Plans scored and evaluator states *)
-(* filled are deterministic; a change to either is a reviewed change   *)
-(* to these numbers.                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let workload_counts =
-  (* (MTBF h, price ratio, plans scored, spot.states, hostile) *)
-  [
-    (5.0, 0.3, 30, 8_662_328, false);
-    (20.0, 0.3, 30, 3_938_688, false);
-    (100.0, 0.3, 27, 3_060_862, false);
-    (5.0, 0.8, 30, 8_662_328, true);
-  ]
-
-let test_workload_counts () =
-  let d = Distributions.Lognormal.make ~mu:3.0 ~sigma:0.5 in
-  List.iter
-    (fun (mtbf, price_ratio, plans, states, hostile) ->
-      let cell = Printf.sprintf "mtbf %gh / price %g" mtbf price_ratio in
-      let buf = Buffer.create 1024 in
-      let obs = Stochobs.Trace.make (Stochobs.Writer.to_buffer buf) in
-      match
-        Solver.solve_spot ~obs ~recovery:snapshot ~price_ratio
-          ~revocation_rate:(1.0 /. mtbf) m_hpc d
-      with
-      | Error e -> Alcotest.failf "%s: %s" cell (Solver.error_to_string e)
-      | Ok sol ->
-          let attr = Printf.sprintf "\"spot.states\": %d" states in
-          let traced =
-            let n = String.length attr and b = Buffer.contents buf in
-            let rec find i =
-              i + n <= String.length b && (String.sub b i n = attr || find (i + 1))
-            in
-            find 0
-          in
-          if sol.Solver.assignment_evaluations <> plans || not traced then
-            Alcotest.failf "%s: %d plans, span %s; pinned %d plans, %d states" cell
-              sol.Solver.assignment_evaluations (Buffer.contents buf) plans states;
-          (* The hostile cell degrades to all on-demand: its ratio is 1. *)
-          if hostile then
-            Alcotest.(check bool) (cell ^ ": ratio exactly 1") true
-              (same_bits sol.Solver.spot_cost sol.Solver.on_demand_cost))
-    workload_counts
-
-(* ------------------------------------------------------------------ *)
 (* Discretization error on the spot-savings sweep: each cell's winner  *)
 (* and on-demand floor, as the sweep scores them (disc_n 400), against *)
 (* the per-size evaluator at disc_n 4000.                              *)
@@ -729,11 +683,6 @@ let () =
         [
           Alcotest.test_case "sweep winners and floors against the disc_n 4000 oracle" `Quick
             test_sweep_within_tolerance;
-        ] );
-      ( "work counts",
-        [
-          Alcotest.test_case "plans and states on the benchmark's spot cells" `Quick
-            test_workload_counts;
         ] );
       ( "validation",
         [
