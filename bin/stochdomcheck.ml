@@ -50,15 +50,15 @@ let () =
         else [ "." ]
     | r -> r
   in
-  (* Entries reach the analysis last-declared first, the order the
-     effect report lists them in. *)
+  (* Entries in declaration order, the order the effect report lists
+     them and warns about them in; [opts.values] is last given first. *)
   let entries =
     match
       List.filter_map
         (fun (f, v) -> if f = "--entry" then Some v else None)
-        opts.values
+        (List.rev opts.values)
     with
-    | [] -> List.rev L.Domcheck.default_entries
+    | [] -> L.Domcheck.default_entries
     | e -> e
   in
   let source_root =

@@ -108,8 +108,12 @@ let lint_file ?context path =
           fr_malformed = Suppress.malformed sup;
         }
 
+let missing_root path =
+  { Finding.err_file = normalise path; err_pos = None; err_message = "no such file or directory" }
+
 let run ?context paths =
-  let files = collect_files paths in
+  let roots, missing = List.partition Sys.file_exists paths in
+  let files = collect_files roots in
   let reports, errors =
     List.partition_map
       (fun file ->
@@ -117,7 +121,7 @@ let run ?context paths =
           (lint_file ?context file))
       files
   in
-  { files = List.length files; reports; errors }
+  { files = List.length files; reports; errors = List.map missing_root missing @ errors }
 
 let findings outcome =
   List.sort Finding.compare

@@ -23,7 +23,8 @@ val collect_files : string list -> string list
 (** Expand each path: a directory is walked recursively for [.ml] and
     [.mli] files, skipping [_build], [.git] and [fixtures] subtrees (fixture
     sources violate rules on purpose); a file path is taken verbatim,
-    so tests can point directly at fixtures. Sorted, de-duplicated. *)
+    so tests can point directly at fixtures. Sorted, de-duplicated.
+    @raise Sys_error on a path that does not exist. *)
 
 val lint_file :
   ?context:Rules.context -> string -> (file_report, Finding.input_error) result
@@ -31,7 +32,8 @@ val lint_file :
     rules. [context] overrides path-based classification. *)
 
 val run : ?context:Rules.context -> string list -> outcome
-(** [collect_files] + [lint_file] over every discovered source. *)
+(** [collect_files] + [lint_file] over every discovered source. A path
+    that does not exist is an input error naming it. *)
 
 val findings : outcome -> Finding.t list
 (** All findings across reports, sorted. *)

@@ -224,7 +224,7 @@ let unresolved_defaults =
     (List.map
        (Printf.sprintf
           "stochdomcheck: warning: entry `%s` matched no analysed function\n")
-       (List.rev Domcheck.default_entries))
+       Domcheck.default_entries)
 
 let glob_mut_lines =
   {|glob_mut.ml:8:4: warning GLOBAL_MUT_STATE: top-level mutable value `Glob_mut.table` (hashtable) is shared process state; make it per-domain, pass it explicitly, or annotate the intent with `(* stochlint: allow GLOBAL_MUT_STATE — reason *)`
@@ -268,6 +268,22 @@ let test_golden_clean () =
        inline), 0 findings (0 errors, 0 warnings), 0 baselined\n"
     ~err:unresolved_defaults
     (domcheck (fixture_ctx @ [ fixture_cmt "rng_amb" ]))
+
+(* Entries keep their declaration order: the warnings for the ones that
+   match nothing come out as the flags were given. *)
+let test_golden_entry_order () =
+  Golden_cli.check "unresolved entries in declaration order" ~code:0
+    ~out:
+      "stochdomcheck: 1 units, 3 functions, 0 globals (0 suppressed \
+       inline), 0 findings (0 errors, 0 warnings), 0 baselined\n"
+    ~err:
+      "stochdomcheck: warning: entry `Zeta.run` matched no analysed function\n\
+       stochdomcheck: warning: entry `Alpha.run` matched no analysed function\n\
+       stochdomcheck: warning: entry `Mid.run` matched no analysed function\n"
+    (domcheck
+       (fixture_ctx
+       @ [ "--entry"; "Zeta.run"; "--entry"; "Alpha.run"; "--entry"; "Mid.run";
+           fixture_cmt "rng_amb" ]))
 
 let test_golden_findings () =
   let args =
@@ -476,6 +492,7 @@ let () =
       ( "cli-golden",
         [
           Alcotest.test_case "clean" `Quick test_golden_clean;
+          Alcotest.test_case "entry order" `Quick test_golden_entry_order;
           Alcotest.test_case "findings and --quiet" `Quick
             test_golden_findings;
           Alcotest.test_case "--json" `Quick test_golden_json;

@@ -387,6 +387,14 @@ let test_golden_usage () =
        ([ "--baseline"; "no-such-baseline.json" ] @ core
        @ [ fixture "float_eq.ml" ]))
 
+(* A root that does not exist is an input error naming it: exit 2, the
+   other roots still linted. *)
+let test_golden_missing_root () =
+  Golden_cli.check "missing root" ~code:2
+    ~out:"stochlint: 1 files, 0 findings (0 errors, 0 warnings), 0 suppressed inline, 0 baselined\n"
+    ~err:"stochlint: no-such-dir: cannot parse: no such file or directory\n"
+    (lint (core @ [ "no-such-dir"; fixture "clean.ml" ]))
+
 let test_golden_update_baseline () =
   let path = Filename.temp_file "stochlint" ".json" in
   Sys.remove path;
@@ -528,6 +536,7 @@ let () =
           Alcotest.test_case "--quiet" `Quick test_golden_quiet;
           Alcotest.test_case "--json" `Quick test_golden_json;
           Alcotest.test_case "usage errors" `Quick test_golden_usage;
+          Alcotest.test_case "missing root" `Quick test_golden_missing_root;
           Alcotest.test_case "--update-baseline" `Quick
             test_golden_update_baseline;
           Alcotest.test_case "exceeded baseline" `Quick test_golden_exceeded;
