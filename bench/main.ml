@@ -252,6 +252,7 @@ let serve_run ~quick ~log:_ =
   let cold_p50 = best (fun r -> percentile r.cold 0.5) in
   let cached_p50 = best (fun r -> percentile r.cached 0.5) in
   let cached_p99 = best (fun r -> percentile r.cached 0.99) in
+  let cold_over_cached = cold_p50 /. cached_p99 in
   let total_solves = tenants * models * rounds in
   let json =
     J.Obj
@@ -270,6 +271,7 @@ let serve_run ~quick ~log:_ =
         ("cold_p50_seconds", num cold_p50);
         ("cached_p50_seconds", num cached_p50);
         ("cached_p99_seconds", num cached_p99);
+        ("cold_p50_over_cached_p99", num cold_over_cached);
       ]
   in
   {
@@ -278,9 +280,11 @@ let serve_run ~quick ~log:_ =
         "%d tenants x %d cost models x %d rounds: %d cold, %d cached solves \
          -> hit rate %.3f\n\
          latency (best of %d fleets): cold p50 %.3f ms, cached p50 %.4f ms, \
-         cached p99 %.4f ms\n"
+         cached p99 %.4f ms\n\
+         cold p50 / cached p99 = %.1fx (sanity check: at least 10x)\n"
         tenants models rounds (List.length cold) (List.length cached) hit_rate
-        trials (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
+        trials (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99)
+        cold_over_cached;
     sanity =
       [
         ("all fits succeed", fit_failures = 0);

@@ -17,8 +17,9 @@ let make ~alpha ~beta =
     else
       exp (((alpha -. 1.0) *. log t) +. ((beta -. 1.0) *. log (1.0 -. t)) -. log_b)
   in
+  let betai = Sf.betai alpha beta in
   let cdf t =
-    if t <= 0.0 then 0.0 else if t >= 1.0 then 1.0 else Sf.betai alpha beta t
+    if t <= 0.0 then 0.0 else if t >= 1.0 then 1.0 else betai t
   in
   let quantile x =
     if x < 0.0 || x > 1.0 then

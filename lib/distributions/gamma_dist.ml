@@ -12,7 +12,8 @@ let make ~shape ~rate =
       (if shape < 1.0 then infinity else if shape = 1.0 then rate else 0.0)
     else exp (log_norm +. ((shape -. 1.0) *. log t) -. (rate *. t))
   in
-  let cdf t = if t <= 0.0 then 0.0 else Sf.gamma_p shape (rate *. t) in
+  let gamma_p = Sf.gamma_p shape in
+  let cdf t = if t <= 0.0 then 0.0 else gamma_p (rate *. t) in
   let quantile x =
     if x < 0.0 || x > 1.0 then
       invalid_arg "Gamma_dist.quantile: x must be in [0, 1]";

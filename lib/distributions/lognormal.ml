@@ -10,8 +10,11 @@ let erfc_ratio ~c y =
   if y < 25.0 then Sf.erfc (y -. c) /. Sf.erfc y
   else exp (c *. ((2.0 *. y) -. c)) *. (y /. (y -. c))
 
+let check ~sigma =
+  if sigma <= 0.0 then invalid_arg "Lognormal.make: sigma must be positive"
+
 let make ~mu ~sigma =
-  if sigma <= 0.0 then invalid_arg "Lognormal.make: sigma must be positive";
+  check ~sigma;
   let pdf t =
     if t <= 0.0 then 0.0
     else begin

@@ -13,6 +13,11 @@ val make : mu:float -> sigma:float -> Dist.t
     [sigma].
     @raise Invalid_argument if [sigma <= 0.]. *)
 
+val check : sigma:float -> unit
+(** [check ~sigma] raises exactly when {!make} would, without building
+    the law.
+    @raise Invalid_argument if [sigma <= 0.]. *)
+
 val of_moments : mean:float -> std:float -> Dist.t
 (** [of_moments ~mean ~std] instantiates the LogNormal whose (linear)
     mean and standard deviation are the given values — the inversion of

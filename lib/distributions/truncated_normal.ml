@@ -23,6 +23,13 @@ let make ~mu ~sigma ~lower =
   let z_norm = 0.5 *. Sf.erfc (alpha /. sqrt2) in
   if z_norm <= 0.0 then
     invalid_arg "Truncated_normal.make: truncation removes all the mass";
+  let erf_alpha = Sf.erf (alpha /. sqrt2) in
+  (* The cdf divides by the top of its numerator, erf(inf) - erf_alpha,
+     so it reaches 1 exactly where erf rounds to 1. With
+     erfc (alpha / sqrt2) there instead, libm's erf and erfc can round
+     apart and leave the cdf a ulp short of 1 for good: 1 - cdf then
+     never reaches the Eq. (4) series' 1e-16 stop. *)
+  let cdf_den = 1.0 -. erf_alpha in
   let pdf t =
     if t < lower then 0.0
     else phi ((t -. mu) /. sigma) /. (sigma *. z_norm)
@@ -30,10 +37,8 @@ let make ~mu ~sigma ~lower =
   let cdf t =
     if t <= lower then 0.0
     else begin
-      let num =
-        Sf.erf ((t -. mu) /. (sigma *. sqrt2)) -. Sf.erf (alpha /. sqrt2)
-      in
-      Float.min 1.0 (num /. (2.0 *. z_norm))
+      let num = Sf.erf ((t -. mu) /. (sigma *. sqrt2)) -. erf_alpha in
+      Float.min 1.0 (num /. cdf_den)
     end
   in
   let quantile x =
@@ -44,7 +49,7 @@ let make ~mu ~sigma ~lower =
     else begin
       (* Table 5: Q(x) = mu + sigma sqrt2 erf^-1 (z),
          z = x + (1 - x) erf (alpha / sqrt2). *)
-      let z = x +. ((1.0 -. x) *. Sf.erf (alpha /. sqrt2)) in
+      let z = x +. ((1.0 -. x) *. erf_alpha) in
       mu +. (sigma *. sqrt2 *. Sf.erf_inv z)
     end
   in

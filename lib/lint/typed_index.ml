@@ -178,6 +178,29 @@ let abs_idents env e =
   it.expr it e;
   !acc
 
+(* The absolute keys an argument expression hands to its callee: those
+   of [abs_idents], except inside a nested application, which hands
+   them to its own callee instead ([f (Array.to_list g)] gives [f] a
+   fresh list, not [g]). *)
+let handed_idents env e =
+  let acc = ref SS.empty in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun sub ex ->
+          match ex.Typedtree.exp_desc with
+          | Typedtree.Texp_apply _ -> ()
+          | Typedtree.Texp_ident (p, _, _) -> (
+              match raw_of_path env p with
+              | Some key -> acc := SS.add key !acc
+              | None -> ())
+          | _ -> Tast_iterator.default_iterator.expr sub ex);
+    }
+  in
+  it.expr it e;
+  !acc
+
 let first_positional args =
   List.find_map
     (fun (label, arg) ->
@@ -231,7 +254,7 @@ let scan_expr env (facts : body) e =
               List.fold_left
                 (fun acc (_, arg) ->
                   match arg with
-                  | Some a -> SS.union (abs_idents env a) acc
+                  | Some a -> SS.union (handed_idents env a) acc
                   | None -> acc)
                 SS.empty args
             in

@@ -56,17 +56,27 @@ let wg =
     0.417959183673469;
   |]
 
-let qk15 f a b =
+(* [f] at the 15 nodes of [a, b], into [fv]: the centre at 0, then
+   centre -/+ half xgk.(j) at 1 + 2j and 2 + 2j, called in that order. *)
+let fill fv f a b =
   let center = 0.5 *. (a +. b) in
   let half = 0.5 *. (b -. a) in
-  let fc = f center in
+  fv.(0) <- f center;
+  for j = 0 to 6 do
+    let x = half *. xgk.(j) in
+    fv.((2 * j) + 1) <- f (center -. x);
+    fv.((2 * j) + 2) <- f (center +. x)
+  done
+
+(* The K15 value and its G7 error estimate on [a, b] from the node
+   values [fv]. *)
+let k15 fv a b =
+  let half = 0.5 *. (b -. a) in
+  let fc = fv.(0) in
   let result_kronrod = ref (wgk.(7) *. fc) in
   let result_gauss = ref (wg.(3) *. fc) in
   for j = 0 to 6 do
-    let x = half *. xgk.(j) in
-    let f1 = f (center -. x) in
-    let f2 = f (center +. x) in
-    let fsum = f1 +. f2 in
+    let fsum = fv.((2 * j) + 1) +. fv.((2 * j) + 2) in
     result_kronrod := !result_kronrod +. (wgk.(j) *. fsum);
     if j mod 2 = 1 then
       result_gauss := !result_gauss +. (wg.(j / 2) *. fsum)
@@ -75,33 +85,74 @@ let qk15 f a b =
   let err = Float.abs ((!result_kronrod -. !result_gauss) *. half) in
   (integral, err)
 
-let gauss_kronrod ?(tol = default_tol) ?(max_depth = 48) ?(initial = 1) f a b =
+(* x f(x) at the nodes of [a, b], into [gv], from f's values [fv]. *)
+let moments fv gv a b =
+  let center = 0.5 *. (a +. b) in
+  let half = 0.5 *. (b -. a) in
+  gv.(0) <- center *. fv.(0);
+  for j = 0 to 6 do
+    let x = half *. xgk.(j) in
+    gv.((2 * j) + 1) <- (center -. x) *. fv.((2 * j) + 1);
+    gv.((2 * j) + 2) <- (center +. x) *. fv.((2 * j) + 2)
+  done
+
+let qk15 f a b =
+  let fv = Array.make 15 0.0 in
+  fill fv f a b;
+  k15 fv a b
+
+(* Adaptive bisection of [integral f] and, with [moment], of
+   [integral x f(x)], each refined on its own error estimate against
+   its own tolerance; [f] is called once per node, whichever integral
+   needs it. *)
+let adaptive ~tol ~moment ~tol_moment ~max_depth ~initial f a b =
   if initial <= 0 then invalid_arg "Integrate.gauss_kronrod: initial <= 0";
-  Stochobs.Metrics.incr m_calls;
+  Stochobs.Metrics.add m_calls (if moment then 2 else 1);
   let deepest = ref 0 in
-  let rec go a b tol depth =
-    let integral, err = qk15 f a b in
-    (* A nan integrand poisons the error estimate; subdividing would
-       explore the full 2^depth tree without ever converging, so
-       propagate the nan to the caller instead. *)
-    if not (Float.is_finite integral) then begin
-      Stochobs.Metrics.incr m_nonfinite;
-      if max_depth - depth > !deepest then deepest := max_depth - depth;
-      integral
-    end
-    else if
-      depth <= 0 || err <= tol
+  (* A panel settles when converged or out of depth, and at a
+     non-finite value: a nan integrand poisons the error estimate;
+     subdividing would explore the full 2^depth tree without ever
+     converging, so the nan goes to the caller instead. *)
+  let settles ~tol depth (integral, err) =
+    let finite = Float.is_finite integral in
+    let settled =
+      (not finite) || depth <= 0 || err <= tol
       (* Roundoff floor: once the estimate is within a few ulps of the
          panel's own magnitude, refinement cannot improve it and would
          only blow the recursion tree up. *)
       || err <= 1e-14 *. Float.abs integral
-    then begin
-      if max_depth - depth > !deepest then deepest := max_depth - depth;
-      integral
-    end
+    in
+    if settled then begin
+      if not finite then Stochobs.Metrics.incr m_nonfinite;
+      if max_depth - depth > !deepest then deepest := max_depth - depth
+    end;
+    settled
+  in
+  (* The node values are read before the panel splits, so one pair of
+     buffers serves the whole recursion. *)
+  let fv = Array.make 15 0.0 and gv = Array.make 15 0.0 in
+  let rec go a b tol tol_moment depth ~want ~want_moment =
+    fill fv f a b;
+    let ((v, _) as rv) = if want then k15 fv a b else (0.0, 0.0) in
+    let ((w, _) as rw) =
+      if want_moment then begin
+        moments fv gv a b;
+        k15 gv a b
+      end
+      else (0.0, 0.0)
+    in
+    let split = want && not (settles ~tol depth rv) in
+    let split_moment = want_moment && not (settles ~tol:tol_moment depth rw) in
+    if not (split || split_moment) then (v, w)
     else begin
       let m = 0.5 *. (a +. b) in
-      go a m (tol /. 2.0) (depth - 1) +. go m b (tol /. 2.0) (depth - 1)
+      let child lo hi =
+        go lo hi (tol /. 2.0) (tol_moment /. 2.0) (depth - 1) ~want:split
+          ~want_moment:split_moment
+      in
+      let v1, w1 = child a m in
+      let v2, w2 = child m b in
+      ((if split then v1 +. v2 else v), if split_moment then w1 +. w2 else w)
     end
   in
   let run a b =
@@ -109,16 +160,34 @@ let gauss_kronrod ?(tol = default_tol) ?(max_depth = 48) ?(initial = 1) f a b =
        single K15 panel samples none of the mass and its error
        estimate reports spurious convergence. *)
     let h = (b -. a) /. float_of_int initial in
-    let acc = Kahan.create () in
+    let acc = Kahan.create () and acc_moment = Kahan.create () in
     for i = 0 to initial - 1 do
       let lo = a +. (float_of_int i *. h) in
-      Kahan.add acc (go lo (lo +. h) (tol /. float_of_int initial) max_depth)
+      let v, w =
+        go lo (lo +. h) (tol /. float_of_int initial)
+          (tol_moment /. float_of_int initial) max_depth ~want:true
+          ~want_moment:moment
+      in
+      Kahan.add acc v;
+      Kahan.add acc_moment w
     done;
-    Kahan.sum acc
+    (Kahan.sum acc, Kahan.sum acc_moment)
   in
-  let r = if a = b then 0.0 else if a > b then -.run b a else run a b in
+  let r =
+    if a = b then (0.0, 0.0)
+    else if a > b then
+      let v, w = run b a in
+      (-.v, -.w)
+    else run a b
+  in
   Stochobs.Metrics.observe_int m_depth !deepest;
   r
+
+let gauss_kronrod ?(tol = default_tol) ?(max_depth = 48) ?(initial = 1) f a b =
+  fst (adaptive ~tol ~moment:false ~tol_moment:0.0 ~max_depth ~initial f a b)
+
+let gauss_kronrod_moment ~tol ~tol_moment ~max_depth f a b =
+  adaptive ~tol ~moment:true ~tol_moment ~max_depth ~initial:1 f a b
 
 let to_infinity ?(tol = default_tol) f a =
   (* x = a + u / (1 - u), dx = du / (1 - u)^2, u in (0, 1). The

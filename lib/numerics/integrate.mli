@@ -30,6 +30,20 @@ val gauss_kronrod :
     density derivative.
     @raise Invalid_argument if [initial <= 0]. *)
 
+val gauss_kronrod_moment :
+  tol:float ->
+  tol_moment:float ->
+  max_depth:int ->
+  (float -> float) ->
+  float ->
+  float ->
+  float * float
+(** [gauss_kronrod_moment ~tol ~tol_moment ~max_depth f a b] is
+    [(gauss_kronrod ~tol ~max_depth f a b,
+      gauss_kronrod ~tol:tol_moment ~max_depth (fun x -> x *. f x) a b)],
+    bit for bit, with [f] called once per node: the two adaptive runs
+    share their panels as far as both refine. *)
+
 val to_infinity : ?tol:float -> (float -> float) -> float -> float
 (** [to_infinity ?tol f a] computes [integral_a^inf f(x) dx] by mapping
     to [u] in [(0, 1)] with [x = a + u/(1-u)] and applying

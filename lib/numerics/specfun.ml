@@ -48,7 +48,7 @@ let gamma x = exp (log_gamma x)
 (* ------------------------------------------------------------------ *)
 
 (* Power-series expansion of P(a, x), converges fast for x < a + 1. *)
-let gamma_p_series a x =
+let gamma_p_series a ~lga x =
   let ap = ref a in
   let sum = ref (1.0 /. a) in
   let del = ref (1.0 /. a) in
@@ -61,10 +61,10 @@ let gamma_p_series a x =
     sum := !sum +. !del;
     if Float.abs !del < Float.abs !sum *. eps then converged := true
   done;
-  !sum *. exp ((-.x) +. (a *. log x) -. log_gamma a)
+  !sum *. exp ((-.x) +. (a *. log x) -. lga)
 
 (* Lentz continued fraction for Q(a, x), converges fast for x >= a + 1. *)
-let gamma_q_cf a x =
+let gamma_q_cf a ~lga x =
   let tiny = 1e-300 in
   let b = ref (x +. 1.0 -. a) in
   let c = ref (1.0 /. tiny) in
@@ -86,23 +86,29 @@ let gamma_q_cf a x =
     if Float.abs (delta -. 1.0) < eps then converged := true;
     incr i
   done;
-  exp ((-.x) +. (a *. log x) -. log_gamma a) *. !h
+  exp ((-.x) +. (a *. log x) -. lga) *. !h
 
-let gamma_p a x =
+(* Staged: [gamma_p a] takes log Gamma(a) once, for every x it is then
+   applied to. *)
+let gamma_p a =
   if a <= 0.0 then invalid_arg "Specfun.gamma_p: a must be positive";
-  if x < 0.0 then invalid_arg "Specfun.gamma_p: x must be non-negative";
-  (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit P(a, 0) = 0 *)
-  if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gamma_p_series a x
-  else 1.0 -. gamma_q_cf a x
+  let lga = log_gamma a in
+  fun x ->
+    if x < 0.0 then invalid_arg "Specfun.gamma_p: x must be non-negative";
+    (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit P(a, 0) = 0 *)
+    if x = 0.0 then 0.0
+    else if x < a +. 1.0 then gamma_p_series a ~lga x
+    else 1.0 -. gamma_q_cf a ~lga x
 
-let gamma_q a x =
+let gamma_q a =
   if a <= 0.0 then invalid_arg "Specfun.gamma_q: a must be positive";
-  if x < 0.0 then invalid_arg "Specfun.gamma_q: x must be non-negative";
-  (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit Q(a, 0) = 1 *)
-  if x = 0.0 then 1.0
-  else if x < a +. 1.0 then 1.0 -. gamma_p_series a x
-  else gamma_q_cf a x
+  let lga = log_gamma a in
+  fun x ->
+    if x < 0.0 then invalid_arg "Specfun.gamma_q: x must be non-negative";
+    (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit Q(a, 0) = 1 *)
+    if x = 0.0 then 1.0
+    else if x < a +. 1.0 then 1.0 -. gamma_p_series a ~lga x
+    else gamma_q_cf a ~lga x
 
 let upper_incomplete_gamma a x = gamma_q a x *. gamma a
 
@@ -128,7 +134,8 @@ let inverse_gamma_p a p =
     let upper = p > 0.5 in
     let q = 1.0 -. p in
     (* P(a, x) - p, increasing in x, from whichever tail is small. *)
-    let residual x = if upper then q -. gamma_q a x else gamma_p a x -. p in
+    let gamma_p = gamma_p a and gamma_q = gamma_q a in
+    let residual x = if upper then q -. gamma_q x else gamma_p x -. p in
     (* Initial guess. *)
     let x0 =
       if a > 1.0 then begin
@@ -193,17 +200,13 @@ let inverse_gamma_p a p =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Error function, via the incomplete gamma machinery.                 *)
+(* Error function: libm's, within 2 ulp and several times cheaper than
+   the Q(1/2, x^2) route (which test/erf_oracle.ml keeps as the
+   oracle).                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let erf x =
-  (* stochlint: allow FLOAT_EQ — erf(0) = 0 exactly; avoids the gamma_p singularity at 0 *)
-  if x = 0.0 then 0.0
-  else if x > 0.0 then gamma_p 0.5 (x *. x)
-  else -.gamma_p 0.5 (x *. x)
-
-let erfc x =
-  if x >= 0.0 then gamma_q 0.5 (x *. x) else 1.0 +. gamma_p 0.5 (x *. x)
+let erf = Float.erf
+let erfc = Float.erfc
 
 let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_two)
 
@@ -352,23 +355,23 @@ let betacf a b x =
   done;
   !h
 
-let betai a b x =
+(* Staged: [betai a b] takes its log Gamma terms once, for every x it
+   is then applied to. *)
+let betai a b =
   if a <= 0.0 || b <= 0.0 then
     invalid_arg "Specfun.betai: a and b must be positive";
-  if x < 0.0 || x > 1.0 then invalid_arg "Specfun.betai: x must be in [0, 1]";
-  (* stochlint: allow FLOAT_EQ — betai endpoint: x = 0 returns the exact limit 0 *)
-  if x = 0.0 then 0.0
-  (* stochlint: allow FLOAT_EQ — betai endpoint: x = 1 returns the exact limit 1 *)
-  else if x = 1.0 then 1.0
-  else begin
-    let bt =
-      exp
-        (log_gamma (a +. b) -. log_gamma a -. log_gamma b +. (a *. log x)
-        +. (b *. log (1.0 -. x)))
-    in
-    if x < (a +. 1.0) /. (a +. b +. 2.0) then bt *. betacf a b x /. a
-    else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
-  end
+  let lg = log_gamma (a +. b) -. log_gamma a -. log_gamma b in
+  fun x ->
+    if x < 0.0 || x > 1.0 then invalid_arg "Specfun.betai: x must be in [0, 1]";
+    (* stochlint: allow FLOAT_EQ — betai endpoint: x = 0 returns the exact limit 0 *)
+    if x = 0.0 then 0.0
+    (* stochlint: allow FLOAT_EQ — betai endpoint: x = 1 returns the exact limit 1 *)
+    else if x = 1.0 then 1.0
+    else begin
+      let bt = exp (lg +. (a *. log x) +. (b *. log (1.0 -. x))) in
+      if x < (a +. 1.0) /. (a +. b +. 2.0) then bt *. betacf a b x /. a
+      else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
+    end
 
 let incomplete_beta a b x = betai a b x *. beta_fun a b
 
@@ -387,7 +390,8 @@ let inverse_betai a b p =
   else begin
     let x0 =
       if a >= 1.0 && b >= 1.0 then begin
-        let t = normal_quantile p in
+        (* A&S 26.5.22 takes the upper-tail normal deviate of p. *)
+        let t = -.normal_quantile p in
         let al = ((t *. t) -. 3.0) /. 6.0 in
         let h = 2.0 /. ((1.0 /. ((2.0 *. a) -. 1.0)) +. (1.0 /. ((2.0 *. b) -. 1.0))) in
         let w =
@@ -408,30 +412,50 @@ let inverse_betai a b p =
       end
     in
     let afac = -.log_beta a b in
+    let betai = betai a b in
     let a1 = a -. 1.0 and b1 = b -. 1.0 in
-    let x = ref x0 in
-    if !x <= 0.0 then x := 1e-12;
-    if !x >= 1.0 then x := 1.0 -. 1e-12;
-    for _ = 1 to 16 do
-      if !x > 0.0 && !x < 1.0 then begin
-        let err = betai a b !x -. p in
-        let t = exp ((a1 *. log !x) +. (b1 *. log (1.0 -. !x)) +. afac) in
+    let x0 = if x0 <= 0.0 then 1e-12 else if x0 >= 1.0 then 1.0 -. 1e-12 else x0 in
+    let halley x =
+      if x > 0.0 && x < 1.0 then begin
+        let err = betai x -. p in
+        let t = exp ((a1 *. log x) +. (b1 *. log (1.0 -. x)) +. afac) in
         if t > 0.0 then begin
           let u = err /. t in
           let dx =
-            u /. (1.0 -. (0.5 *. Float.min 1.0 (u *. ((a1 /. !x) -. (b1 /. (1.0 -. !x))))))
+            u /. (1.0 -. (0.5 *. Float.min 1.0 (u *. ((a1 /. x) -. (b1 /. (1.0 -. x))))))
           in
-          x := !x -. dx;
-          if !x <= 0.0 then x := 0.5 *. (!x +. dx);
-          if !x >= 1.0 then x := 0.5 *. (!x +. dx +. 1.0)
+          let x' = x -. dx in
+          if x' <= 0.0 then 0.5 *. (x' +. dx)
+          else if x' >= 1.0 then 0.5 *. (x' +. dx +. 1.0)
+          else x'
         end
+        else x
       end
-    done;
+      else x
+    in
+    (* [steps] Halley steps, cut short once an iterate repeats: from
+       there the iterates cycle (in floating point they often settle
+       on a cycle of two or three neighbouring doubles), so the one
+       step [steps] would reach is known. *)
+    let steps = 16 in
+    let xs = Array.make (steps + 1) x0 in
+    let rec iterate k =
+      if k = steps then xs.(k)
+      else
+        let next = halley xs.(k) in
+        let rec seen j = if j < 0 then None else if Float.equal xs.(j) next then Some j else seen (j - 1) in
+        match seen k with
+        | Some j -> xs.(j + ((steps - j) mod (k + 1 - j)))
+        | None ->
+            xs.(k + 1) <- next;
+            iterate (k + 1)
+    in
+    let x = ref (iterate 0) in
     (* Bracketed bisection fallback for tail cases where Newton
        stalls (see inverse_gamma_p). *)
-    let residual = betai a b !x -. p in
+    let residual = betai !x -. p in
     if Float.abs residual > 1e-12 then begin
-      let f y = betai a b y -. p in
+      let f y = betai y -. p in
       let lo = ref 0.0 and hi = ref 1.0 in
       for _ = 1 to 200 do
         let mid = 0.5 *. (!lo +. !hi) in

@@ -6,24 +6,53 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+  | c -> Buffer.add_char buf c
 
-let num_to_string v =
+(* Most strings need no escape: they are copied whole. *)
+let escape buf s =
+  let n = String.length s in
+  let rec plain i =
+    i >= n
+    ||
+    let c = s.[i] in
+    c <> '"' && c <> '\\' && Char.code c >= 0x20 && plain (i + 1)
+  in
+  if plain 0 then Buffer.add_string buf s else String.iter (escape_char buf) s
+
+(* The digits come from -|i|, which exists for every int, min_int
+   included. *)
+let add_int buf i =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.chr (48 - (n mod 10)))
+  in
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    digits i
+  end
+  else digits (-i)
+
+(* The runtime's float printer, which Printf's ["%.17g"] calls after
+   building the C format string anew on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Numbers print as Printf's ["%.0f"] (integers below 1e15 in
+   magnitude) or ["%.17g"] would print them, without Printf's format
+   interpretation, which cost more than the rest of a trace span: the
+   conversion to int is exact in that range, and only -0 needs its sign
+   put back. *)
+let add_num buf v =
   if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+    let i = int_of_float v in
+    if i = 0 && Float.sign_bit v then Buffer.add_string buf "-0" else add_int buf i
+  else Buffer.add_string buf (format_float "%.17g" v)
 
 let to_string ?(indent = true) t =
   let buf = Buffer.create 256 in
@@ -36,7 +65,7 @@ let to_string ?(indent = true) t =
   let rec go depth = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num v -> Buffer.add_string buf (num_to_string v)
+    | Num v -> add_num buf v
     | Str s ->
         Buffer.add_char buf '"';
         escape buf s;
@@ -77,19 +106,17 @@ let of_string s =
   let pos = ref 0 in
   let fail msg = raise (Parse_fail (!pos, msg)) in
   let peek () = if !pos < n then Some s.[!pos] else None in
+  let next_is c = !pos < n && s.[!pos] = c in
   let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if next_is c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
     then begin
@@ -98,8 +125,8 @@ let of_string s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
-  let parse_string () =
-    expect '"';
+  (* A string body with escapes, from just after its opening quote. *)
+  let parse_escaped () =
     let buf = Buffer.create 16 in
     let rec go () =
       match peek () with
@@ -142,6 +169,18 @@ let of_string s =
     go ();
     Buffer.contents buf
   in
+  let parse_string () =
+    expect '"';
+    (* Most strings hold no escape: take them whole. *)
+    let rec plain i = if i < n && s.[i] <> '"' && s.[i] <> '\\' then plain (i + 1) else i in
+    let stop = plain !pos in
+    if stop < n && s.[stop] = '"' then begin
+      let v = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      v
+    end
+    else parse_escaped ()
+  in
   let parse_number () =
     let start = !pos in
     let is_num_char c =
@@ -149,7 +188,7 @@ let of_string s =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
+    while !pos < n && is_num_char s.[!pos] do
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
@@ -159,12 +198,12 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if next_is '}' then begin
           advance ();
           Obj []
         end
@@ -178,20 +217,20 @@ let of_string s =
             let v = parse_value () in
             fields := (k, v) :: !fields;
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields_loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
+            if next_is ',' then begin
+              advance ();
+              fields_loop ()
+            end
+            else if next_is '}' then advance ()
+            else fail "expected ',' or '}'"
           in
           fields_loop ();
           Obj (List.rev !fields)
         end
-    | Some '[' ->
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if next_is ']' then begin
           advance ();
           Arr []
         end
@@ -201,21 +240,21 @@ let of_string s =
             let v = parse_value () in
             items := v :: !items;
             skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items_loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
+            if next_is ',' then begin
+              advance ();
+              items_loop ()
+            end
+            else if next_is ']' then advance ()
+            else fail "expected ',' or ']'"
           in
           items_loop ();
           Arr (List.rev !items)
         end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   match
     let v = parse_value () in
@@ -227,8 +266,15 @@ let of_string s =
   | exception Parse_fail (at, msg) ->
       Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
+(* [String.equal], not the polymorphic compare of [List.assoc_opt]: a
+   request's fields are looked up a dozen times per parse. *)
 let member key = function
-  | Obj fields -> List.assoc_opt key fields
+  | Obj fields ->
+      let rec find = function
+        | [] -> None
+        | (k, v) :: rest -> if String.equal k key then Some v else find rest
+      in
+      find fields
   | _ -> None
 
 let to_int = function

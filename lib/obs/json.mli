@@ -21,6 +21,11 @@ val to_string : ?indent:bool -> t -> string
 (** Serialise; [indent] (default true) pretty-prints with 2-space
     indentation so baselines diff cleanly under version control. *)
 
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf i] appends [i] in decimal, as [string_of_int] writes
+    it, without its format interpretation: JSON numbers and cache keys
+    print their integers through it. *)
+
 val of_string : string -> (t, string) result
 (** Parse, or [Error message] naming the byte offset of the failure. *)
 

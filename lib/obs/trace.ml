@@ -46,19 +46,20 @@ let json_of_attrs attrs =
 let emit st json = st.write (Json.to_string ~indent:false json)
 
 let span_json sp ~stop ~error =
-  Json.Obj
-    ([ ("type", Json.Str "span"); ("name", Json.Str sp.name);
-       ("id", Json.Num (float_of_int sp.id)) ]
-    @ (if sp.parent = 0 then []
-       else [ ("parent", Json.Num (float_of_int sp.parent)) ])
-    @ [ ("start", Json.Num sp.start); ("end", Json.Num stop) ]
-    @ (match error with
-      | None -> []
-      | Some msg -> [ ("error", Json.Str msg) ])
-    @
+  let attrs =
     match sp.extra with
     | [] -> []
-    | attrs -> [ ("attrs", json_of_attrs (List.rev attrs)) ])
+    | extra -> [ ("attrs", json_of_attrs (List.rev extra)) ]
+  in
+  let tail =
+    ("start", Json.Num sp.start) :: ("end", Json.Num stop)
+    :: (match error with None -> attrs | Some msg -> ("error", Json.Str msg) :: attrs)
+  in
+  Json.Obj
+    (("type", Json.Str "span") :: ("name", Json.Str sp.name)
+    :: ("id", Json.Num (float_of_int sp.id))
+    :: (if sp.parent = 0 then tail
+        else ("parent", Json.Num (float_of_int sp.parent)) :: tail))
 
 let annotate sink attrs =
   match sink with

@@ -7,7 +7,6 @@ type report = {
   dist_name : string;
   probes : int;
   issues : issue list;
-  elapsed : float;
 }
 
 (* Fixed near-tail probabilities bracketing the interior grid: the
@@ -24,8 +23,14 @@ let grid = 33
 let tol = 1e-6
 let mass_tol = 5e-3
 
+(* The probe probabilities, sorted, without repeats. *)
+let probe_ps =
+  let interior =
+    List.init grid (fun i -> float_of_int (i + 1) /. float_of_int (grid + 1))
+  in
+  List.sort_uniq Float.compare (low_tails @ interior @ high_tails)
+
 let run d =
-  let t0 = Sys.time () in
   let issues = ref [] in
   let add id severity detail = issues := { id; severity; detail } :: !issues in
   (* Every probe is guarded: a raising pdf/cdf/quantile is itself a
@@ -41,12 +46,7 @@ let run d =
   if (not (Float.is_finite a)) || a < 0.0 || not (b > a) then
     add "support" Fatal
       (Printf.sprintf "support [%g, %g] violates 0 <= a < b" a b);
-  let interior =
-    List.init grid (fun i -> float_of_int (i + 1) /. float_of_int (grid + 1))
-  in
-  let ps =
-    Array.of_list (List.sort_uniq compare (low_tails @ interior @ high_tails))
-  in
+  let ps = Array.of_list probe_ps in
   let np = Array.length ps in
   let qs = Array.map (fun p -> guard "quantile" nan (fun () -> d.Dist.quantile p)) ps in
   (* --- quantile: finite, monotone, inside the support -------------- *)
@@ -185,19 +185,16 @@ let run d =
     in
     let rec over = function
       | u :: (v :: _ as rest) ->
-          let seg =
-            guard "pdf-integral" nan (fun () ->
-                Numerics.Integrate.gauss_kronrod ~tol:tol_mass ~max_depth:16
-                  d.Dist.pdf u v)
-          in
-          let seg_mean =
-            (* stochlint: allow FLOAT_EQ — tol_pm = infinity is the skip-sentinel assigned a few lines up *)
-            if tol_pm = infinity then 0.0
-            else
-              guard "pdf-integral" nan (fun () ->
-                  Numerics.Integrate.gauss_kronrod ~tol:tol_pm ~max_depth:16
-                    (fun t -> t *. d.Dist.pdf t)
-                    u v)
+          let seg, seg_mean =
+            guard "pdf-integral" (nan, nan) (fun () ->
+                (* stochlint: allow FLOAT_EQ — tol_pm = infinity is the skip-sentinel assigned a few lines up *)
+                if tol_pm = infinity then
+                  ( Numerics.Integrate.gauss_kronrod ~tol:tol_mass ~max_depth:16
+                      d.Dist.pdf u v,
+                    0.0 )
+                else
+                  Numerics.Integrate.gauss_kronrod_moment ~tol:tol_mass
+                    ~tol_moment:tol_pm ~max_depth:16 d.Dist.pdf u v)
           in
           if Float.is_finite seg && Float.is_finite seg_mean then begin
             Numerics.Kahan.add mass seg;
@@ -316,7 +313,7 @@ let run d =
              true
            end)
   in
-  { dist_name = d.Dist.name; probes = np; issues; elapsed = Sys.time () -. t0 }
+  { dist_name = d.Dist.name; probes = np; issues }
 
 let fatal r = List.filter (fun i -> i.severity = Fatal) r.issues
 let warnings r = List.filter (fun i -> i.severity = Warning) r.issues

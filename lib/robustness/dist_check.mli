@@ -43,7 +43,6 @@ type report = {
   dist_name : string;
   probes : int;  (** Number of grid probe points examined. *)
   issues : issue list;  (** Violations, in discovery order. *)
-  elapsed : float;  (** Wall-clock seconds spent checking. *)
 }
 
 val run : Distributions.Dist.t -> report

@@ -36,7 +36,9 @@ type budget = {
   dp_points : int;  (** Discretization size for the DP tier. *)
   max_evaluations : int;
       (** Total candidate/sequence evaluations across all tiers. *)
-  max_seconds : float;  (** Wall-clock guard over the whole solve. *)
+  max_seconds : float;
+      (** Time guard over the whole solve, read from the [clock] given
+          to {!solve}; the t1 scan reads it once per 64 candidates. *)
 }
 
 val default_budget : budget
@@ -99,7 +101,9 @@ type diagnostics = {
   validation : Dist_check.report option;
       (** The input self-check ([None] when validation was skipped). *)
   evaluations : int;  (** Candidate/sequence evaluations consumed. *)
-  elapsed : float;  (** Wall-clock seconds for the whole solve. *)
+  elapsed : float;
+      (** Seconds the whole solve took on its [clock] (process CPU
+          seconds under the default {!Stochobs.Clock.cpu}). *)
 }
 
 type solution = {
@@ -151,8 +155,9 @@ val solve :
     [seed] (default [42]) drives those draws. Either way [cost] and
     [normalized] are {!Stochastic_core.Expected_cost.exact} of the
     returned sequence. Never raises; never hangs (the wall-clock guard is
-    checked between candidates, and every stage is
-    iteration-bounded). *)
+    read before the first t1 candidate and then before every 64th, the
+    evaluation budget is charged candidate by candidate, and every
+    stage is iteration-bounded). *)
 
 val pp_diagnostics : Format.formatter -> diagnostics -> unit
 (** Human-readable cascade trace: validation summary, chosen tier,

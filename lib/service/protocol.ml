@@ -316,22 +316,34 @@ let with_id id fields =
 
 let render fields = J.to_string ~indent:false (J.Obj fields)
 
-let solve_response ~id ~cached ~key solved =
-  render
-    (with_id id
-       [
-         ("ok", J.Bool true);
-         ("kind", J.Str "solve");
-         ("cached", J.Bool cached);
-         ("key", J.Str key);
-         ("dist", J.Str solved.dist_name);
-         ("tier", J.Str solved.tier);
-         ("degraded", J.Bool solved.degraded);
-         ( "sequence",
-           J.Arr (Array.to_list (Array.map (fun v -> J.Num v) solved.head)) );
-         ("cost", J.Num solved.cost);
-         ("normalized", J.Num solved.normalized);
-       ])
+(* A rendered object splices: [render (a @ b)] is [render a] without
+   its closing brace, a comma, and [render b] without its opening one. *)
+let solved_tail solved =
+  let r =
+    render
+      [
+        ("dist", J.Str solved.dist_name);
+        ("tier", J.Str solved.tier);
+        ("degraded", J.Bool solved.degraded);
+        ("sequence", J.Arr (Array.to_list (Array.map (fun v -> J.Num v) solved.head)));
+        ("cost", J.Num solved.cost);
+        ("normalized", J.Num solved.normalized);
+      ]
+  in
+  String.sub r 1 (String.length r - 2)
+
+let solve_response ~id ~cached ~key ~tail =
+  let head =
+    render
+      (with_id id
+         [
+           ("ok", J.Bool true);
+           ("kind", J.Str "solve");
+           ("cached", J.Bool cached);
+           ("key", J.Str key);
+         ])
+  in
+  String.concat "" [ String.sub head 0 (String.length head - 1); ","; tail; "}" ]
 
 let fit_response ~id ~tenant (fit : Distributions.Fitting.lognormal_fit) =
   render

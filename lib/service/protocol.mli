@@ -113,8 +113,16 @@ val solved_of_json : Stochobs.Json.t -> (solved, string) result
 (** Inverse of {!solved_to_json}; [Error] names the missing or
     ill-typed field. Never raises. *)
 
+val solved_tail : solved -> string
+(** The part of a solve response that depends only on the answer: its
+    fields from ["dist"] to ["normalized"], rendered. A cache entry
+    renders it once, and each hit reuses it. *)
+
 val solve_response :
-  id:Stochobs.Json.t option -> cached:bool -> key:string -> solved -> string
+  id:Stochobs.Json.t option -> cached:bool -> key:string -> tail:string -> string
+(** The solve response: [id], [ok], [kind], [cached] and [key], then
+    [tail], the {!solved_tail} of the answer. *)
+
 val fit_response :
   id:Stochobs.Json.t option -> tenant:string ->
   Distributions.Fitting.lognormal_fit -> string

@@ -63,12 +63,18 @@ type counters = {
   mutable journal_errors : int;  (* appends/compactions lost to I/O *)
 }
 
+(* A cached answer keeps its rendered response tail, so a hit renders
+   only the few fields that name the request. *)
+type entry = { solved : Protocol.solved; tail : string }
+
+let entry solved = { solved; tail = Protocol.solved_tail solved }
+
 type t = {
   config : config;
   obs : Trace.sink;
   clock : Stochobs.Clock.t;
   registry : M.t;
-  cache : Protocol.solved Cache.t;
+  cache : entry Cache.t;
   tenants : Tenants.t;
   journal : Journal.t option;
   requests : counters;
@@ -123,7 +129,7 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
   | None -> ()
   | Some j ->
       List.iter
-        (fun { Journal.key; solved } -> ignore (Cache.put cache key solved))
+        (fun { Journal.key; solved } -> ignore (Cache.put cache key (entry solved)))
         (Journal.recovered j);
       let s = Journal.stats j in
       M.add
@@ -206,30 +212,33 @@ let close t =
 
 (* --------------------------- solve handling ------------------------ *)
 
-(* Resolve the request's distribution spec to a live distribution plus
-   the (family, params) pair that keys the cache. Named registry
+(* Resolve the request's distribution spec to a distribution plus the
+   (family, params) pair that keys the cache. Named registry
    distributions are fixed instantiations, so they key on the name
    alone; explicit and tenant-fitted LogNormals key on their quantized
-   parameters — that collapse is the whole point of the service. *)
+   parameters — that collapse is the whole point of the service. A
+   LogNormal is checked here but built only on a cache miss: a hit
+   needs its key, not its law. *)
 let resolve_dist t ~hpc (spec : Protocol.dist_spec) =
+  let lognormal ~mu ~sigma =
+    match Distributions.Lognormal.check ~sigma with
+    | () ->
+        Ok
+          ( lazy (Distributions.Lognormal.make ~mu ~sigma),
+            "lognormal",
+            [ ("mu", mu); ("sigma", sigma) ] )
+    | exception Invalid_argument msg ->
+        Error (Protocol.invalid_distribution_error msg)
+  in
   match spec with
   | Protocol.Named name -> (
       match Resolve.dist ~hpc name with
-      | Ok d -> Ok (d, "named:" ^ String.lowercase_ascii name, [])
+      | Ok d -> Ok (Lazy.from_val d, "named:" ^ String.lowercase_ascii name, [])
       | Error msg -> Error (Protocol.usage_error msg))
-  | Protocol.Lognormal { mu; sigma } -> (
-      match Distributions.Lognormal.make ~mu ~sigma with
-      | d -> Ok (d, "lognormal", [ ("mu", mu); ("sigma", sigma) ])
-      | exception Invalid_argument msg ->
-          Error (Protocol.invalid_distribution_error msg))
+  | Protocol.Lognormal { mu; sigma } -> lognormal ~mu ~sigma
   | Protocol.Tenant id -> (
       match Tenants.find t.tenants id with
-      | Some fit -> (
-          match Distributions.Lognormal.make ~mu:fit.mu ~sigma:fit.sigma with
-          | d ->
-              Ok (d, "lognormal", [ ("mu", fit.mu); ("sigma", fit.sigma) ])
-          | exception Invalid_argument msg ->
-              Error (Protocol.invalid_distribution_error msg))
+      | Some fit -> lognormal ~mu:fit.mu ~sigma:fit.sigma
       | None ->
           Error
             (Protocol.usage_error
@@ -331,7 +340,7 @@ let journal_put t key solved =
         if Journal.should_compact j ~live:(Cache.size t.cache) then begin
           let live =
             List.map
-              (fun (key, solved) -> { Journal.key; solved })
+              (fun (key, { solved; _ }) -> { Journal.key; solved })
               (Cache.bindings_lru t.cache)
           in
           Journal.compact j ~live;
@@ -346,7 +355,7 @@ let handle_solve t ~id (s : Protocol.solve) =
   let result =
     match resolve_dist t ~hpc s.Protocol.dist with
     | Error e -> Error e
-    | Ok (d, family, params) -> (
+    | Ok (law, family, params) -> (
         match resolve_model s.Protocol.model with
         | Error e -> Error e
         | Ok model ->
@@ -361,12 +370,13 @@ let handle_solve t ~id (s : Protocol.solve) =
             in
             Trace.annotate t.obs [ ("key", Trace.Str key) ];
             match Cache.find t.cache key with
-            | Some solved ->
+            | Some cached ->
                 M.incr t.m_hits;
                 Trace.annotate t.obs [ ("cached", Trace.Bool true) ];
-                Ok (true, key, solved)
+                Ok (true, key, cached)
             | None -> (
                 M.incr t.m_misses;
+                let d = Lazy.force law in
                 let tiers = Resolve.tiers_of_strategy s.Protocol.strategy in
                 (* Shed answers are never cached or journalled: once
                    pressure drains, the same request gets (and
@@ -409,21 +419,22 @@ let handle_solve t ~id (s : Protocol.solve) =
                 | Ok solved when shed ->
                     t.requests.shed <- t.requests.shed + 1;
                     M.incr t.m_shed;
-                    Ok (false, key, solved)
+                    Ok (false, key, entry solved)
                 | Ok solved ->
                     M.incr t.m_cold;
-                    (match Cache.put t.cache key solved with
+                    let fresh = entry solved in
+                    (match Cache.put t.cache key fresh with
                     | Cache.Evicted _ -> M.incr t.m_evictions
                     | Cache.Inserted | Cache.Replaced -> ());
                     M.set t.m_size (float_of_int (Cache.size t.cache));
                     journal_put t key solved;
-                    Ok (false, key, solved)))
+                    Ok (false, key, fresh)))
   in
   match result with
-  | Ok (cached, key, solved) ->
+  | Ok (cached, key, { solved; tail }) ->
       Trace.annotate t.obs
         [ ("ok", Trace.Bool true); ("tier", Trace.Str solved.Protocol.tier) ];
-      (Protocol.solve_response ~id ~cached ~key solved, false)
+      (Protocol.solve_response ~id ~cached ~key ~tail, false)
   | Error e ->
       t.requests.errors <- t.requests.errors + 1;
       M.incr t.m_errors;

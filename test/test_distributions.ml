@@ -308,6 +308,51 @@ let prop_pdf_nonnegative =
     QCheck.(pair arbitrary_dist (float_range 0.0 100.0))
     (fun (d, t) -> d.Dist.pdf t >= 0.0)
 
+(* TruncatedNormal takes its constant erf (alpha / sqrt 2) once per law;
+   cdf and quantile must be those of the form that took it on every
+   call, bit for bit. The cdf divides by 1 - erf (alpha / sqrt 2). *)
+let prop_truncated_normal_hoisted =
+  QCheck.Test.make ~count:1000 ~name:"truncated normal cdf, quantile = unhoisted form, bit for bit"
+    QCheck.(
+      quad (float_range (-5.0) 15.0) (float_range 0.1 5.0) (float_range 0.0 10.0)
+        (float_range 0.0 1.0))
+    (fun (mu, sigma, lower, u) ->
+      let module Sf = Numerics.Specfun in
+      let sqrt2 = sqrt 2.0 in
+      let alpha = (lower -. mu) /. sigma in
+      let z_norm = 0.5 *. Sf.erfc (alpha /. sqrt2) in
+      QCheck.assume (z_norm > 0.0);
+      let d = Distributions.Truncated_normal.make ~mu ~sigma ~lower in
+      let cdf t =
+        if t <= lower then 0.0
+        else
+          Float.min 1.0
+            ((Sf.erf ((t -. mu) /. (sigma *. sqrt2)) -. Sf.erf (alpha /. sqrt2))
+            /. (1.0 -. Sf.erf (alpha /. sqrt2)))
+      in
+      let quantile x =
+        (* stochlint: allow FLOAT_EQ — the law's own endpoint sentinel, x = 1 *)
+        if x = 1.0 then infinity
+        else mu +. (sigma *. sqrt2 *. Sf.erf_inv (x +. ((1.0 -. x) *. Sf.erf (alpha /. sqrt2))))
+      in
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let t = lower +. (u *. 6.0 *. sigma) in
+      same (d.Dist.cdf t) (cdf t) && same (d.Dist.quantile u) (quantile u))
+
+(* Far in the upper tail the TruncatedNormal cdf is exactly 1, so that
+   1 - cdf reaches the Eq. (4) series' stop. Divided by
+   erfc (alpha / sqrt 2) instead of 1 - erf (alpha / sqrt 2), libm's
+   rounding left it at 1 - 2^-53 on laws such as TruncNormal(5.98282,
+   0.812432), whose solves then reported a NaN cost. *)
+let prop_truncated_normal_reaches_one =
+  QCheck.Test.make ~count:1000 ~name:"truncated normal cdf is 1 far in the tail"
+    QCheck.(pair (float_range 0.5 100.0) (float_range 1e-3 0.5))
+    (fun (mu, rel) ->
+      let sigma = mu *. rel in
+      let d = Distributions.Truncated_normal.make ~mu ~sigma ~lower:0.0 in
+      (* stochlint: allow FLOAT_EQ — the tail value must be exactly 1, not near it *)
+      d.Dist.cdf (mu +. (40.0 *. sigma)) = 1.0)
+
 let () =
   Alcotest.run "distributions"
     [
@@ -351,5 +396,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_conditional_mean_above_tau;
           QCheck_alcotest.to_alcotest prop_conditional_mean_monotone;
           QCheck_alcotest.to_alcotest prop_pdf_nonnegative;
+          QCheck_alcotest.to_alcotest prop_truncated_normal_hoisted;
+          QCheck_alcotest.to_alcotest prop_truncated_normal_reaches_one;
         ] );
     ]

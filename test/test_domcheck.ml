@@ -80,6 +80,23 @@ let test_writer_attribution () =
     "incr through the builtin table counts as a write" [ "Glob_mut.bump" ]
     total.g_writers
 
+(* A global handed to a parameter-mutating callee is written by the
+   caller; one nested inside another call's argument is handed to that
+   inner call, and [Array.to_list] only reads it. *)
+let test_handed_arguments () =
+  let o = analyze fixture_root in
+  let shared = find_global o "Pass_arg.shared" in
+  Alcotest.(check (list string))
+    "the argument itself is handed over" [ "Pass_arg.direct" ]
+    shared.g_writers;
+  let kept = find_global o "Pass_arg.kept" in
+  Alcotest.(check (list string))
+    "a nested argument is not handed to the outer call" [] kept.g_writers;
+  Alcotest.(check bool) "an unwritten array stays quiet" true kept.g_quiet;
+  check_locs "only the handed array is a finding"
+    [ ("GLOBAL_MUT_STATE", 7, 4) ]
+    (locs o "pass_arg.ml")
+
 (* --- DOMAIN_UNSAFE_REACH: cross-module write propagation ------------ *)
 
 let test_cross_module_reach () =
@@ -233,6 +250,10 @@ glob_mut.ml:10:4: warning GLOBAL_MUT_STATE: top-level mutable value `Glob_mut.sc
 glob_mut.ml:11:4: warning GLOBAL_MUT_STATE: top-level mutable value `Glob_mut.hits` (mutable record) is shared process state; make it per-domain, pass it explicitly, or annotate the intent with `(* stochlint: allow GLOBAL_MUT_STATE — reason *)`
 |}
 
+let pass_arg_line =
+  {|pass_arg.ml:7:4: warning GLOBAL_MUT_STATE: top-level mutable value `Pass_arg.shared` (array) is shared process state; make it per-domain, pass it explicitly, or annotate the intent with `(* stochlint: allow GLOBAL_MUT_STATE — reason *)`
+|}
+
 let rng_amb_line =
   {|rng_amb.ml:6:4: error RNG_AMBIENT: parallel-candidate entry `Rng_amb.run` reaches RNG state that is not threaded as a parameter (stdlib Random); per-domain determinism needs an explicit split `Rng.t` per worker
 |}
@@ -247,7 +268,7 @@ let rng_glob_line =
 |}
 
 let all_fixture_lines =
-  glob_mut_lines ^ rng_amb_line ^ rng_glob_line ^ store_lines
+  glob_mut_lines ^ pass_arg_line ^ rng_amb_line ^ rng_glob_line ^ store_lines
 
 let store_args =
   fixture_ctx
@@ -293,8 +314,8 @@ let test_golden_findings () =
   Golden_cli.check "findings on every fixture" ~code:1
     ~out:
       (all_fixture_lines
-     ^ "stochdomcheck: 5 units, 18 functions, 7 globals (1 suppressed \
-        inline), 8 findings (2 errors, 6 warnings), 0 baselined\n")
+     ^ "stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
+        inline), 9 findings (2 errors, 7 warnings), 0 baselined\n")
     (domcheck args);
   Golden_cli.check "--quiet drops the summary" ~code:1 ~out:all_fixture_lines
     (domcheck ("--quiet" :: args))
@@ -359,7 +380,7 @@ let test_golden_update_baseline () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Golden_cli.check "--update-baseline to a new file" ~code:0
-        ~out:"stochdomcheck: wrote BASELINE (7 findings grandfathered)\n"
+        ~out:"stochdomcheck: wrote BASELINE (8 findings grandfathered)\n"
         (domcheck ~subst:[ (path, "BASELINE") ]
            ([ "--baseline"; path; "--update-baseline" ] @ args));
       Alcotest.(check string) "baseline file"
@@ -370,6 +391,11 @@ let test_golden_update_baseline () =
       "file": "glob_mut.ml",
       "rule": "GLOBAL_MUT_STATE",
       "count": 4
+    },
+    {
+      "file": "pass_arg.ml",
+      "rule": "GLOBAL_MUT_STATE",
+      "count": 1
     },
     {
       "file": "rng_glob.ml",
@@ -392,8 +418,8 @@ let test_golden_update_baseline () =
         (Golden_cli.read_file path);
       Golden_cli.check "the written baseline passes" ~code:0
         ~out:
-          "stochdomcheck: 5 units, 18 functions, 7 globals (1 suppressed \
-           inline), 0 findings (0 errors, 0 warnings), 7 baselined\n"
+          "stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
+           inline), 0 findings (0 errors, 0 warnings), 8 baselined\n"
         (domcheck ([ "--baseline"; path ] @ args)))
 
 let test_golden_exceeded () =
@@ -405,12 +431,12 @@ let test_golden_exceeded () =
     (fun () ->
       Golden_cli.check "exceeded baseline group" ~code:1
         ~out:
-          (glob_mut_lines ^ rng_glob_line ^ store_lines
+          (glob_mut_lines ^ pass_arg_line ^ rng_glob_line ^ store_lines
          ^ "glob_mut.ml: GLOBAL_MUT_STATE count 4 exceeds the baselined 1 — \
             the whole group is shown above; fix the new site or refresh the \
             baseline\n\
-            stochdomcheck: 5 units, 18 functions, 7 globals (1 suppressed \
-            inline), 7 findings (1 errors, 6 warnings), 0 baselined\n")
+            stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
+            inline), 8 findings (1 errors, 7 warnings), 0 baselined\n")
         (domcheck
            ([ "--baseline"; path ] @ fixture_ctx
            @ [ "--entry"; "Store_b.run"; fixture_root ])))
@@ -470,6 +496,8 @@ let () =
           Alcotest.test_case "inventory + suppression" `Quick test_glob_mut;
           Alcotest.test_case "writer attribution" `Quick
             test_writer_attribution;
+          Alcotest.test_case "arguments handed to callees" `Quick
+            test_handed_arguments;
         ] );
       ( "domain-unsafe-reach",
         [

@@ -132,6 +132,61 @@ let prop_additivity =
       let parts = I.gauss_kronrod f lo mid +. I.gauss_kronrod f mid hi in
       Float.abs (whole -. parts) <= 1e-8 *. (1.0 +. Float.abs whole))
 
+(* Integrands for the oracle properties: Table-1 densities between
+   two of their quantiles, smooth and peaked functions, a density
+   singular at 0, and ones that go non-finite. *)
+let integrands =
+  let laws =
+    List.map
+      (fun (name, (d : Distributions.Dist.t)) -> (name, d.pdf, d.quantile 0.01, d.quantile 0.99))
+      Distributions.Table1.all
+  in
+  laws
+  @ [
+      ("gauss", (fun x -> exp (-.x *. x)), -3.0, 3.0);
+      ("spike", (fun x -> 1.0 /. (1e-6 +. (x *. x))), -1.0, 1.0);
+      ("singular", (fun x -> if x <= 0.0 then 0.0 else 1.0 /. sqrt x), 0.0, 2.0);
+      ("nan", (fun x -> if x > 0.5 then nan else x), 0.0, 1.0);
+      ("inf", (fun x -> if x > 0.25 then infinity else 1.0), 0.0, 1.0);
+    ]
+
+let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let integrand_gen =
+  QCheck.Gen.(
+    let* name, f, lo, hi = oneofl integrands in
+    let* u = float_range 0.0 1.0 and* v = float_range 0.0 1.0 in
+    let* tol = oneofl [ 1e-2; 1e-5; 1e-8; 1e-11; 1e-14 ] in
+    let* tol_moment = oneofl [ 1e-1; 1e-4; 1e-7; 1e-10 ] in
+    let* max_depth = int_range 0 14 and* initial = int_range 1 4 in
+    let at w = lo +. (w *. (hi -. lo)) in
+    return (name, f, at u, at v, tol, tol_moment, max_depth, initial))
+
+let print_case (name, _, a, b, tol, tol_moment, max_depth, initial) =
+  Printf.sprintf "%s on [%h, %h], tol %g/%g, depth %d, initial %d" name a b tol tol_moment
+    max_depth initial
+
+(* The adaptive core was rewritten so that the moment integral shares
+   the panels of the plain one; both must be the old integrator's
+   (test/integrate_oracle.ml), bit for bit, in either orientation. *)
+let prop_gauss_kronrod_oracle =
+  QCheck.Test.make ~count:1500 ~name:"gauss_kronrod = the old integrator, bit for bit"
+    (QCheck.make ~print:print_case integrand_gen)
+    (fun (_, f, a, b, tol, _, max_depth, initial) ->
+      same
+        (I.gauss_kronrod ~tol ~max_depth ~initial f a b)
+        (Integrate_oracle.gauss_kronrod ~tol ~max_depth ~initial f a b))
+
+let prop_moment_oracle =
+  QCheck.Test.make ~count:1500
+    ~name:"gauss_kronrod_moment = two runs of the old integrator, bit for bit"
+    (QCheck.make ~print:print_case integrand_gen)
+    (fun (_, f, a, b, tol, tol_moment, max_depth, _) ->
+      let mass, moment = I.gauss_kronrod_moment ~tol ~tol_moment ~max_depth f a b in
+      same mass (Integrate_oracle.gauss_kronrod ~tol ~max_depth f a b)
+      && same moment
+           (Integrate_oracle.gauss_kronrod ~tol:tol_moment ~max_depth (fun x -> x *. f x) a b))
+
 let () =
   Alcotest.run "integrate"
     [
@@ -156,5 +211,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_linearity;
           QCheck_alcotest.to_alcotest prop_additivity;
+          QCheck_alcotest.to_alcotest prop_gauss_kronrod_oracle;
+          QCheck_alcotest.to_alcotest prop_moment_oracle;
         ] );
     ]

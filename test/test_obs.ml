@@ -541,6 +541,66 @@ let test_solver_trace_deterministic () =
   let _, b = solve_with_trace Distributions.Lognormal.default in
   Alcotest.(check string) "same seed + fake clock = identical traces" a b
 
+(* ------------------------------ json ------------------------------ *)
+
+(* JSON numbers are written without Printf; they must read as Printf's
+   ["%.0f"] (integers below 1e15 in magnitude, -0 included) or
+   ["%.17g"] (everything else, nan and the infinities included) would
+   write them. *)
+let prop_json_integers =
+  QCheck.Test.make ~count:3000 ~name:"integer numbers print as %.0f"
+    QCheck.(
+      make
+        Gen.(
+          frequency
+            [
+              (4, map float_of_int (int_range (-1_000_000) 1_000_000));
+              (4, map (fun f -> Float.round (f *. 1e15)) (float_range (-1.0) 1.0));
+              ( 1,
+                oneofl
+                  [ 0.0; -0.0; 1.0; -1.0; 1e15 -. 1.0; -.(1e15 -. 1.0);
+                    4503599627370496.0 /. 8.0 ] );
+            ]))
+    (fun v ->
+      QCheck.assume (Float.is_integer v && Float.abs v < 1e15);
+      String.equal (J.to_string (J.Num v)) (Printf.sprintf "%.0f" v))
+
+let prop_json_numbers =
+  QCheck.Test.make ~count:3000 ~name:"every number prints as the Printf form"
+    QCheck.(
+      make
+        Gen.(
+          frequency
+            [
+              (4, map Int64.float_of_bits ui64);
+              (2, float_range (-1e6) 1e6);
+              ( 1,
+                oneofl
+                  [ Float.nan; Float.infinity; Float.neg_infinity; 5e-324;
+                    Float.min_float; 1e15; -1e15; 0.1; 0.001 ] );
+            ]))
+    (fun v -> String.equal (J.to_string (J.Num v)) (Wire_oracle.num v))
+
+let prop_json_add_int =
+  QCheck.Test.make ~count:3000 ~name:"add_int writes string_of_int"
+    QCheck.(make Gen.(frequency [ (8, int); (1, oneofl [ 0; min_int; max_int; -1 ]) ]))
+    (fun i ->
+      let buf = Buffer.create 24 in
+      J.add_int buf i;
+      String.equal (Buffer.contents buf) (string_of_int i))
+
+(* Strings with and without escapes, in objects and arrays, parse back
+   to what was written. *)
+let prop_json_string_roundtrip =
+  let str = QCheck.Gen.(string_size ~gen:(char_range '\000' '\127') (int_range 0 12)) in
+  QCheck.Test.make ~count:1000 ~name:"strings round-trip through the parser"
+    QCheck.(make Gen.(pair str (list_size (int_range 0 4) str)))
+    (fun (k, items) ->
+      let j = J.Obj [ (k, J.Arr (List.map (fun s -> J.Str s) items)); ("n", J.Num 1.5) ] in
+      match J.of_string (J.to_string ~indent:false j) with
+      | Ok j' -> j' = j
+      | Error _ -> false)
+
 let () =
   Alcotest.run "obs"
     [
@@ -576,6 +636,13 @@ let () =
         ] );
       ( "log",
         [ Alcotest.test_case "levels" `Quick test_log_levels ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest prop_json_integers;
+          QCheck_alcotest.to_alcotest prop_json_numbers;
+          QCheck_alcotest.to_alcotest prop_json_add_int;
+          QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
+        ] );
       ( "solver",
         [
           Alcotest.test_case "primary tier span" `Quick test_solver_trace_primary;

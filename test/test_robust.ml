@@ -158,6 +158,42 @@ let test_override () =
         ~max_seconds:15.0 Solver.quick_budget;
     ]
 
+(* The t1 scan reads its budget clock on the first candidate and then
+   once per 64, while it charges evaluations one by one. The law is
+   Exp(1) with a density that underflows everywhere, so no candidate
+   is valid and a scan cut short ends in Budget_exhausted. A fake clock
+   that advances 1 s per read, under a 10 s budget, puts the
+   brute-force deadline (70%) at 7 s: the read at candidate
+   1 + 64 * 7 = 449 is the first past it, so the scan stops with 448 of
+   5,000 candidates charged (a read per candidate would stop it after
+   7). An evaluation cap of 100 stops it at the 101st charge whatever
+   the clock, and with neither limit the scan runs to its end. *)
+let test_budget_guard_cadence () =
+  let d = { Distributions.Exponential.default with Dist.pdf = (fun _ -> 0.0) } in
+  let budget = Solver.override ~max_seconds:10.0 Solver.default_budget in
+  let solve ~clock budget =
+    Solver.solve ~clock ~budget ~tiers:[ Solver.Brute_force ] ~validate:false
+      cost d
+  in
+  let exhausted name ~clock budget expected =
+    match solve ~clock budget with
+    | Error (Solver.Budget_exhausted { evaluations; _ }) ->
+        Alcotest.(check int) name expected evaluations
+    | Error e -> Alcotest.failf "%s: %s" name (Solver.error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: no candidate should be valid" name
+  in
+  exhausted "deadline: 7 strides of 64 candidates"
+    ~clock:(Stochobs.Clock.fake ~step:1.0 ())
+    budget (7 * 64);
+  exhausted "evaluation cap: one charge per candidate"
+    ~clock:(Stochobs.Clock.fake ~step:0.0 ())
+    (Solver.override ~max_evaluations:100 budget)
+    101;
+  match solve ~clock:(Stochobs.Clock.fake ~step:0.0 ()) budget with
+  | Error (Solver.Non_convergent _) -> ()
+  | Error e -> Alcotest.failf "full scan: %s" (Solver.error_to_string e)
+  | Ok _ -> Alcotest.fail "full scan: no candidate should be valid"
+
 let test_empty_tiers_refused () =
   match
     Solver.solve ~budget:quick ~tiers:[] cost
@@ -275,6 +311,8 @@ let () =
           Alcotest.test_case "refuses invalid budget" `Quick
             test_invalid_budget_refused;
           Alcotest.test_case "budget override" `Quick test_override;
+          Alcotest.test_case "budget guard cadence" `Quick
+            test_budget_guard_cadence;
           Alcotest.test_case "refuses empty cascade" `Quick
             test_empty_tiers_refused;
           Alcotest.test_case "exit codes distinct" `Quick

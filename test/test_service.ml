@@ -118,6 +118,76 @@ let test_key_canonicalization () =
   in
   Alcotest.(check bool) "strategy splits" false (String.equal k1 other_strategy)
 
+(* Floats of every class: any bit pattern (nan, infinities,
+   subnormals), ordinary magnitudes, integers and signed zeros. *)
+let any_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map Int64.float_of_bits ui64);
+        (3, float_range (-1e3) 1e3);
+        (1, map float_of_int (int_range (-1000) 1000));
+        (1, oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 5e-324 ]);
+      ])
+
+(* Names with upper-case letters, separators and escapes. *)
+let any_name = QCheck.Gen.(string_size ~gen:(char_range ' ' '~') (int_range 0 10))
+
+let any_int =
+  QCheck.Gen.(frequency [ (4, int_range (-1000) 100_000); (1, oneofl [ 0; min_int; max_int ]); (1, int) ])
+
+(* The key is written piece by piece; it must be the Printf form's,
+   byte for byte, on any grid, parameters and budget. *)
+let prop_key_printf =
+  let gen =
+    QCheck.Gen.(
+      let* grid = float_range 1e-3 1.0 in
+      let* family = any_name and* strategy = any_name in
+      let* params = list_size (int_range 0 3) (pair any_name any_float) in
+      let* alpha = float_range 1e-9 1e9 and* beta = oneof [ return 0.0; float_range 0.0 1e9 ]
+      and* gamma = oneof [ return 0.0; float_range 0.0 1e9 ] in
+      let* ints = list_repeat 6 any_int and* exact = bool in
+      return (grid, family, strategy, params, (alpha, beta, gamma), ints, exact))
+  in
+  QCheck.Test.make ~count:2000 ~name:"Quantize.key = its Printf form" (QCheck.make gen)
+    (fun (grid, family, strategy, params, (alpha, beta, gamma), ints, exact) ->
+      let model = Stochastic_core.Cost_model.make ~alpha ~beta ~gamma () in
+      match ints with
+      | [ m; n; disc_n; max_evaluations; seed; count ] ->
+          String.equal
+            (Quantize.key ~grid ~family ~params ~model ~strategy ~m ~n ~disc_n
+               ~max_evaluations ~seed ~count ~exact)
+            (Wire_oracle.key ~grid ~family ~params ~model ~strategy ~m ~n ~disc_n
+               ~max_evaluations ~seed ~count ~exact)
+      | _ -> false)
+
+(* A hit splices the entry's cached tail after the fields that name
+   the request; the result must be the whole object rendered at once. *)
+let prop_solve_response_obj =
+  let gen =
+    QCheck.Gen.(
+      let* id =
+        oneof
+          [
+            return None;
+            map (fun i -> Some (J.Num (float_of_int i))) any_int;
+            map (fun v -> Some (J.Num v)) any_float;
+            map (fun s -> Some (J.Str s)) any_name;
+            map (fun s -> Some (J.Obj [ (s, J.Arr [ J.Null; J.Bool true ]) ])) any_name;
+          ]
+      in
+      let* cached = bool and* key = any_name and* dist_name = any_name and* tier = any_name in
+      let* degraded = bool and* head = array_size (int_range 0 6) any_float in
+      let* cost = any_float and* normalized = any_float in
+      return (id, cached, key, { Protocol.dist_name; tier; degraded; head; cost; normalized }))
+  in
+  QCheck.Test.make ~count:2000 ~name:"solve_response = the whole Json.Obj"
+    (QCheck.make gen)
+    (fun (id, cached, key, solved) ->
+      String.equal
+        (Protocol.solve_response ~id ~cached ~key ~tail:(Protocol.solved_tail solved))
+        (Wire_oracle.solve_response ~id ~cached ~key solved))
+
 (* ----------------------------- protocol ---------------------------- *)
 
 let parse_ok line =
@@ -637,6 +707,7 @@ let () =
           Alcotest.test_case "tokens" `Quick test_quantize_tokens;
           Alcotest.test_case "key canonicalization" `Quick
             test_key_canonicalization;
+          QCheck_alcotest.to_alcotest prop_key_printf;
         ] );
       ( "protocol",
         [
@@ -646,6 +717,7 @@ let () =
           Alcotest.test_case "resolve routing" `Quick test_resolve_routing;
           Alcotest.test_case "solver error codes pinned" `Quick
             test_error_code_mapping;
+          QCheck_alcotest.to_alcotest prop_solve_response_obj;
         ] );
       ( "server",
         [

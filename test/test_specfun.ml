@@ -115,6 +115,53 @@ let test_erf_oracle () =
   rel_close "erfc(5)" 1.537459794428035e-12 (Sf.erfc 5.0) ~tol:1e-10;
   rel_close "erfc(-1) = 1 + erf(1)" 1.8427007929497149 (Sf.erfc (-1.0)) ~tol:1e-13
 
+(* Distance in units in the last place between two finite doubles of
+   the same sign. *)
+let ulps a b =
+  Int64.to_int (Int64.abs (Int64.sub (Int64.bits_of_float a) (Int64.bits_of_float b)))
+
+(* [Sf.erf]/[Sf.erfc] are libm's. Against the incomplete-gamma route they
+   replaced (test/erf_oracle.ml), on |x| <= 5: that route is itself off
+   by up to 45 ulp (1.0e-14 relative, at x = 1.19) against the mpmath
+   table below, where libm is within 2 ulp, and the two differ by at
+   most 1.43e-14 relative on a 1e-5 grid; 3e-14 leaves a factor of two. *)
+let prop_erf_gamma_route =
+  QCheck.Test.make ~count:2000 ~name:"erf, erfc = the gamma route within 3e-14 on |x| <= 5"
+    QCheck.(float_range (-5.0) 5.0)
+    (fun x ->
+      let rel got want =
+        Float.abs (got -. want) <= 3e-14 *. Float.max (Float.abs want) Float.min_float
+      in
+      rel (Sf.erf x) (Erf_oracle.erf x) && rel (Sf.erfc x) (Erf_oracle.erfc x))
+
+(* fixtures/erf_reference.txt, written by fixtures/erf_reference.py
+   with mpmath at 40 digits: x on [-6, 27], erf x and erfc x. erfc
+   reaches the subnormals there (erfc 27 ~ 5e-319). *)
+let test_erf_reference_table () =
+  let lines =
+    In_channel.with_open_bin "fixtures/erf_reference.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check bool) "table read" true (List.length lines > 600);
+  List.iter
+    (fun l ->
+      Scanf.sscanf l "%f %f %f" (fun x erf erfc ->
+          let check name got want =
+            if ulps got want > 2 then
+              Alcotest.failf "%s(%h) = %h, mpmath %h: %d ulp" name x got want
+                (ulps got want)
+          in
+          check "erf" (Sf.erf x) erf;
+          check "erfc" (Sf.erfc x) erfc))
+    lines
+
+(* The reflection rounds once, in the subtraction: within 1 ulp. *)
+let prop_erfc_reflection =
+  QCheck.Test.make ~count:2000 ~name:"erfc (-x) = 2 - erfc x within 1 ulp"
+    QCheck.(float_range 0.0 30.0)
+    (fun x -> ulps (Sf.erfc (-.x)) (2.0 -. Sf.erfc x) <= 1)
+
 let test_normal_quantile_oracle () =
   rel_close "ndtri(0.5)" 0.0 (Sf.normal_quantile 0.5) ~tol:1e-14;
   rel_close "ndtri(0.975)" 1.959963984540054 (Sf.normal_quantile 0.975) ~tol:1e-12;
@@ -180,6 +227,33 @@ let prop_betai_roundtrip =
       if p < 1e-9 || p > 1.0 -. 1e-9 then true
       else Float.abs (Sf.inverse_betai a b p -. x) <= 1e-6)
 
+(* Halley's steps stop once an iterate repeats; the result must be the
+   one all 16 steps reach (test/betai_oracle.ml), bit for bit, in the
+   A&S and the small-parameter starts and deep in both tails. *)
+let prop_inverse_betai_oracle =
+  QCheck.Test.make ~count:3000 ~name:"inverse_betai = 16 Halley steps, bit for bit"
+    QCheck.(
+      triple (float_range 0.2 12.0) (float_range 0.2 12.0)
+        (make Gen.(oneof [ float_range 0.0 1.0; map (fun e -> 10.0 ** -.e) (float_range 0.0 15.0);
+                            map (fun e -> 1.0 -. (10.0 ** -.e)) (float_range 1.0 15.0) ])))
+    (fun (a, b, p) ->
+      Int64.equal
+        (Int64.bits_of_float (Sf.inverse_betai a b p))
+        (Int64.bits_of_float (Betai_oracle.inverse_betai a b p)))
+
+(* With both shapes >= 1 the start is A&S 26.5.22, which takes the
+   upper-tail deviate of p. With the lower-tail one it began in the
+   wrong tail, and for small p the steps could stop on a point whose
+   residual passed the 1e-12 absolute check far from the root: 12 %
+   off at p = 1.3e-12 on Beta(1.37, 1.01). *)
+let prop_inverse_betai_tail =
+  QCheck.Test.make ~count:2000 ~name:"inverse_betai residual within 1e-12 of p, relative"
+    QCheck.(triple (float_range 1.0 10.0) (float_range 1.0 10.0) (float_range 1e-3 12.0))
+    (fun (a, b, e) ->
+      let p = 10.0 ** -.e in
+      let q = Sf.inverse_betai a b p in
+      Float.abs (Sf.betai a b q -. p) <= (1e-12 *. p) +. 1e-15)
+
 let prop_betai_symmetry =
   QCheck.Test.make ~count:300 ~name:"I_x(a,b) = 1 - I_(1-x)(b,a)"
     QCheck.(
@@ -206,6 +280,10 @@ let () =
       ( "erf",
         [
           Alcotest.test_case "erf oracle" `Quick test_erf_oracle;
+          Alcotest.test_case "erf, erfc within 2 ulp of mpmath" `Quick
+            test_erf_reference_table;
+          QCheck_alcotest.to_alcotest prop_erf_gamma_route;
+          QCheck_alcotest.to_alcotest prop_erfc_reflection;
           Alcotest.test_case "normal quantile oracle" `Quick
             test_normal_quantile_oracle;
           Alcotest.test_case "normal cdf" `Quick test_normal_cdf;
@@ -219,5 +297,7 @@ let () =
           Alcotest.test_case "incomplete beta" `Quick test_incomplete_beta;
           QCheck_alcotest.to_alcotest prop_betai_roundtrip;
           QCheck_alcotest.to_alcotest prop_betai_symmetry;
+          QCheck_alcotest.to_alcotest prop_inverse_betai_oracle;
+          QCheck_alcotest.to_alcotest prop_inverse_betai_tail;
         ] );
     ]
