@@ -1,21 +1,5 @@
 let default_tol = 1e-10
 
-(* Profiling probes on the global registry. Disabled (the default)
-   they cost one branch per quadrature call, not per panel: recursion
-   depth is tracked in a plain ref and only fed to the histogram once
-   the call returns. *)
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_calls = Stochobs.Metrics.(counter default) "numerics.integrate.calls"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_nonfinite =
-  Stochobs.Metrics.(counter default) "numerics.integrate.nonfinite_bailouts"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_depth =
-  Stochobs.Metrics.(histogram default) "numerics.integrate.depth"
-    ~buckets:[| 0.0; 2.0; 4.0; 8.0; 12.0; 16.0; 24.0; 32.0; 48.0 |]
-
 (* ------------------------------------------------------------------ *)
 (* Gauss–Kronrod 7/15.                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -107,26 +91,17 @@ let qk15 f a b =
    needs it. *)
 let adaptive ~tol ~moment ~tol_moment ~max_depth ~initial f a b =
   if initial <= 0 then invalid_arg "Integrate.gauss_kronrod: initial <= 0";
-  Stochobs.Metrics.add m_calls (if moment then 2 else 1);
-  let deepest = ref 0 in
   (* A panel settles when converged or out of depth, and at a
      non-finite value: a nan integrand poisons the error estimate;
      subdividing would explore the full 2^depth tree without ever
      converging, so the nan goes to the caller instead. *)
   let settles ~tol depth (integral, err) =
-    let finite = Float.is_finite integral in
-    let settled =
-      (not finite) || depth <= 0 || err <= tol
-      (* Roundoff floor: once the estimate is within a few ulps of the
-         panel's own magnitude, refinement cannot improve it and would
-         only blow the recursion tree up. *)
-      || err <= 1e-14 *. Float.abs integral
-    in
-    if settled then begin
-      if not finite then Stochobs.Metrics.incr m_nonfinite;
-      if max_depth - depth > !deepest then deepest := max_depth - depth
-    end;
-    settled
+    (not (Float.is_finite integral))
+    || depth <= 0 || err <= tol
+    (* Roundoff floor: once the estimate is within a few ulps of the
+       panel's own magnitude, refinement cannot improve it and would
+       only blow the recursion tree up. *)
+    || err <= 1e-14 *. Float.abs integral
   in
   (* The node values are read before the panel splits, so one pair of
      buffers serves the whole recursion. *)
@@ -173,15 +148,11 @@ let adaptive ~tol ~moment ~tol_moment ~max_depth ~initial f a b =
     done;
     (Kahan.sum acc, Kahan.sum acc_moment)
   in
-  let r =
-    if a = b then (0.0, 0.0)
-    else if a > b then
-      let v, w = run b a in
-      (-.v, -.w)
-    else run a b
-  in
-  Stochobs.Metrics.observe_int m_depth !deepest;
-  r
+  if a = b then (0.0, 0.0)
+  else if a > b then
+    let v, w = run b a in
+    (-.v, -.w)
+  else run a b
 
 let gauss_kronrod ?(tol = default_tol) ?(max_depth = 48) ?(initial = 1) f a b =
   fst (adaptive ~tol ~moment:false ~tol_moment:0.0 ~max_depth ~initial f a b)

@@ -1,20 +1,5 @@
 type result = { xmin : float; fmin : float; evaluations : int }
 
-(* Profiling probes: each optimiser already counts its objective
-   evaluations for the caller, so feeding the registry is one counter
-   add per call, not per evaluation. *)
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_calls = Stochobs.Metrics.(counter default) "numerics.optimize.calls"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_evals =
-  Stochobs.Metrics.(counter default) "numerics.optimize.evaluations"
-
-let record (r : result) =
-  Stochobs.Metrics.incr m_calls;
-  Stochobs.Metrics.add m_evals r.evaluations;
-  r
-
 let invphi = (sqrt 5.0 -. 1.0) /. 2.0 (* 1/phi *)
 
 (* Iterations either minimiser runs at most: a bound when [tol] is out
@@ -52,7 +37,7 @@ let golden_section ?(tol = 1e-10) f a b =
     end
   done;
   let xmin = if !fc < !fd then !c else !d in
-  record { xmin; fmin = Float.min !fc !fd; evaluations = !evals }
+  { xmin; fmin = Float.min !fc !fd; evaluations = !evals }
 
 let brent_min ?(tol = 1e-10) f a b =
   let cgold = 0.3819660112501051 in
@@ -133,7 +118,7 @@ let brent_min ?(tol = 1e-10) f a b =
       end
     end
   done;
-  record { xmin = !x; fmin = !fx; evaluations = !evals }
+  { xmin = !x; fmin = !fx; evaluations = !evals }
 
 let grid ?(refine = true) ~n f a b =
   if n <= 0 then invalid_arg "Optimize.grid: n must be positive";
@@ -165,4 +150,4 @@ let grid ?(refine = true) ~n f a b =
       best_x := r.xmin
     end
   end;
-  record { xmin = !best_x; fmin = !best_f; evaluations = !evals }
+  { xmin = !best_x; fmin = !best_f; evaluations = !evals }

@@ -4,13 +4,13 @@
     Instruments are registered once (registration is idempotent and
     keyed by name) and updated from hot paths. A registry starts
     {e disabled}: every update on a disabled registry is one load and
-    one branch, so probes can live permanently in numerics/solver/
-    scheduler inner loops. Enabling is a runtime switch
+    one branch, so probes can live permanently in solver and service
+    inner loops. Enabling is a runtime switch
     ({!set_enabled}), which lets the CLI flip {!default} on after all
     modules have registered their instruments.
 
     Names follow the repo-wide [layer.component.metric] scheme, e.g.
-    ["numerics.integrate.calls"] or ["scheduler.engine.kills.fault"]. *)
+    ["robust.solver.evaluations"] or ["service.cache.evictions"]. *)
 
 type t
 (** A registry. *)

@@ -1,40 +1,5 @@
 module Trace = Stochobs.Trace
 
-(* Profiling probes on the global registry: one branch each while the
-   registry is disabled, so they are safe inside the event loop. *)
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_events = Stochobs.Metrics.(counter default) "scheduler.engine.events"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_dispatches =
-  Stochobs.Metrics.(counter default) "scheduler.engine.dispatches"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_queue_depth =
-  Stochobs.Metrics.(gauge default) "scheduler.engine.queue_depth"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_kill_timeout =
-  Stochobs.Metrics.(counter default) "scheduler.engine.kills.timeout"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_kill_fault =
-  Stochobs.Metrics.(counter default) "scheduler.engine.kills.node_failure"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let m_abandoned =
-  Stochobs.Metrics.(counter default) "scheduler.engine.abandoned"
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let h_attempt_span =
-  Stochobs.Metrics.(histogram default) "scheduler.engine.attempt_span"
-    ~buckets:[| 0.1; 1.0; 10.0; 100.0; 1_000.0; 10_000.0 |]
-
-(* stochlint: allow GLOBAL_MUT_STATE — single-domain metrics probe; the multicore fan-out merges per-domain registries *)
-let h_restore =
-  Stochobs.Metrics.(histogram default) "scheduler.engine.checkpoint.restore_time"
-    ~buckets:[| 0.01; 0.1; 1.0; 10.0; 100.0 |]
-
 type retry = { max_retries : int option; backoff : float }
 
 let unlimited_retries = { max_retries = None; backoff = 0.0 }
@@ -159,10 +124,6 @@ let run (config : config) jobs =
               let ids = Cluster.allocate cluster (Job.nodes j) in
               Job.start j ~now;
               let span, _completes = Job.attempt_span j in
-              Stochobs.Metrics.incr m_dispatches;
-              Stochobs.Metrics.observe h_attempt_span span;
-              let restore = Job.restore_time j in
-              if restore > 0.0 then Stochobs.Metrics.observe h_restore restore;
               let reservation_end = now +. Job.request j in
               running := { ends = reservation_end; job = j; ids } :: !running;
               Event_queue.push events ~time:(now +. span)
@@ -178,12 +139,10 @@ let run (config : config) jobs =
     Cluster.release cluster slot.ids;
     running := List.filter (fun s -> s.job != slot.job) !running;
     Job.interrupt slot.job ~now;
-    Stochobs.Metrics.incr m_kill_fault;
     match config.retry.max_retries with
     | Some cap when Job.failures slot.job > cap ->
         Job.abandon slot.job;
         incr abandoned;
-        Stochobs.Metrics.incr m_abandoned;
         decr remaining
     | _ ->
         let at = now +. config.retry.backoff in
@@ -197,7 +156,6 @@ let run (config : config) jobs =
       | None -> ()
       | Some (now, ev) ->
           incr processed;
-          Stochobs.Metrics.incr m_events;
           Cluster.advance cluster now;
           (match (ev, faults) with
           | Arrival j, _ -> pending := !pending @ [ j ]
@@ -214,10 +172,7 @@ let run (config : config) jobs =
                   makespan := Float.max !makespan now;
                   decr remaining
                 end
-                else begin
-                  Stochobs.Metrics.incr m_kill_timeout;
-                  Event_queue.push events ~time:now (Arrival j)
-                end
+                else Event_queue.push events ~time:now (Arrival j)
               end
           (* Node_down/Node_up events are only ever scheduled from a
              [Some f] fault model (see the seeding loop above and the
@@ -251,11 +206,6 @@ let run (config : config) jobs =
                 "Engine.run: failure event without a fault model — \
                  event-queue corruption");
           schedule now;
-          (* Guarded: the depth is an O(queue) walk, not worth paying
-             when the registry is off. *)
-          if Stochobs.Metrics.(enabled default) then
-            Stochobs.Metrics.set m_queue_depth
-              (float_of_int (List.length !pending));
           loop ()
   in
   loop ();

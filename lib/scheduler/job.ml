@@ -91,11 +91,6 @@ let request j =
 
 let remaining j = j.duration -. j.progress
 
-let restore_time j =
-  match j.recovery with
-  | Attempt.Restart -> 0.0
-  | Snapshot { restore_cost; _ } -> Attempt.restore_overhead ~restore_cost ~progress:j.progress
-
 (* The current attempt run to its natural end: completion or expiry. *)
 let close j =
   Attempt.close j.recovery ~length:(request j) ~progress:j.progress ~total:j.duration

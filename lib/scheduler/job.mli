@@ -90,11 +90,6 @@ val reservations : t -> float array
 val remaining : t -> float
 (** [duration - progress]. *)
 
-val restore_time : t -> float
-(** Snapshot-restore overhead the next attempt pays up front:
-    {!Stochastic_core.Attempt.restore_overhead}, [0.] under
-    [Restart]. *)
-
 val attempt_span : t -> float * bool
 (** [(span, completes)]: how long the current attempt will occupy its
     nodes if no failure interrupts it, and whether it finishes the job

@@ -11,13 +11,8 @@ type result = {
   incomplete : int;
 }
 
-let run ?(obs = Trace.null) ?(metrics = Stochobs.Metrics.default)
-    ?(reps = 10_000) ?(seed = 42) regime m d plan =
+let run ?(obs = Trace.null) ?(reps = 10_000) ?(seed = 42) regime m d plan =
   if reps <= 0 then invalid_arg "Spot_sim.run: reps must be positive";
-  let m_reps = Stochobs.Metrics.counter metrics "spot.sim.reps" in
-  let m_attempts = Stochobs.Metrics.counter metrics "spot.sim.attempts" in
-  let m_revocations = Stochobs.Metrics.counter metrics "spot.sim.revocations" in
-  let m_resumes = Stochobs.Metrics.counter metrics "spot.sim.resumes" in
   let max_slots = Array.length plan.Spot_cost.lengths + 128 in
   let rate = regime.Spot_cost.revocation_rate in
   let revocation_mtbf = if rate > 0.0 then 1.0 /. rate else infinity in
@@ -69,10 +64,6 @@ let run ?(obs = Trace.null) ?(metrics = Stochobs.Metrics.default)
     Numerics.Kahan.add sum !cost;
     Numerics.Kahan.add sumsq (!cost *. !cost)
   done;
-  Stochobs.Metrics.add m_reps reps;
-  Stochobs.Metrics.add m_attempts !attempts;
-  Stochobs.Metrics.add m_revocations !revocations;
-  Stochobs.Metrics.add m_resumes !resumes;
   let n = float_of_int reps in
   let mean = Numerics.Kahan.sum sum /. n in
   let var = Float.max 0.0 ((Numerics.Kahan.sum sumsq /. n) -. (mean *. mean)) in

@@ -26,7 +26,6 @@ type result = {
 
 val run :
   ?obs:Stochobs.Trace.sink ->
-  ?metrics:Stochobs.Metrics.t ->
   ?reps:int ->
   ?seed:int ->
   Stochastic_core.Spot_cost.regime ->
@@ -40,8 +39,6 @@ val run :
     so results are bit-for-bit reproducible for a fixed seed and
     independent of replication order). Each walk is bounded at plan
     length + 128 slots. Emits a
-    ["scheduler.spot_sim.run"] span on [obs] and bumps the
-    [spot.sim.*] counters on [metrics] (default
-    {!Stochobs.Metrics.default}; pass a per-domain registry from a
-    multicore fan-out and {!Stochobs.Metrics.merge} the snapshots).
+    ["scheduler.spot_sim.run"] span on [obs]; the counts of reps,
+    attempts, revocations and resumes are in the {!result}.
     @raise Invalid_argument if [reps <= 0]. *)
