@@ -22,7 +22,9 @@
     {- pdf nonnegative and finite;}
     {- pdf integrates to [~1] over the support
        ({!Numerics.Integrate.gauss_kronrod} between quantile knots, so
-       near-point-mass spikes cannot slip between nodes);}
+       near-point-mass spikes cannot slip between nodes); a segment
+       whose integral is not finite skips this and the mean check
+       with a [mass-check-skipped] warning;}
     {- mean finite, inside the support, consistent with the integral
        of [t f(t)] (partial-mean bound for heavy tails);}
     {- variance not NaN and nonnegative ([infinity] is a warning: the

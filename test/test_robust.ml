@@ -64,6 +64,25 @@ let test_check_rejects_negative_pdf () =
   let r = Check.run bad in
   Alcotest.(check bool) "invalid" false (Check.is_valid r)
 
+(* A pdf that is NaN on a window narrower than the probe grid's spacing:
+   no pdf probe lands in it, but the quadrature between the knots 0.5
+   and 0.529 does, and a non-finite integral must surface as a warning
+   rather than silently skip the mass checks. *)
+let test_check_warns_on_nonfinite_integral () =
+  let d = Distributions.Uniform_dist.make ~a:0.0 ~b:1.0 in
+  let holed =
+    {
+      d with
+      Dist.name = "HoledUniform";
+      pdf = (fun t -> if t > 0.501 && t < 0.509 then nan else d.Dist.pdf t);
+    }
+  in
+  let r = Check.run holed in
+  Alcotest.(check string) "summary" "HoledUniform: ok (40 probes, 1 warning)"
+    (Check.summary r);
+  Alcotest.(check (list string)) "warning ids" [ "mass-check-skipped" ]
+    (List.map (fun (i : Check.issue) -> i.id) (Check.warnings r))
+
 (* ------------------------------ solver ---------------------------- *)
 
 let test_primary_tier_on_exponential () =
@@ -299,6 +318,8 @@ let () =
           Alcotest.test_case "rejects NaN cdf" `Quick test_check_rejects_nan_cdf;
           Alcotest.test_case "rejects negative pdf" `Quick
             test_check_rejects_negative_pdf;
+          Alcotest.test_case "warns on a non-finite pdf integral" `Quick
+            test_check_warns_on_nonfinite_integral;
         ] );
       ( "solver",
         [
