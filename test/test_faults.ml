@@ -250,6 +250,42 @@ let test_capped_retries_abandon () =
           (Job.id j) (Job.failures j))
     r.Engine.jobs
 
+(* The scheduler.engine.run span and Engine.result are the two places
+   the run's event, node-failure and abandon counts live; read back
+   through Trace_read, the span's attributes must equal the result's
+   fields. The capped, fault-injected run makes all three nonzero. *)
+let test_run_span_matches_result () =
+  let module Tr = Stochobs_analysis.Trace_read in
+  let jobs = small_workload ~seed:5 ~jobs:60 () in
+  let buf = Buffer.create 4096 in
+  let r =
+    Engine.run
+      (Engine.make_config
+         ~obs:(Stochobs.Trace.make (Stochobs.Writer.to_buffer buf))
+         ~faults:(Faults.make ~seed:9 ~mean_repair:0.25 (Faults.exponential ~mtbf:5.0))
+         ~retry:(Engine.make_retry ~max_retries:1 ())
+         ~nodes:8 ~policy:Policy.Easy_backfill ())
+      jobs
+  in
+  Alcotest.(check bool) "some jobs abandoned" true (r.Engine.abandoned > 0);
+  let trace = Tr.of_string (Buffer.contents buf) in
+  Alcotest.(check int) "no damaged lines" 0 trace.Tr.skipped;
+  let span =
+    match
+      List.filter (fun sp -> sp.Tr.name = "scheduler.engine.run") (Tr.spans trace)
+    with
+    | [ sp ] -> sp
+    | l -> Alcotest.failf "%d scheduler.engine.run spans, expected 1" (List.length l)
+  in
+  let attr key =
+    match List.assoc_opt key span.Tr.attrs with
+    | Some (Stochobs.Json.Num v) when Float.is_integer v -> int_of_float v
+    | _ -> Alcotest.failf "span attribute %s missing or not an integer" key
+  in
+  Alcotest.(check int) "events" r.Engine.events (attr "events");
+  Alcotest.(check int) "node_failures" r.Engine.node_failures (attr "node_failures");
+  Alcotest.(check int) "abandoned" r.Engine.abandoned (attr "abandoned")
+
 let test_failure_kills_recorded () =
   let jobs = small_workload ~seed:7 ~jobs:40 () in
   let r =
@@ -351,6 +387,8 @@ let () =
         [
           Alcotest.test_case "capped retries abandon" `Quick
             test_capped_retries_abandon;
+          Alcotest.test_case "run span matches result" `Quick
+            test_run_span_matches_result;
           Alcotest.test_case "failure kills recorded" `Quick
             test_failure_kills_recorded;
           Alcotest.test_case "zero rate = failure-free, bit-for-bit" `Quick
