@@ -4,7 +4,8 @@
     records, per row: which cascade tier answered, how many tiers were
     rejected first, the normalized cost, and the wall-clock split
     between input validation ({!Robust.Dist_check.run}) and the solve
-    itself. The paper's distributions are all well-behaved, so the
+    itself. Each time is the best of three CPU-time runs after one
+    untimed run. The paper's distributions are all well-behaved, so the
     cascade must answer every row from the primary brute-force tier —
     any degradation here is a regression — and the validation pass is
     budgeted at under 5% of the solve time. *)
