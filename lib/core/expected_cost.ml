@@ -51,6 +51,22 @@ let first_uncovered xs i t =
   in
   if i < len && xs.(i) <= t then gallop i 1 else i
 
+(* The mean each scoring charges [beta] on. A negative sample (outside
+   every law's support) voids the bound: the rounding argument behind
+   the scan's margin needs nonnegative terms. *)
+let first_reservation_bound scoring m d =
+  let mean =
+    match scoring with
+    | Series -> d.Dist.mean
+    | Sorted_sample p ->
+        let n = Array.length p.xs in
+        if n = 0 || p.xs.(0) < 0.0 then nan else segment_sum p 0 n /. float_of_int n
+  in
+  let open Cost_model in
+  if Float.is_finite mean && mean >= 0.0 then fun t1 ->
+    (m.alpha *. t1) +. m.gamma +. (m.beta *. mean)
+  else fun _ -> neg_infinity
+
 let tail_eps = 1e-16
 let max_terms = 100_000
 
