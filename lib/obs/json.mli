@@ -26,6 +26,16 @@ val add_int : Buffer.t -> int -> unit
     it, without its format interpretation: JSON numbers and cache keys
     print their integers through it. *)
 
+val add : Buffer.t -> t -> unit
+(** [add buf t] appends [to_string ~indent:false t]. *)
+
+val add_num : Buffer.t -> float -> unit
+(** [add_num buf v] appends [v] as {!to_string} writes [Num v]. *)
+
+val add_str : Buffer.t -> string -> unit
+(** [add_str buf s] appends [s] quoted and escaped, as {!to_string}
+    writes [Str s]. *)
+
 val of_string : string -> (t, string) result
 (** Parse, or [Error message] naming the byte offset of the failure. *)
 

@@ -581,6 +581,82 @@ let prop_json_numbers =
             ]))
     (fun v -> String.equal (J.to_string (J.Num v)) (Wire_oracle.num v))
 
+(* The fixed-notation range, 1e-4 <= |v| < 1e15, is printed without
+   the C library: every digit, half-to-even tie and carry into a new
+   decade must come out as ["%.17g"] writes it. *)
+let prop_json_fixed_numbers =
+  let open QCheck.Gen in
+  let decades =
+    map2 (fun m e -> m *. (10.0 ** float_of_int e)) (float_range 1.0 10.0) (int_range (-5) 15)
+  in
+  (* m / 8 with m odd and 15 or 16 digits has 18 significant digits,
+     the last a 5: an exact tie at the 17th. *)
+  let ties = map (fun m -> float_of_int ((2 * m) + 1) /. 8.0) (int_range 400_000_000_000_000 3_999_999_999_999_999) in
+  let edges =
+    map2
+      (fun k step -> step (10.0 ** float_of_int k))
+      (int_range (-5) 15)
+      (oneofl [ Float.pred; Float.succ; Fun.id; (fun x -> x *. 0.99999999999999994) ])
+  in
+  QCheck.Test.make ~count:20000 ~name:"fixed-notation numbers print as %.17g"
+    QCheck.(
+      make
+        Gen.(
+          map2
+            (fun neg v -> if neg then -.v else v)
+            bool
+            (frequency [ (4, decades); (2, ties); (2, edges); (1, float_range 1e-4 1e15) ])))
+    (fun v -> String.equal (J.to_string (J.Num v)) (Wire_oracle.num v))
+
+(* The parser against the closure-based one it replaced: the same tree
+   or the same error, byte offset included, on rendered values, on
+   their truncations and one-byte edits, and on token soup. *)
+let prop_json_parse_oracle =
+  let open QCheck.Gen in
+  let value =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return J.Null;
+              map (fun b -> J.Bool b) bool;
+              map (fun v -> J.Num v) (oneof [ float; map float_of_int int; float_range (-1e3) 1e3 ]);
+              map (fun s -> J.Str s) (string_size ~gen:(char_range '\000' '\127') (int_range 0 8));
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun l -> J.Arr l) (list_size (int_range 0 3) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun l -> J.Obj l)
+                  (list_size (int_range 0 3) (pair (string_size (int_range 0 5)) (self (depth - 1))))
+              );
+            ])
+      3
+  in
+  let rendered = map2 (fun indent v -> J.to_string ~indent v) bool value in
+  let edit s =
+    let* i = int_range 0 (String.length s) and* c = oneofl (String.to_seq "{}[],:\"\\ -+.eE019tfnul\n" |> List.of_seq) in
+    oneofl
+      [
+        String.sub s 0 i;
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i);
+        (if i < String.length s then String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (String.length s - i - 1) else s);
+      ]
+  in
+  let soup = string_size ~gen:(oneofl (String.to_seq "{}[],:\"\\ -+.eE0123456789tfnrul" |> List.of_seq)) (int_range 0 20) in
+  QCheck.Test.make ~count:5000 ~name:"of_string = the closure-based parser"
+    QCheck.(make ~print:(Printf.sprintf "%S") Gen.(frequency [ (2, rendered); (3, rendered >>= edit); (2, soup) ]))
+    (fun s ->
+      (* Rendered, so that -0 and 0 differ. *)
+      let show = function Ok j -> "Ok " ^ J.to_string j | Error e -> "Error " ^ e in
+      String.equal (show (J.of_string s)) (show (Wire_oracle.json_of_string s)))
+
 let prop_json_add_int =
   QCheck.Test.make ~count:3000 ~name:"add_int writes string_of_int"
     QCheck.(make Gen.(frequency [ (8, int); (1, oneofl [ 0; min_int; max_int; -1 ]) ]))
@@ -601,6 +677,99 @@ let prop_json_string_roundtrip =
       | Ok j' -> j' = j
       | Error _ -> false)
 
+(* -------------------- trace records vs the JSON tree --------------- *)
+
+(* The records Trace wrote before it wrote them straight into a buffer:
+   a [Json.t] tree printed by [Json.to_string ~indent:false]. *)
+let oracle_value = function
+  | Trace.Str s -> J.Str s
+  | Trace.Num v -> J.Num v
+  | Trace.Int i -> J.Num (float_of_int i)
+  | Trace.Bool b -> J.Bool b
+
+let oracle_attrs attrs = J.Obj (List.map (fun (k, v) -> (k, oracle_value v)) attrs)
+
+let oracle_span ~name ~id ~parent ~start ~stop ~error attrs =
+  let attrs = match attrs with [] -> [] | l -> [ ("attrs", oracle_attrs l) ] in
+  let tail =
+    ("start", J.Num start) :: ("end", J.Num stop)
+    :: (match error with None -> attrs | Some msg -> ("error", J.Str msg) :: attrs)
+  in
+  J.to_string ~indent:false
+    (J.Obj
+       (("type", J.Str "span") :: ("name", J.Str name)
+       :: ("id", J.Num (float_of_int id))
+       :: (if parent = 0 then tail else ("parent", J.Num (float_of_int parent)) :: tail)))
+
+let oracle_event ~name ~parent ~at attrs =
+  J.to_string ~indent:false
+    (J.Obj
+       ([ ("type", J.Str "event"); ("name", J.Str name) ]
+       @ (if parent = 0 then [] else [ ("parent", J.Num (float_of_int parent)) ])
+       @ [ ("at", J.Num at) ]
+       @ match attrs with [] -> [] | l -> [ ("attrs", oracle_attrs l) ]))
+
+exception Inner_failed of string
+
+(* An outer span (attributes at open and by [annotate]) around an inner
+   span (which may raise) around an event, under a fake clock: reads
+   0..4 are the outer open, inner open, event, inner close, outer
+   close. Names, keys and strings carry quotes, backslashes and control
+   bytes; numbers include NaN, infinities, -0 and ints past 2^53. *)
+let prop_trace_records =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(char_range '\000' '\255') (int_range 0 10) in
+  let num =
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        (2, float_range (-1e6) 1e6);
+        (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0; 1e15; 0.001 ]);
+      ]
+  in
+  let value =
+    frequency
+      [
+        (2, map (fun s -> Trace.Str s) str);
+        (2, map (fun v -> Trace.Num v) num);
+        (2, map (fun i -> Trace.Int i) (frequency [ (4, int); (1, oneofl [ min_int; max_int ]) ]));
+        (1, map (fun b -> Trace.Bool b) bool);
+      ]
+  in
+  let attrs = list_size (int_range 0 3) (pair str value) in
+  let case =
+    let* names = triple str str str in
+    let* a1 = attrs and* a2 = attrs and* b1 = attrs and* c1 = attrs in
+    let* error = opt str in
+    let* start = float_range (-10.0) 10.0 and* step = float_range 0.0 2.0 in
+    return (names, a1, a2, b1, c1, error, start, step)
+  in
+  QCheck.Test.make ~count:500 ~name:"trace records are the JSON tree's bytes"
+    (QCheck.make case)
+    (fun (names, a1, a2, b1, c1, error, start, step) ->
+      let outer, inner, event = names in
+      let buf = Buffer.create 512 in
+      let sink = Trace.make ~clock:(Clock.fake ~start ~step ()) (Writer.to_buffer buf) in
+      Trace.with_span sink ~attrs:a1 outer (fun () ->
+          Trace.annotate sink a2;
+          try
+            Trace.with_span sink ~attrs:b1 inner (fun () ->
+                Trace.instant sink ~attrs:c1 event;
+                Option.iter (fun msg -> raise (Inner_failed msg)) error)
+          with Inner_failed _ -> ());
+      let at k = start +. (float_of_int k *. step) in
+      let expected =
+        [
+          oracle_event ~name:event ~parent:2 ~at:(at 2) c1;
+          oracle_span ~name:inner ~id:2 ~parent:1 ~start:(at 1) ~stop:(at 3)
+            ~error:(Option.map (fun m -> Printexc.to_string (Inner_failed m)) error)
+            b1;
+          oracle_span ~name:outer ~id:1 ~parent:0 ~start:(at 0) ~stop:(at 4) ~error:None
+            (a1 @ a2);
+        ]
+      in
+      String.equal (Buffer.contents buf) (String.concat "" (List.map (fun l -> l ^ "\n") expected)))
+
 let () =
   Alcotest.run "obs"
     [
@@ -614,6 +783,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_trace_deterministic;
           Alcotest.test_case "error span" `Quick test_error_span;
           Alcotest.test_case "lines parse" `Quick test_trace_lines_parse;
+          QCheck_alcotest.to_alcotest prop_trace_records;
         ] );
       ( "metrics",
         [
@@ -640,6 +810,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_json_integers;
           QCheck_alcotest.to_alcotest prop_json_numbers;
+          QCheck_alcotest.to_alcotest prop_json_fixed_numbers;
+          QCheck_alcotest.to_alcotest prop_json_parse_oracle;
           QCheck_alcotest.to_alcotest prop_json_add_int;
           QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
         ] );
