@@ -175,8 +175,8 @@ let obs_term =
          & info [ "fake-clock" ]
              ~doc:
                "Timestamp trace records with a deterministic counter clock \
-                instead of CPU time, so same-seed runs produce byte-identical \
-                trace files.")
+                instead of CPU time (wall time under $(b,serve)), so \
+                same-seed runs produce byte-identical trace files.")
   in
   Term.(
     const (fun trace_file metrics_file profile fake_clock ->
@@ -190,8 +190,9 @@ let obs_term =
    [f] also receives the run's clock so every time source in the
    process (trace sink, solver budget guard, server uptime) reads the
    same instance — under --fake-clock, a second independent fake clock
-   would silently desynchronize the timestamps. *)
-let with_obs opts f =
+   would silently desynchronize the timestamps. Without it the clock is
+   [clock]: CPU time, or the daemon's wall clock. *)
+let with_obs ?(clock = Stochobs.Clock.cpu) opts f =
   let module M = Stochobs.Metrics in
   let metrics_on = opts.profile || opts.metrics_file <> None in
   if metrics_on then M.set_enabled M.default true;
@@ -214,9 +215,7 @@ let with_obs opts f =
       if opts.profile then Format.eprintf "%a@." M.pp delta
     end
   in
-  let clock =
-    if opts.fake_clock then Stochobs.Clock.fake () else Stochobs.Clock.cpu
-  in
+  let clock = if opts.fake_clock then Stochobs.Clock.fake () else clock in
   Fun.protect ~finally:finish (fun () ->
       match opts.trace_file with
       | None -> f Stochobs.Trace.null clock
@@ -850,7 +849,7 @@ let serve_cmd =
       }
     in
     let config = usage_exit (Stochserve.Server.check_config config) in
-    with_obs obs_opts @@ fun obs clock ->
+    with_obs ~clock:Stochobs.Clock.wall obs_opts @@ fun obs clock ->
     (* Writing to a hung-up client must surface as EPIPE (caught per
        client), not kill the daemon with an unhandled SIGPIPE. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

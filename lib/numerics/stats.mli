@@ -41,6 +41,12 @@ val quantile_nearest_rank : float array -> float -> float
     Sorts a copy of the input.
     @raise Invalid_argument on an empty array or [p] outside [[0,1]]. *)
 
+val nearest_rank : int -> float -> int
+(** [nearest_rank n p] is the 1-based rank [ceil (p n)], clamped to
+    [[1, n]], that {!quantile_nearest_rank} reads in a sorted sample of
+    [n] values.
+    @raise Invalid_argument if [n = 0] or [p] is outside [[0, 1]]. *)
+
 val quantile_nearest_rank_sorted : float array -> float -> float
 (** {!quantile_nearest_rank} on an already-sorted array; no copy. *)
 

@@ -1,6 +1,7 @@
 type t = unit -> float
 
 let cpu : t = Sys.time
+let wall : t = Unix.gettimeofday
 
 let fake ?(start = 0.0) ?(step = 0.001) () : t =
   if not (Float.is_finite start) || not (Float.is_finite step) || step < 0.0

@@ -15,6 +15,13 @@ val cpu : t
     dependency-free; coarse, but spans are for attribution, not
     nanosecond timing (the bench harness measures overhead itself). *)
 
+val wall : t
+(** [Unix.gettimeofday]: wall-clock seconds. One read goes through the
+    vDSO and costs about a tenth of a {!cpu} read, a [getrusage] system
+    call (0.05 against 0.5 µs on a 2-vCPU VM). It is not monotone: a
+    stepped system clock moves it, so a reader clamps differences at 0.
+    The serve daemon times requests and deadlines with it. *)
+
 val fake : ?start:float -> ?step:float -> unit -> t
 (** [fake ()] is a deterministic clock that returns
     [start + k * step] on its [k]-th reading (defaults [0.] and

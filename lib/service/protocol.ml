@@ -332,18 +332,25 @@ let solved_tail solved =
   in
   String.sub r 1 (String.length r - 2)
 
+(* Written straight into one buffer: [render] of the whole object, the
+   tail spliced in (pinned against it in test_service). *)
 let solve_response ~id ~cached ~key ~tail =
-  let head =
-    render
-      (with_id id
-         [
-           ("ok", J.Bool true);
-           ("kind", J.Str "solve");
-           ("cached", J.Bool cached);
-           ("key", J.Str key);
-         ])
-  in
-  String.concat "" [ String.sub head 0 (String.length head - 1); ","; tail; "}" ]
+  let buf = Buffer.create (String.length key + String.length tail + 80) in
+  Buffer.add_char buf '{';
+  Option.iter
+    (fun id ->
+      Buffer.add_string buf "\"id\": ";
+      J.add buf id;
+      Buffer.add_char buf ',')
+    id;
+  Buffer.add_string buf "\"ok\": true,\"kind\": \"solve\",\"cached\": ";
+  Buffer.add_string buf (if cached then "true" else "false");
+  Buffer.add_string buf ",\"key\": ";
+  J.add_str buf key;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf tail;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
 let fit_response ~id ~tenant (fit : Distributions.Fitting.lognormal_fit) =
   render

@@ -90,6 +90,11 @@ type t = {
      histogram (which never forgets a cold start). *)
   lat_window : float array;
   mutable lat_seen : int;
+  (* The window's two largest latencies under [Float.compare], NaN
+     while unfilled: the nearest-rank p99 of n <= 128 values is one of
+     them. *)
+  mutable lat_top1 : float;
+  mutable lat_top2 : float;
   (* Registry instruments, registered once at creation. *)
   m_hits : M.counter;
   m_misses : M.counter;
@@ -112,11 +117,10 @@ type t = {
 }
 
 (* At most 128 entries: the nearest-rank p99 of n <= 128 values is
-   among their 2 largest, so refreshing the gauge on every request is
-   one pass that keeps two values. *)
+   among their 2 largest, which the server keeps as requests arrive. *)
 let window_size = 128
 
-let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
+let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.wall)
     ?(metrics = M.default) ?journal config =
   (match check_config config with
   | Ok _ -> ()
@@ -163,6 +167,8 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
     shedding = false;
     lat_window = Array.make window_size 0.0;
     lat_seen = 0;
+    lat_top1 = nan;
+    lat_top2 = nan;
     m_hits = M.counter metrics "service.cache.hits";
     m_misses = M.counter metrics "service.cache.misses";
     m_evictions = M.counter metrics "service.cache.evictions";
@@ -186,15 +192,36 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
   }
 
 (* Nearest-rank p99 over the filled part of the rolling window; 0.0
-   before the first completed request. *)
+   before the first completed request. The rank is the largest or the
+   second largest value. *)
 let window_p99 t =
   let n = min t.lat_seen window_size in
   if n = 0 then 0.0
-  else Numerics.Stats.quantile_nearest_rank_upper ~len:n t.lat_window 0.99
+  else if Numerics.Stats.nearest_rank n 0.99 = n then t.lat_top1
+  else t.lat_top2
 
+(* NaN sorts below every number under [Float.compare], so it also
+   stands for an empty slot. *)
+let push_top t x =
+  if Float.compare x t.lat_top1 > 0 then begin
+    t.lat_top2 <- t.lat_top1;
+    t.lat_top1 <- x
+  end
+  else if Float.compare x t.lat_top2 > 0 then t.lat_top2 <- x
+
+(* A latency leaving the window is dropped from the two largest by a
+   pass over the window; that happens only when it was one of them. *)
 let record_latency t elapsed =
-  t.lat_window.(t.lat_seen mod window_size) <- elapsed;
+  let slot = t.lat_seen mod window_size in
+  let leaving = t.lat_window.(slot) in
+  t.lat_window.(slot) <- elapsed;
   t.lat_seen <- t.lat_seen + 1;
+  if t.lat_seen > window_size && Float.compare leaving t.lat_top2 >= 0 then begin
+    t.lat_top1 <- nan;
+    t.lat_top2 <- nan;
+    Array.iter (push_top t) t.lat_window
+  end
+  else push_top t elapsed;
   M.set t.m_p99_window (window_p99 t)
 
 let shedding t = t.shedding

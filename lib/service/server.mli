@@ -76,8 +76,8 @@ val create :
   config -> t
 (** [create config] builds a server. [obs] (default
     {!Stochobs.Trace.null}) receives the request spans; [clock]
-    (default {!Stochobs.Clock.cpu}) times requests and the uptime
-    reported by [stats]; [metrics] (default
+    (default {!Stochobs.Clock.wall}) times requests, deadlines and the
+    uptime reported by [stats]; [metrics] (default
     {!Stochobs.Metrics.default}) hosts the instruments. When [journal]
     is given, its recovered entries are replayed into the cache before
     the first request (append order, so recency survives the restart)

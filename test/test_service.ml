@@ -690,6 +690,41 @@ let test_overload_state_and_p99 () =
   Alcotest.(check bool) "threshold tips the state to shedding" true
     (field "state" (overload_of r) = J.Str "shedding")
 
+(* The rolling p99 gauge keeps the window's two largest latencies as
+   requests arrive. Pinned against the nearest-rank pass over the last
+   128 latencies, on a stream with ties, NaN-free rises and long falls
+   (every request of a fall evicts one of the two largest). After the
+   read [create] makes, the clock reads 0 when a request starts and
+   its scripted latency when it ends. *)
+let test_window_p99_incremental () =
+  let rng = Randomness.Rng.create ~seed:17 () in
+  let latencies =
+    Array.init 700 (fun i ->
+        if i >= 300 && i < 500 then float_of_int (500 - i) *. 1e-4
+        else float_of_int (Randomness.Rng.int rng 40) *. 1e-5)
+  in
+  let reads = ref (-1) in
+  let clock () =
+    let k = !reads in
+    incr reads;
+    if k < 0 || k mod 2 = 0 then 0.0 else latencies.(k / 2)
+  in
+  let registry = Stochobs.Metrics.create ~enabled:true () in
+  let s =
+    Server.create ~clock ~metrics:registry
+      { Server.default_config with Server.budget = Robust.Solver.quick_budget }
+  in
+  let gauge = Stochobs.Metrics.gauge registry "service.request.p99_window" in
+  Array.iteri
+    (fun i _ ->
+      ignore (Server.handle_line s "not json");
+      let lo = max 0 (i + 1 - 128) in
+      let window = Array.sub latencies lo (i + 1 - lo) in
+      let expected = Numerics.Stats.quantile_nearest_rank_upper window 0.99 in
+      if not (Float.equal expected (Stochobs.Metrics.last gauge)) then
+        Alcotest.failf "request %d: p99 %h, pass %h" i (Stochobs.Metrics.last gauge) expected)
+    latencies
+
 let () =
   Alcotest.run "service"
     [
@@ -741,5 +776,7 @@ let () =
             test_request_counts_agree;
           Alcotest.test_case "overload state and p99 gauge" `Quick
             test_overload_state_and_p99;
+          Alcotest.test_case "window p99 against the nearest-rank pass" `Quick
+            test_window_p99_incremental;
         ] );
     ]
