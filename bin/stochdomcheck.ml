@@ -68,7 +68,9 @@ let () =
     | None, [] -> "."
   in
   let outcome =
-    L.Domcheck.analyze ?context:opts.context ~source_root ~entries roots
+    L.Domcheck.analyze
+      ?context:(Option.map (fun c _ -> c) opts.context)
+      ~source_root ~entries roots
   in
   if outcome.units = 0 && outcome.load_errors = [] then begin
     opts.err

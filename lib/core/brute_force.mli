@@ -43,6 +43,7 @@ type result = {
           cost. *)
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_recurrence_oracle's bound-soundness test stops the oracle scan with the same slack *)
 val margin : float
 (** [margin] ([1e-12]) is the relative slack by which a point's
     first-reservation bound must exceed the incumbent's cost before

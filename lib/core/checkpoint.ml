@@ -8,8 +8,6 @@ let make_params ~checkpoint_cost ~restart_cost =
     invalid_arg "Checkpoint.make_params: overheads must be finite and nonnegative";
   { checkpoint_cost; restart_cost }
 
-let no_overhead = { checkpoint_cost = 0.0; restart_cost = 0.0 }
-
 let cost_of_run ?(max_steps = 100_000) p m s t =
   let open Cost_model in
   let cost = Numerics.Kahan.create () in
@@ -149,6 +147,3 @@ let optimize_chunk ?(m = 400) p cost d ~chunk_upper =
     invalid_arg "Checkpoint.optimize_chunk: no feasible chunk";
   (!best_chunk, !best_cost)
 
-let better_than_plain p cost d ~plain_cost ~chunk_upper =
-  let _, c = optimize_chunk p cost d ~chunk_upper in
-  (c < plain_cost, c)

@@ -25,10 +25,7 @@ type params = {
 val make_params : checkpoint_cost:float -> restart_cost:float -> params
 (** @raise Invalid_argument on negative or non-finite overheads. *)
 
-val no_overhead : params
-(** Free checkpoints — useful for tests: with it every job finishes in
-    at most the reservations a cumulative-length argument predicts. *)
-
+(* stochlint: allow UNUSED_EXPORT — test_checkpoint replays jobs through it to check expected_cost *)
 val cost_of_run :
   ?max_steps:int ->
   params ->
@@ -45,6 +42,7 @@ val cost_of_run :
     before covering [t] (reservations shorter than the overheads
     contribute nothing), or after [max_steps] reservations. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_checkpoint checks it against the cost_of_run replay *)
 val expected_cost :
   params ->
   Cost_model.t ->
@@ -61,6 +59,7 @@ val expected_cost :
     progress (slots shorter than the overheads) or exceed [500_000]
     slots. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_checkpoint builds the replayed sequences with it *)
 val periodic : chunk:float -> params -> float Seq.t
 (** [periodic ~chunk p] is the infinite sequence whose every
     reservation completes exactly [chunk] units of new work:
@@ -78,14 +77,3 @@ val optimize_chunk :
     chunk size over [(0, chunk_upper]] with [m] (default [400]) points
     and returns [(best_chunk, expected_cost)]. *)
 
-val better_than_plain :
-  params ->
-  Cost_model.t ->
-  Distributions.Dist.t ->
-  plain_cost:float ->
-  chunk_upper:float ->
-  bool * float
-(** [better_than_plain p cost d ~plain_cost ~chunk_upper] optimises
-    the checkpointed periodic strategy and reports whether it beats
-    the given no-checkpoint expected cost, together with its value —
-    the quantitative form of the paper's "complicated trade-off". *)

@@ -30,6 +30,7 @@ val quadratic : a:float -> b:float -> c:float -> beta:float -> g
     @raise Invalid_argument unless [a > 0.], [b >= 0.] and
     [beta >= 0.]. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_convex_cost pins it against Recurrence.next on affine costs *)
 val next :
   g -> Distributions.Dist.t -> t_prev2:float -> t_prev1:float -> float
 (** Proposition 3's recurrence step (Eq. (37)). *)
@@ -38,6 +39,7 @@ val sequence : g -> Distributions.Dist.t -> t1:float -> Sequence.t
 (** [sequence g d ~t1] is the sanitized recurrence sequence from
     [t1]. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_convex_cost pins it against Expected_cost.exact on affine costs *)
 val expected_cost : g -> Distributions.Dist.t -> Sequence.t -> float
 (** [expected_cost g d s] evaluates
     [beta E(X) + sum_(i>=0) (G(t_(i+1)) + beta t_i) P(X >= t_i)],

@@ -48,6 +48,7 @@ val sequence_for :
     extended beyond the truncation point by doubling
     ({!Sequence.sanitize}), as prescribed at the end of Sect. 4.2.2. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_dp checks the DP's optimum against this direct evaluation *)
 val expected_cost_brute : Cost_model.t -> Distributions.Discrete.t -> float array -> float
 (** [expected_cost_brute m d reservations] evaluates the exact expected
     cost of an arbitrary reservation sequence on the normalized

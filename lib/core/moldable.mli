@@ -31,15 +31,18 @@ type speedup =
       (** [Power e]: [speedup p = p^e] with [e] in [[0, 1]] — an
           empirical sublinear-scaling model. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_moldable pins the speedup laws *)
 val speedup_factor : speedup -> int -> float
 (** [speedup_factor s p] for [p >= 1].
     @raise Invalid_argument on [p < 1] or malformed parameters. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_moldable pins the runtime mean against the speedup law *)
 val runtime_distribution :
   speedup -> procs:int -> Distributions.Dist.t -> Distributions.Dist.t
 (** [runtime_distribution s ~procs d] is the law of
     [W / speedup_factor s procs] for [W ~ d]. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_moldable pins the area-rate scaling *)
 val cost_model_for : Cost_model.t -> procs:int -> Cost_model.t
 (** [cost_model_for m ~procs] scales the area rate:
     [alpha' = alpha * procs]; [beta] and [gamma] are wall-clock/

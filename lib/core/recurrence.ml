@@ -7,23 +7,6 @@ type stop =
   | Non_increasing of { t_prev : float; next : float }
   | Too_long of int
 
-let stop_to_string = function
-  | Unsupported_t1 t1 ->
-      Printf.sprintf "t1 = %g outside the distribution support" t1
-  | Density_underflow { t; survival } ->
-      Printf.sprintf
-        "density underflowed to zero at t = %g with %.3g survival mass \
-         uncovered"
-        t survival
-  | Non_finite { t_prev; next } ->
-      Printf.sprintf "recurrence produced the non-finite value %g after t = %g"
-        next t_prev
-  | Non_increasing { t_prev; next } ->
-      Printf.sprintf
-        "recurrence is not strictly increasing (%g after t = %g)" next t_prev
-  | Too_long n ->
-      Printf.sprintf "sequence did not reach coverage within %d elements" n
-
 let coverage = 1.0 -. 1e-9
 let max_len = 1000
 

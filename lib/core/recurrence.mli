@@ -31,13 +31,11 @@ type stop =
 
 (** Why the recurrence stopped before covering the target mass. *)
 
-val stop_to_string : stop -> string
-(** [stop_to_string s] is a one-line human-readable diagnostic. *)
-
 val coverage : float
 (** [coverage] ([1 - 1e-9]) is the CDF level at which {!generate}'s
     prefix ends. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_recurrence pins single Eq. (11) steps against hand-computed values *)
 val next :
   Cost_model.t -> Distributions.Dist.t -> t_prev2:float -> t_prev1:float -> float
 (** [next m d ~t_prev2 ~t_prev1] is Eq. (11) for [t_i] given

@@ -2,18 +2,6 @@ type t = float Seq.t
 
 exception Not_covered of float
 
-let of_list ts =
-  let prev = ref 0.0 in
-  List.iter
-    (fun x ->
-      if not (Float.is_finite x && x > !prev) then
-        invalid_arg
-          "Sequence.of_list: reservations must be positive, finite and \
-           strictly increasing";
-      prev := x)
-    ts;
-  List.to_seq ts
-
 let take n s = List.of_seq (Seq.take n s)
 
 let prefix_until ?(limit = 100_000) stop s =
@@ -31,16 +19,6 @@ let prefix_until ?(limit = 100_000) stop s =
   in
   go s;
   Array.of_list (List.rev !out)
-
-let is_strictly_increasing n s =
-  let prev = ref 0.0 in
-  let ok = ref true in
-  Seq.iter
-    (fun x ->
-      if x <= !prev then ok := false;
-      prev := x)
-    (Seq.take n s);
-  !ok
 
 let near_b a b = b -. (1e-9 *. (b -. a))
 

@@ -15,11 +15,6 @@ exception Not_covered of float
     reservation in a (finite or stalled) sequence; carries the
     duration. *)
 
-val of_list : float list -> t
-(** [of_list ts] is the finite sequence [ts].
-    @raise Invalid_argument if [ts] is not strictly increasing or
-    contains a non-positive value. *)
-
 val take : int -> t -> float list
 (** [take n s] is the list of the first (at most) [n] elements. *)
 
@@ -27,9 +22,6 @@ val prefix_until : ?limit:int -> (float -> bool) -> t -> float array
 (** [prefix_until stop s] materialises elements of [s] up to and
     including the first one satisfying [stop] (or the whole sequence if
     it is finite), but at most [limit] (default [100_000]) elements. *)
-
-val is_strictly_increasing : int -> t -> bool
-(** [is_strictly_increasing n s] checks the first [n] elements. *)
 
 val sanitize : support:Distributions.Dist.support -> t -> t
 (** [sanitize ~support s] makes a heuristic's raw output a well-formed

@@ -25,8 +25,6 @@ let make_regime ?(recovery = Restart) ~price_ratio ~revocation_rate () =
   | Error (field, detail) -> invalid_arg ("Spot_cost.make_regime: " ^ field ^ " " ^ detail)
   | Ok r -> r
 
-let on_demand_only = { price_ratio = 1.0; revocation_rate = 0.0; recovery = Restart }
-
 type plan = { lengths : float array; tiers : tier array }
 
 let make_plan ~lengths ~tiers =

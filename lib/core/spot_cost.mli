@@ -67,10 +67,6 @@ val make_regime :
     @raise Invalid_argument naming the field {!validate_regime}
     rejects. *)
 
-val on_demand_only : regime
-(** [price_ratio = 1.0], [revocation_rate = 0.0], {!Restart}: the
-    degenerate regime equal to the base Eq. (1) model. *)
-
 type plan = private {
   lengths : float array;
       (** Reservation lengths. Unlike base {!Sequence}s these need not
@@ -101,6 +97,7 @@ val slot : plan -> int -> float * tier
     least as long as the remaining work always finishes the job).
     @raise Invalid_argument if [k < 0]. *)
 
+(* stochlint: allow UNUSED_EXPORT — spot_oracle and spot_flat_oracle score strictly increasing plans through it *)
 val to_sequence : plan -> Sequence.t
 (** The tier-less reservation sequence: plan lengths followed by the
     same doubling extension as {!slot} — suitable for
@@ -160,7 +157,7 @@ val expected_cost :
       due) per offset [f] serves every [n], at O(1) per state. Each
       node's cost agrees with the per-size recursion at its size to
       within 1e-10 relative, which the tests pin.
-    Degenerate regimes ({!on_demand_only}-equal) with strictly
+    Degenerate regimes (price ratio 1, no revocation) with strictly
     increasing lengths bypass the discretization and delegate to
     {!Expected_cost.exact} (bit-for-bit Eq. (1) equivalence). A plan
     whose 128 extension doublings cannot finish the longest size costs
@@ -194,6 +191,7 @@ type node = {
   value : float;  (** The cost of a job of exactly [size] under the plan. *)
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_spot pins the lattice nodes against Spot_flat_oracle *)
 val nodes :
   ?disc_n:int -> ?eps:float -> regime -> Cost_model.t -> Distributions.Dist.t -> plan ->
   node array

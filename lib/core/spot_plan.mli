@@ -60,11 +60,13 @@ val assign :
     entries (as {!Spot_cost.make_plan}) or bad discretization
     parameters. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_spot pins the chunk lattice the candidate families walk *)
 val chunk_grid : Spot_cost.regime -> upper:float -> float list
 (** [chunk_grid regime ~upper] is the sorted chunk sizes [assign]
     tries for its ladders: around the checkpoint stride and the
     revocation MTBF, within [(0, 4 upper]]. Empty under {!Spot_cost.Restart}. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_spot pins the ladder lengths the candidate families walk *)
 val ladder_lengths : Spot_cost.regime -> upper:float -> float -> float array option
 (** [ladder_lengths regime ~upper chunk] repeats [chunk] until the
     durable progress it banks covers [upper] (at most 1024 rungs);

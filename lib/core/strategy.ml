@@ -48,17 +48,6 @@ let equal_time = dp_discretized ~scheme:Discretize.Equal_time ~n:1000 ()
 let equal_probability =
   dp_discretized ~scheme:Discretize.Equal_probability ~n:1000 ()
 
-let table2 ?(seed = 42) () =
-  [
-    brute_force ~seed ();
-    mean_by_mean;
-    mean_stdev;
-    mean_doubling;
-    median_by_median;
-    equal_time;
-    equal_probability;
-  ]
-
 let evaluate ?(n = 1000) ~rng cost d s =
   let seq = s.build cost d in
   let c = Expected_cost.monte_carlo cost d rng ~n seq in

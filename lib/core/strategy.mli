@@ -39,12 +39,6 @@ val equal_probability : t
 (** [dp_discretized ~scheme:Equal_probability ~n:1000] — Table 2's
     "Equal-prob." column. *)
 
-val table2 : ?seed:int -> unit -> t list
-(** The seven strategies of Table 2 in column order: BRUTE-FORCE,
-    MEAN-BY-MEAN, MEAN-STDEV, MEAN-DOUBLING, MEDIAN-BY-MEDIAN,
-    EQUAL-TIME, EQUAL-PROBABILITY — instantiated with the paper's
-    parameters. *)
-
 val evaluate :
   ?n:int ->
   rng:Randomness.Rng.t ->

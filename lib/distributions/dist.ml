@@ -23,13 +23,7 @@ let sf_of_cdf c =
 let sf d t = sf_of_cdf (d.cdf t)
 
 let std d = sqrt d.variance
-let median d = d.quantile 0.5
 let samples d rng n = Array.init n (fun _ -> d.sample rng)
-
-let in_support d t =
-  match d.support with
-  | Bounded (a, b) -> t >= a && t <= b
-  | Unbounded a -> t >= a
 
 let scale c d =
   if (not (Float.is_finite c)) || c <= 0.0 then

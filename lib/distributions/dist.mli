@@ -52,14 +52,8 @@ val sf_of_cdf : float -> float
 val std : t -> float
 (** [std d] is [sqrt (variance d)]. *)
 
-val median : t -> float
-(** [median d] is [quantile d 0.5]. *)
-
 val samples : t -> Randomness.Rng.t -> int -> float array
 (** [samples d rng n] draws [n] independent variates. *)
-
-val in_support : t -> float -> bool
-(** [in_support d t] tests membership of [t] in the support interval. *)
 
 val scale : float -> t -> t
 (** [scale c d] is the distribution of [c * X] for [c > 0] — all
@@ -68,12 +62,14 @@ val scale : float -> t -> t
     runtime laws of moldable jobs ([work / speedup]).
     @raise Invalid_argument if [c <= 0.] or not finite. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_distributions checks every closed-form conditional mean against it *)
 val numeric_conditional_mean : t -> float -> float
 (** [numeric_conditional_mean d tau] evaluates [E(X | X > tau)] by
     quadrature over the density — a slow reference implementation used
     to validate each distribution's closed form and as the default for
     distributions with no closed form. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_distributions checks every closed-form mean against it *)
 val numeric_mean : t -> float
 (** [numeric_mean d] integrates [t * f(t)] over the support; reference
     implementation for tests. *)

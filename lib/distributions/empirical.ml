@@ -3,19 +3,6 @@ let sorted_copy xs =
   Array.sort compare c;
   c
 
-let ecdf samples =
-  let xs = sorted_copy samples in
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Empirical.ecdf: empty sample";
-  fun t ->
-    (* Count of xs.(i) <= t by binary search for the rightmost index. *)
-    let lo = ref 0 and hi = ref n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if xs.(mid) <= t then lo := mid + 1 else hi := mid
-    done;
-    float_of_int !lo /. float_of_int n
-
 let make ?name samples =
   Array.iteri
     (fun i x ->

@@ -17,11 +17,6 @@ val make : ?name:string -> float array -> Dist.t
     @raise Invalid_argument if fewer than 2 distinct values, or any
     value is negative or not finite. *)
 
-val ecdf : float array -> float -> float
-(** [ecdf samples t] is the classical step empirical CDF
-    [#(x_i <= t) / n] (exposed for goodness-of-fit tests).
-    @raise Invalid_argument on an empty array. *)
-
 val ks_statistic : Dist.t -> float array -> float
 (** [ks_statistic d samples] is the Kolmogorov–Smirnov statistic
     [sup_t |F_n(t) - F(t)|] between the sample and the model [d] —

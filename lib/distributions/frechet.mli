@@ -7,6 +7,7 @@
     [E(X | X > tau) = scale * gamma_lower(1 - 1/shape, u) /
     (1 - exp (-u))] with [u = (tau/scale)^-shape]. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_extended_distributions and test_fuzz_solvers build off-default instances *)
 val make : shape:float -> scale:float -> Dist.t
 (** [make ~shape ~scale] requires [shape > 1] so the mean is finite.
     For [1 < shape <= 2] the variance is reported as [infinity]
@@ -19,7 +20,7 @@ val default : Dist.t
 
 val heavy_tail : Dist.t
 (** [Frechet(1.5, 1.5)]: finite mean, infinite variance. Deliberately
-    not in {!Registry.all} (the registry promises raw-solver
+    not in {!Registry} (the registry promises raw-solver
     compatibility, and the Theorem 2 bounds need a second moment);
     the CLI exposes it as ["frechetheavy"] to exercise the robust
     solver's fallback cascade. *)

@@ -9,6 +9,7 @@
     [E(X | X > tau) = scale (B(a, b) - B(F tau; a, b)) / (1 - F tau)]
     with [a = 1 + 1/shape], [b = 1 - 1/shape]. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_extended_distributions builds off-default instances *)
 val make : scale:float -> shape:float -> Dist.t
 (** [make ~scale ~shape] requires [shape > 2] so that both the mean
     and the variance are finite (as the solvers assume).

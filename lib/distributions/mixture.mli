@@ -10,18 +10,12 @@
     [cm_i(tau) * sf_i(tau)]), and the quantile function is obtained by
     bracketed root finding on the mixture CDF. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_recurrence_oracle, test_robust and test_fuzz_solvers build off-default mixtures *)
 val make : (float * Dist.t) list -> Dist.t
 (** [make components] builds the mixture of [(weight, distribution)]
     pairs. Weights must be positive; they are normalised to sum to 1.
     @raise Invalid_argument if the list is empty or any weight is not
     positive and finite. *)
-
-val bimodal_lognormal :
-  w1:float -> mu1:float -> sigma1:float -> mu2:float -> sigma2:float -> Dist.t
-(** [bimodal_lognormal ~w1 ~mu1 ~sigma1 ~mu2 ~sigma2] is the two-mode
-    LogNormal mixture [w1 LN(mu1, sigma1) + (1-w1) LN(mu2, sigma2)] —
-    the shape observed in bimodal application traces.
-    @raise Invalid_argument unless [0 < w1 < 1]. *)
 
 val default : Dist.t
 (** A bimodal LogNormal with a fast mode around 10 and a slow mode

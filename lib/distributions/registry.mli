@@ -7,11 +7,8 @@ val extras : (string * Dist.t) list
 (** The beyond-the-paper distributions with their default
     instantiations. *)
 
-val all : (string * Dist.t) list
-(** {!Table1.all} followed by {!extras}. *)
-
 val find : string -> Dist.t option
-(** Case-insensitive lookup over {!all}. *)
+(** Case-insensitive lookup over {!Table1.all} and {!extras}. *)
 
 val names : unit -> string list
-(** Registered names, in registry order. *)
+(** Registered names: {!Table1.all}, then {!extras}. *)

@@ -17,7 +17,3 @@ let finite_support =
 
 let all = infinite_support @ finite_support
 
-let find name =
-  let target = String.lowercase_ascii name in
-  List.find_opt (fun (n, _) -> String.lowercase_ascii n = target) all
-  |> Option.map snd

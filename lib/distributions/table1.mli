@@ -5,13 +5,7 @@ val infinite_support : (string * Dist.t) list
 (** Exponential(1), Weibull(1, 0.5), Gamma(2, 2), LogNormal(3, 0.5),
     TruncatedNormal(8, 2, 0), Pareto(1.5, 3) — in the paper's order. *)
 
-val finite_support : (string * Dist.t) list
-(** Uniform(10, 20), Beta(2, 2), BoundedPareto(1, 20, 2.1). *)
-
 val all : (string * Dist.t) list
 (** All nine, infinite-support family first (Table 1 / Table 2 row
     order). *)
 
-val find : string -> Dist.t option
-(** [find name] looks a distribution up by its Table 1 row name
-    (case-insensitive), e.g. ["lognormal"]. *)

@@ -5,6 +5,7 @@
     most-likely / maximum), fully closed-form — a useful bounded
     companion to Uniform and Beta for the bounded-support solvers. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_extended_distributions builds off-default instances *)
 val make : a:float -> c:float -> b:float -> Dist.t
 (** [make ~a ~c ~b] requires [0 <= a <= c <= b] with [a < b].
     @raise Invalid_argument otherwise. *)

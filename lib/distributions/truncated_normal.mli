@@ -19,6 +19,7 @@ val default : Dist.t
 (** Table 1 instantiation: [TruncatedNormal(8.0, 2.0, 0.0)]
     (note [sigma^2 = 2]). *)
 
+(* stochlint: allow UNUSED_EXPORT — test_distributions pins its tail asymptotics *)
 val inverse_mills : float -> float
 (** [inverse_mills z] is [phi(z) / (1 - Phi(z))], exposed for tests;
     switches to the asymptotic expansion for [z > 25]. *)

@@ -27,9 +27,6 @@ type t = {
   n_sweep : point array;  (** Varying N at the paper's M = 5000. *)
 }
 
-val default_ms : int array
-val default_ns : int array
-
 val run :
   ?cfg:Config.t ->
   ?ms:int array ->

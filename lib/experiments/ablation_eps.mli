@@ -15,9 +15,6 @@ type t = {
           normalized costs per eps. *)
 }
 
-val default_epss : float array
-(** [|1e-2; 1e-3; 1e-5; 1e-7; 1e-9|]. *)
-
 val run : ?cfg:Config.t -> ?epss:float array -> ?n:int -> unit -> t
 (** Sweeps the unbounded-support Table 1 distributions (truncation is
     a no-op on bounded supports) at discretization size [n] (default

@@ -21,9 +21,6 @@ val quick : t
 (** Reduced parameters ([m = 300], [n_mc = 400], [disc_n = 200]) for
     fast runs. *)
 
-val with_seed : int -> t -> t
-(** [with_seed s cfg] overrides the root seed. *)
-
 val rng_for : t -> string -> Randomness.Rng.t
 (** [rng_for cfg label] derives a deterministic, label-specific random
     stream from the root seed, so experiments do not perturb each

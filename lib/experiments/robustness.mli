@@ -33,9 +33,6 @@ type t = {
           {!Robust.Solver.error} it produced. *)
 }
 
-val default_sample_sizes : int array
-(** [|10; 30; 100; 1000; 5000|]. *)
-
 val run :
   ?cfg:Config.t ->
   ?sample_sizes:int array ->

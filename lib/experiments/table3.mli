@@ -17,9 +17,6 @@ type row = {
 
 type t = row list
 
-val quantile_probes : float array
-(** [| 0.25; 0.5; 0.75; 0.99 |]. *)
-
 val run : ?cfg:Config.t -> unit -> t
 val to_string : t -> string
 

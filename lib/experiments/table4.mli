@@ -13,6 +13,7 @@ type t = {
           costs per n. *)
 }
 
+(* stochlint: allow UNUSED_EXPORT — paper_solves enumerates Table 4's DP solves from it *)
 val default_ns : int array
 (** [|10; 25; 50; 100; 250; 500; 1000|]. *)
 

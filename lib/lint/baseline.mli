@@ -22,9 +22,6 @@ val of_findings : Finding.t list -> t
 
 val to_json_string : t -> string
 
-val allowed : t -> file:string -> rule:Finding.rule -> int
-(** Grandfathered count for this (file, rule); 0 when absent. *)
-
 type application = {
   kept : Finding.t list;
       (** findings in groups that exceed their baselined count — every

@@ -12,6 +12,8 @@
      - RNG_AMBIENT: RNG state reached ambiently — a global
        [Randomness.Rng.t], or an entry point that transitively draws
        from stdlib [Random]
+     - UNUSED_EXPORT: a val of a lib/ .mli that no other unit
+       mentions, or that only test units mention
 
    plus the machine-readable effect report the multicore PR diffs
    against ("what must become per-domain"). Suppressions reuse the
@@ -462,9 +464,7 @@ let analyze ?context ~source_root ~entries cmt_paths =
           incr suppressed_count
       | None -> ())
     globals_list;
-  let context_of file =
-    match context with Some c -> c | None -> Rules.context_of_path file
-  in
+  let context_of = Option.value context ~default:Rules.context_of_path in
   let in_lib file =
     match context_of file with Rules.Lib _ -> true | _ -> false
   in
@@ -533,6 +533,55 @@ let analyze ?context ~source_root ~entries cmt_paths =
                 *)`"
                g.g_pretty g.g_kind))
     globals_list;
+  (* UNUSED_EXPORT: a val of a lib/ .mli that no other unit mentions
+     (always a finding), or that only test units mention (a finding
+     unless an inline allow marks it as a test seam). *)
+  let mentioned_by = Hashtbl.create 4096 in
+  List.iter
+    (fun ((u : Typed_index.t), (b : Typed_index.binding)) ->
+      SS.iter
+        (fun key -> Hashtbl.add mentioned_by key u.u_source)
+        b.b_body.f_mentions)
+    all_bindings;
+  List.iter
+    (fun (u : Cmt_load.unit_info) ->
+      List.iter
+        (fun (x : Cmt_load.export) ->
+          let key = resolve (u.ui_name ^ "." ^ x.ex_path) in
+          let users =
+            List.filter
+              (fun src -> src <> u.ui_source)
+              (Hashtbl.find_all mentioned_by key)
+          in
+          let rule = Finding.Unused_export and file = x.ex_file in
+          if
+            in_lib file
+            && List.for_all (fun src -> context_of src = Rules.Test) users
+          then
+            if users = [] then
+              findings :=
+                {
+                  Finding.rule;
+                  file;
+                  line = x.ex_line;
+                  col = x.ex_col;
+                  message =
+                    Printf.sprintf
+                      "`%s` is exported but no other unit mentions it; \
+                       delete it, or drop it from the .mli if its own \
+                       module uses it"
+                      (pretty key);
+                }
+                :: !findings
+            else
+              suppress_or_add rule file x.ex_line x.ex_col
+                (Printf.sprintf
+                   "`%s` is exported but only tests mention it; delete it \
+                    with its tests, move it into test/, or mark the seam \
+                    with `(* stochlint: allow UNUSED_EXPORT — the test that needs it *)`"
+                   (pretty key)))
+        u.ui_exports)
+    units;
   (* Entry-point rules. *)
   let entry_reports =
     List.map

@@ -1,7 +1,7 @@
 (** stochdomcheck: cross-module effect & domain-safety analysis over
     the typedtrees ([.cmt] files) of the whole build.
 
-    Three rule families ride on the stochlint Finding/Suppress/Baseline
+    Four rule families ride on the stochlint Finding/Suppress/Baseline
     machinery:
 
     - [GLOBAL_MUT_STATE] — an unannotated top-level mutable value in
@@ -10,7 +10,10 @@
       point transitively writes shared global mutable state (Warning);
     - [RNG_AMBIENT] — RNG state reached ambiently: a global
       [Randomness.Rng.t], or an entry point drawing from stdlib
-      [Random] (Error).
+      [Random] (Error);
+    - [UNUSED_EXPORT] — a [val] in a [lib/] [.mli] that no other unit
+      mentions, or that only test units mention and no inline allow
+      marks as a test seam (Warning).
 
     Alongside the findings, [report_json] renders the effect report
     the multicore PR will diff against: every global mutable with its
@@ -63,7 +66,7 @@ val default_entries : string list
 (** The repo's declared parallel-candidate entry points. *)
 
 val analyze :
-  ?context:Rules.context ->
+  ?context:(string -> Rules.context) ->
   source_root:string ->
   entries:string list ->
   string list ->
@@ -71,8 +74,8 @@ val analyze :
 (** [analyze ~source_root ~entries roots] loads every [.cmt] under
     [roots], runs the inventory + effect fixpoint, and evaluates the
     rules for [entries]. Source files are read relative to
-    [source_root] for inline suppressions. [?context] forces every
-    file into one lint context (fixtures in tests); the default maps
-    paths with [Rules.context_of_path]. *)
+    [source_root] for inline suppressions. [?context] classifies each
+    source path (fixtures in tests force one context); the default is
+    [Rules.context_of_path]. *)
 
 val report_json : outcome -> Stochobs.Json.t

@@ -19,6 +19,7 @@ val normalise : string -> string
 
 val read_file : string -> string
 
+(* stochlint: allow UNUSED_EXPORT — test_lint checks the walker skips fixtures and build trees *)
 val collect_files : string list -> string list
 (** Expand each path: a directory is walked recursively for [.ml] and
     [.mli] files, skipping [_build], [.git] and [fixtures] subtrees (fixture
@@ -26,6 +27,7 @@ val collect_files : string list -> string list
     so tests can point directly at fixtures. Sorted, de-duplicated.
     @raise Sys_error on a path that does not exist. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_lint runs each rule's fixture through it *)
 val lint_file :
   ?context:Rules.context -> string -> (file_report, Finding.input_error) result
 (** Parse with compiler-libs ([Parse.implementation]) and run the

@@ -71,13 +71,14 @@ let to_string t =
    generator, not a verifier, and unknown externals default clean. *)
 type builtin = Mutator | Reader | Io | Rng | Opaque
 
-(* stochlint: allow GLOBAL_MUT_STATE — filled once at module init, read-only afterwards *)
-let table : (string, builtin) Hashtbl.t = Hashtbl.create 256
+module SM = Map.Make (String)
 
-let register kind names = List.iter (fun n -> Hashtbl.replace table n kind) names
-
-let () =
-  register Mutator
+let table =
+  let add kind names table =
+    List.fold_left (fun table name -> SM.add name kind table) table names
+  in
+  SM.empty
+  |> add Mutator
     [
       "Stdlib.:=";
       "Stdlib.incr";
@@ -125,8 +126,8 @@ let () =
       "Stdlib.Atomic.fetch_and_add";
       "Stdlib.Atomic.incr";
       "Stdlib.Atomic.decr";
-    ];
-  register Reader
+    ]
+  |> add Reader
     [
       "Stdlib.!";
       "Stdlib.Hashtbl.find";
@@ -175,8 +176,8 @@ let () =
       "Stdlib.Stack.is_empty";
       "Stdlib.Stack.length";
       "Stdlib.Atomic.get";
-    ];
-  register Io
+    ]
+  |> add Io
     [
       "Stdlib.print_string";
       "Stdlib.print_endline";
@@ -248,7 +249,7 @@ let io_prefixes = [ "Unix."; "Stdlib.Printf.fprintf"; "Stdlib.Format.fprintf" ]
 let rng_prefixes = [ "Stdlib.Random." ]
 
 let classify path =
-  match Hashtbl.find_opt table path with
+  match SM.find_opt path table with
   | Some kind -> kind
   | None ->
       let under prefix = String.starts_with ~prefix path in

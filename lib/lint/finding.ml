@@ -8,6 +8,7 @@ type rule =
   | Global_mut_state
   | Domain_unsafe_reach
   | Rng_ambient
+  | Unused_export
 
 type severity = Error | Warning
 
@@ -29,6 +30,7 @@ let all_rules =
   [
     Float_eq; Partial_fn; Exn_in_core; Unseeded_random; Print_in_lib;
     Unlogged_sink; Global_mut_state; Domain_unsafe_reach; Rng_ambient;
+    Unused_export;
   ]
 
 let rule_id = function
@@ -41,6 +43,7 @@ let rule_id = function
   | Global_mut_state -> "GLOBAL_MUT_STATE"
   | Domain_unsafe_reach -> "DOMAIN_UNSAFE_REACH"
   | Rng_ambient -> "RNG_AMBIENT"
+  | Unused_export -> "UNUSED_EXPORT"
 
 let rule_of_id s = List.find_opt (fun r -> rule_id r = s) all_rules
 
@@ -53,7 +56,7 @@ let rule_of_id s = List.find_opt (fun r -> rule_id r = s) all_rules
 let severity = function
   | Float_eq | Partial_fn | Unseeded_random | Rng_ambient -> Error
   | Exn_in_core | Print_in_lib | Unlogged_sink | Global_mut_state
-  | Domain_unsafe_reach ->
+  | Domain_unsafe_reach | Unused_export ->
       Warning
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"

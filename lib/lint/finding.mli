@@ -19,6 +19,9 @@ type rule =
       (** stochdomcheck: RNG state reached ambiently (stdlib [Random]
           or a global [Randomness.Rng.t]) instead of being threaded as
           a parameter *)
+  | Unused_export
+      (** stochdomcheck: a [val] in a [lib/] [.mli] that no other unit
+          mentions, or that only test units do *)
 
 type severity = Error | Warning
 
@@ -38,6 +41,7 @@ type t = {
   message : string;
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_lint round-trips every rule id through it *)
 val all_rules : rule list
 
 val rule_id : rule -> string

@@ -270,6 +270,14 @@ let scan_expr env (facts : body) e =
           | Typedtree.Texp_apply
               ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, args) ->
               handle_call p args
+          | Typedtree.Texp_letmodule
+              (Some id, _, _, { mod_desc = Typedtree.Tmod_ident (p, _); _ }, _)
+            ->
+              (* [let module S = Spot_savings in S.run]: [S.run] names
+                 the target's value. *)
+              Option.iter
+                (Hashtbl.replace env (Ident.unique_name id))
+                (raw_of_path env p)
           | Typedtree.Texp_setfield (tgt, _, _, _) ->
               target_of (abs_idents env tgt)
                 ~on_abs:(fun keys ->

@@ -80,11 +80,6 @@ let moments fv gv a b =
     gv.((2 * j) + 2) <- (center +. x) *. fv.((2 * j) + 2)
   done
 
-let qk15 f a b =
-  let fv = Array.make 15 0.0 in
-  fill fv f a b;
-  k15 fv a b
-
 (* Adaptive bisection of [integral f] and, with [moment], of
    [integral x f(x)], each refined on its own error estimate against
    its own tolerance; [f] is called once per node, whichever integral

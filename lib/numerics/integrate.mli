@@ -7,12 +7,6 @@
     distributions, and to cross-check the closed-form moments of
     [lib/distributions]. *)
 
-val qk15 : (float -> float) -> float -> float -> float * float
-(** [qk15 f a b] applies a single 15-point Kronrod rule (embedding the
-    7-point Gauss rule) on [[a, b]] and returns
-    [(integral, error_estimate)]. All nodes are interior, so [f] is
-    never evaluated at the endpoints. *)
-
 val gauss_kronrod :
   ?tol:float ->
   ?max_depth:int ->

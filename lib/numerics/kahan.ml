@@ -16,18 +16,9 @@ let[@inline] sum acc = acc.sum +. acc.comp
 
 let parts acc = (acc.sum, acc.comp)
 
-let reset acc =
-  acc.sum <- 0.0;
-  acc.comp <- 0.0
-
 let sum_array a =
   let acc = create () in
   Array.iter (add acc) a;
-  sum acc
-
-let sum_seq s =
-  let acc = create () in
-  Seq.iter (add acc) s;
   sum acc
 
 let mean_array a =
@@ -35,11 +26,3 @@ let mean_array a =
   if n = 0 then invalid_arg "Kahan.mean_array: empty array";
   sum_array a /. float_of_int n
 
-let dot a b =
-  let n = Array.length a in
-  if n <> Array.length b then invalid_arg "Kahan.dot: length mismatch";
-  let acc = create () in
-  for i = 0 to n - 1 do
-    add acc (a.(i) *. b.(i))
-  done;
-  sum acc

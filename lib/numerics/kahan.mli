@@ -25,19 +25,10 @@ val parts : t -> float * float
     {!sum}: prefix sums kept as both parts let a difference of two
     prefixes keep the compensated digits. *)
 
-val reset : t -> unit
-(** [reset acc] sets the accumulator back to [0.0]. *)
-
 val sum_array : float array -> float
 (** [sum_array a] is the compensated sum of all elements of [a]. *)
-
-val sum_seq : float Seq.t -> float
-(** [sum_seq s] is the compensated sum of the (finite) sequence [s]. *)
 
 val mean_array : float array -> float
 (** [mean_array a] is the compensated arithmetic mean of [a].
     @raise Invalid_argument if [a] is empty. *)
 
-val dot : float array -> float array -> float
-(** [dot a b] is the compensated dot product of [a] and [b].
-    @raise Invalid_argument if lengths differ. *)

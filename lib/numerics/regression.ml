@@ -39,4 +39,3 @@ let ols ~x ~y =
   in
   { slope; intercept; r_squared; residual_std; n }
 
-let predict fit x = (fit.slope *. x) +. fit.intercept

@@ -19,5 +19,3 @@ val ols : x:float array -> y:float array -> fit
     @raise Invalid_argument if the arrays differ in length, have fewer
     than two points, or [x] is constant. *)
 
-val predict : fit -> float -> float
-(** [predict fit x] evaluates the fitted affine function at [x]. *)

@@ -6,6 +6,7 @@
 exception No_bracket of string
 (** Raised when the supplied interval does not bracket a sign change. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_rootfind pins brent against it *)
 val bisection : ?tol:float -> (float -> float) -> float -> float -> float
 (** [bisection ?tol f a b] finds a root of [f] on [[a, b]] by
     bisection. [tol] (default [1e-12]) bounds the final interval width;

@@ -110,8 +110,6 @@ let gamma_q a =
     else if x < a +. 1.0 then 1.0 -. gamma_p_series a ~lga x
     else gamma_q_cf a ~lga x
 
-let upper_incomplete_gamma a x = gamma_q a x *. gamma a
-
 (* Inverse of P(a, .): Wilson–Hilferty initial guess, then Halley
    steps on P(a, x) - p with the analytic derivative (gamma pdf). Above
    the median it solves Q(a, x) = 1 - p instead (the subtraction is
@@ -207,8 +205,6 @@ let inverse_gamma_p a p =
 
 let erf = Float.erf
 let erfc = Float.erfc
-
-let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_two)
 
 (* Acklam's rational approximation to the inverse normal CDF, then one
    Halley refinement step against erfc: full double accuracy. *)

@@ -35,12 +35,6 @@ val gamma_q : float -> float -> float
     fraction when [x >= a + 1], so it stays accurate in the far tail
     where [1 - P] would cancel. Staged as {!gamma_p} is. *)
 
-val upper_incomplete_gamma : float -> float -> float
-(** [upper_incomplete_gamma a x] is the non-regularized upper incomplete
-    gamma function [Gamma(a, x) = integral_x^inf t^(a-1) e^(-t) dt]
-    (used by the Weibull and Gamma MEAN-BY-MEAN recursions of Appendix
-    B). *)
-
 val inverse_gamma_p : float -> float -> float
 (** [inverse_gamma_p a p] is the value [x] such that [gamma_p a x = p],
     for [p] in [[0, 1]]. Initial guess by Wilson–Hilferty (for [a > 1])
@@ -63,10 +57,7 @@ val erf_inv : float -> float
 (** [erf_inv z] is the inverse error function on [(-1, 1)]. Returns
     [neg_infinity] / [infinity] at the closed endpoints. *)
 
-val normal_cdf : float -> float
-(** [normal_cdf x] is the standard normal cumulative distribution
-    function [Phi(x)]. *)
-
+(* stochlint: allow UNUSED_EXPORT — betai_oracle seeds its reference inverse_betai with it *)
 val normal_quantile : float -> float
 (** [normal_quantile p] is [Phi^(-1)(p)] for [p] in [(0, 1)]: Acklam's
     rational approximation refined with one Halley step against

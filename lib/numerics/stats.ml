@@ -46,28 +46,6 @@ let nearest_rank n p =
 let quantile_nearest_rank_sorted xs p =
   xs.(nearest_rank (Array.length xs) p - 1)
 
-(* The rank-r statistic of n values is their k-th largest, k = n - r + 1:
-   one pass keeps the k largest seen so far in [top], descending. *)
-let quantile_nearest_rank_upper ?len xs p =
-  let n = Option.value len ~default:(Array.length xs) in
-  if n < 0 || n > Array.length xs then
-    invalid_arg "Stats.quantile_nearest_rank_upper: len out of range";
-  let k = n - nearest_rank n p + 1 in
-  let top = Array.make k 0.0 in
-  for i = 0 to n - 1 do
-    let x = xs.(i) in
-    let last = if i < k then i else k - 1 in
-    if i < k || Float.compare x top.(last) > 0 then begin
-      let j = ref last in
-      while !j > 0 && Float.compare x top.(!j - 1) > 0 do
-        top.(!j) <- top.(!j - 1);
-        decr j
-      done;
-      top.(!j) <- x
-    end
-  done;
-  top.(k - 1)
-
 let quantile_nearest_rank xs p =
   let copy = Array.copy xs in
   Array.sort compare copy;
@@ -100,26 +78,3 @@ let histogram ?(bins = 20) xs =
       counts.(idx) <- counts.(idx) + 1)
     xs;
   { bounds; counts }
-
-module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let push t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = t.mean
-
-  let variance t =
-    if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let std t = sqrt (variance t)
-
-  let stderr t =
-    if t.n < 2 then 0.0 else std t /. sqrt (float_of_int t.n)
-end

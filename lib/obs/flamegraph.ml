@@ -25,5 +25,3 @@ let to_lines t =
       Printf.sprintf "%s %.0f" stack (Float.max 1.0 micros))
     (folded t)
 
-let pp fmt t =
-  List.iter (fun line -> Format.fprintf fmt "%s@." line) (to_lines t)

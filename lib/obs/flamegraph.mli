@@ -6,6 +6,7 @@
     graph is time spent in that frame itself — children get their own
     stacks — and the whole graph sums to the trace's wall time. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_trace_read checks the self times sum to the trace's wall time *)
 val folded : Trace_read.t -> (string * float) list
 (** [(stack, self_seconds)] pairs, identical stacks aggregated,
     zero-self stacks dropped, sorted by stack string for deterministic
@@ -19,5 +20,3 @@ val to_lines : Trace_read.t -> string list
     expect. Stacks rounding to zero microseconds are kept at [1] so no
     observed frame vanishes from the graph. *)
 
-val pp : Format.formatter -> Trace_read.t -> unit
-(** {!to_lines}, one per line. *)

@@ -13,12 +13,6 @@ type t = state option
 
 let null : t = None
 let make ?(min_level = Info) write : t = Some { min_level; write }
-let enabled = Option.is_some
-
-let would_log t level =
-  match t with
-  | None -> false
-  | Some st -> level_rank level >= level_rank st.min_level
 
 let msg t level text =
   match t with
@@ -30,5 +24,3 @@ let msg t level text =
 let logf t level fmt = Printf.ksprintf (fun s -> msg t level s) fmt
 let debugf t fmt = logf t Debug fmt
 let infof t fmt = logf t Info fmt
-let warnf t fmt = logf t Warn fmt
-let errorf t fmt = logf t Error fmt

@@ -3,10 +3,9 @@
     Library code never writes to stdout/stderr directly (the
     UNLOGGED_SINK lint rule enforces this); instead it takes a [Log.t]
     — defaulting to {!null} — and the binary decides where lines go.
-    On {!null}, [msg] is a single branch. The [*f] formatters still
-    render their arguments before the level check ([ksprintf] formats
-    eagerly), so guard expensive interpolations with {!would_log} in
-    hot paths. *)
+    The [*f] formatters render their arguments before the level check
+    ([ksprintf] formats eagerly), so keep their interpolations cheap
+    in hot paths. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -18,17 +17,5 @@ val null : t
 val make : ?min_level:level -> Writer.t -> t
 (** [min_level] defaults to [Info]. *)
 
-val enabled : t -> bool
-
-val would_log : t -> level -> bool
-(** [true] when a message at [level] would actually be written — use
-    to guard expensive message construction. *)
-
-val msg : t -> level -> string -> unit
-(** Writes ["[level] text"] as one line when the level passes. *)
-
-val logf : t -> level -> ('a, unit, string, unit) format4 -> 'a
 val debugf : t -> ('a, unit, string, unit) format4 -> 'a
 val infof : t -> ('a, unit, string, unit) format4 -> 'a
-val warnf : t -> ('a, unit, string, unit) format4 -> 'a
-val errorf : t -> ('a, unit, string, unit) format4 -> 'a

@@ -33,13 +33,12 @@ let create ?(enabled = false) () = { on = enabled; items = [] }
    default: until the CLI's --profile (or a test) flips it on, every
    probe in the numerics/solver/scheduler hot paths is one load and
    one branch. *)
-(* The multicore plan is per-domain registries merged at join, not a
-   locked shared one, so the registry stays a plain record. *)
+(* Nothing updates a registry from two domains, so it stays a plain
+   record with no lock. *)
 (* stochlint: allow GLOBAL_MUT_STATE — the one deliberate process-global registry *)
 let default = create ()
 
 let set_enabled t on = t.on <- on
-let enabled t = t.on
 
 let item_name = function
   | Icounter c -> c.c_name
@@ -129,9 +128,6 @@ let set g v =
     g.g_seen <- true
   end
 
-let last g = g.g_last
-let max_seen g = g.g_max
-
 let observe h v =
   if h.h_reg.on then begin
     (* Kahan step *)
@@ -149,8 +145,6 @@ let observe h v =
     in
     place 0
   end
-
-let observe_int h v = observe h (float_of_int v)
 
 (* ------------------------------ snapshots ------------------------- *)
 
@@ -215,42 +209,6 @@ let zero = function
   | Counter_v n -> n = 0
   | Gauge_v _ -> false
   | Histogram_v h -> h.total = 0
-
-(* Merge two readings of the same instrument. Counters and histograms
-   are cumulative, so they add (saturating, like the live updates);
-   gauges are instantaneous, so the right operand's [last] stands —
-   "right" is "later" by convention, exactly as in [diff] — while the
-   maxima combine. A kind or bucket mismatch can only mean the two
-   snapshots come from incompatible registries; the right operand wins
-   there too, keeping the convention uniform. *)
-let merge_value a b =
-  match (a, b) with
-  | Counter_v n, Counter_v m -> Counter_v (sat_add n m)
-  | Gauge_v g, Gauge_v h ->
-      Gauge_v { last = h.last; max = Float.max g.max h.max }
-  | Histogram_v g, Histogram_v h
-    when Array.length g.counts = Array.length h.counts ->
-      Histogram_v
-        {
-          h with
-          counts = Array.mapi (fun i c -> sat_add c g.counts.(i)) h.counts;
-          total = sat_add g.total h.total;
-          sum = g.sum +. h.sum;
-        }
-  | _, b -> b
-
-(* Snapshots are sorted by name, so the union is a linear merge and
-   the result stays sorted — [merge] is associative over well-kinded
-   snapshots and the empty snapshot is its identity (the multicore
-   per-domain registries fold through this at join). *)
-let rec merge a b =
-  match (a, b) with
-  | [], s | s, [] -> s
-  | (an, av) :: arest, (bn, bv) :: brest ->
-      let c = String.compare an bn in
-      if c < 0 then (an, av) :: merge arest b
-      else if c > 0 then (bn, bv) :: merge a brest
-      else (an, merge_value av bv) :: merge arest brest
 
 let value_to_json = function
   | Counter_v n -> Json.Num (float_of_int n)

@@ -24,7 +24,6 @@ val default : t
     [set_enabled default true]. *)
 
 val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 (** {1 Instruments}
 
@@ -50,10 +49,8 @@ type gauge
 val gauge : t -> string -> gauge
 
 val set : gauge -> float -> unit
-(** Records the instantaneous value; also tracks the maximum seen. *)
-
-val last : gauge -> float
-val max_seen : gauge -> float
+(** Records the instantaneous value; also tracks the maximum seen.
+    Both are read through {!snapshot}. *)
 
 type histogram
 
@@ -67,8 +64,6 @@ val histogram : t -> string -> buckets:float array -> histogram
 val observe : histogram -> float -> unit
 (** A value [v] lands in the first bucket with [v <= upper.(i)], else
     the overflow bucket. The running sum is Kahan-compensated. *)
-
-val observe_int : histogram -> int -> unit
 
 (** {1 Snapshots} *)
 
@@ -98,17 +93,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 val zero : value -> bool
 (** [true] when the value records no activity — handy for filtering a
     {!diff} down to what actually moved. *)
-
-val merge : snapshot -> snapshot -> snapshot
-(** [merge a b] is the union of two snapshots: counters and histogram
-    counts/totals add (saturating at [max_int]), histogram sums add
-    exactly, gauges keep [b]'s [last] (the right operand is "later",
-    as in {!diff}) and the larger of the two maxima. Instruments
-    present on one side pass through. Over well-kinded snapshots —
-    same name always the same kind and bucket bounds, which is all a
-    registry can produce — [merge] is associative with the empty
-    snapshot as identity, so per-domain registries fold cleanly at
-    join; on a kind or bucket mismatch the right operand wins. *)
 
 val to_json : snapshot -> Json.t
 val pp : Format.formatter -> snapshot -> unit

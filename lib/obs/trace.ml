@@ -32,10 +32,7 @@ let make ?(clock = Clock.cpu) write : sink =
     { clock; write; line = Buffer.create 256; next_id = 1; stack = []; spans = 0;
       events = 0 }
 
-let enabled = Option.is_some
-
 let spans_written = function None -> 0 | Some st -> st.spans
-let events_written = function None -> 0 | Some st -> st.events
 
 (* Records are written straight into [st.line], byte for byte what
    [Json.to_string ~indent:false] writes for the same object (pinned in

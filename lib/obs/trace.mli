@@ -32,8 +32,6 @@ val null : sink
 val make : ?clock:Clock.t -> Writer.t -> sink
 (** [make writer] is a live sink. [clock] defaults to {!Clock.cpu}. *)
 
-val enabled : sink -> bool
-
 val with_span : sink -> ?attrs:attr list -> string -> (unit -> 'a) -> 'a
 (** [with_span sink name f] runs [f] inside a span. The span closes
     (and its JSONL line is written) when [f] returns {e or raises}; an
@@ -54,4 +52,3 @@ val spans_written : sink -> int
 (** Spans emitted so far ([0] on {!null}) — cheap cardinality check
     for tests and the bench artefact. *)
 
-val events_written : sink -> int

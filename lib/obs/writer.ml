@@ -1,7 +1,5 @@
 type t = string -> unit
 
-let null : t = fun _ -> ()
-
 let of_channel oc line =
   output_string oc line;
   output_char oc '\n'

@@ -9,9 +9,6 @@
 
 type t = string -> unit
 
-val null : t
-(** Discards everything. *)
-
 val of_channel : out_channel -> t
 (** Appends the line and a ['\n'] to the given channel. The caller
     owns the channel (opening, flushing, closing). *)

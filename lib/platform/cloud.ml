@@ -5,9 +5,6 @@ let make_pricing ~reserved_hourly ~on_demand_hourly =
     invalid_arg "Cloud.make_pricing: prices must be positive";
   { reserved_hourly; on_demand_hourly }
 
-let aws_like = make_pricing ~reserved_hourly:0.25 ~on_demand_hourly:1.0
-let price_ratio p = p.on_demand_hourly /. p.reserved_hourly
-
 let reserved_cost p ~expected_reservation_hours =
   p.reserved_hourly *. expected_reservation_hours
 

@@ -15,21 +15,6 @@ type pricing = {
 val make_pricing : reserved_hourly:float -> on_demand_hourly:float -> pricing
 (** @raise Invalid_argument unless both prices are positive. *)
 
-val aws_like : pricing
-(** The paper's reference ratio: [c_OD / c_RI = 4]
-    (RI at 0.25, OD at 1.0 per hour). *)
-
-val price_ratio : pricing -> float
-(** [price_ratio p] is [c_OD / c_RI]. *)
-
-val reserved_cost : pricing -> expected_reservation_hours:float -> float
-(** Expected monetary cost of a reservation strategy whose expected
-    total reserved time is the given number of hours. *)
-
-val on_demand_cost : pricing -> Distributions.Dist.t -> float
-(** Expected monetary cost of running jobs from [d] on demand: the
-    omniscient cost [E(X)] at OD price. *)
-
 type verdict = {
   reserved_total : float;  (** Expected RI cost per job. *)
   on_demand_total : float;  (** Expected OD cost per job. *)

@@ -89,5 +89,3 @@ let cost_model_of_fit ?(beta = 1.0) (f : Numerics.Regression.fit) =
   Stochastic_core.Cost_model.make ~alpha:f.Numerics.Regression.slope ~beta
     ~gamma:f.Numerics.Regression.intercept ()
 
-let turnaround m ~requested ~actual =
-  Stochastic_core.Cost_model.reservation_cost m ~reserved:requested ~actual

@@ -65,11 +65,3 @@ val cost_model_of_fit : ?beta:float -> Numerics.Regression.fit -> Stochastic_cor
     @raise Invalid_argument if the fit has non-positive slope or
     negative intercept. *)
 
-val turnaround :
-  Stochastic_core.Cost_model.t -> requested:float -> actual:float -> float
-(** [turnaround m ~requested ~actual] is the expected turnaround
-    contribution of one reservation: queue wait
-    [alpha * requested + gamma] plus executed time
-    [beta * min requested actual]. Identical to
-    {!Stochastic_core.Cost_model.reservation_cost}; exposed under the
-    domain name for clarity. *)

@@ -24,10 +24,6 @@ type config = {
   strategy : Stochastic_core.Strategy.t;  (** Strategy used once fitted. *)
 }
 
-val default_config : config
-(** [warmup = 10], [refit_every = 25], BRUTE-FORCE (m = 500, exact
-    enough for repeated refits). *)
-
 type trajectory = {
   costs : float array;  (** Per-job cost, in arrival order. *)
   normalized_prefix_mean : float array;

@@ -36,6 +36,7 @@ type report = {
   outcomes : job_outcome array;
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_scheduler checks a lone job's engine outcome against it *)
 val run_job :
   Stochastic_core.Cost_model.t ->
   Stochastic_core.Sequence.t ->

@@ -51,7 +51,3 @@ let load_csv path =
        with End_of_file -> ());
       Array.of_list (List.rev !out))
 
-let pipeline ?runs app rng =
-  let trace = generate ?runs app rng in
-  let fit = Distributions.Fitting.lognormal_mle trace in
-  (fit, Distributions.Fitting.to_dist fit)

@@ -46,11 +46,3 @@ val load_csv : string -> float array
     optional; blank lines ignored).
     @raise Failure on malformed numeric data. *)
 
-val pipeline :
-  ?runs:int ->
-  application ->
-  Randomness.Rng.t ->
-  Distributions.Fitting.lognormal_fit * Distributions.Dist.t
-(** [pipeline app rng] runs the paper's Fig. 1 pipeline end to end:
-    generate (or substitute) a trace, fit a LogNormal by MLE, and
-    return both the fit diagnostics and the fitted distribution. *)

@@ -24,6 +24,7 @@ val split : t -> t
     (statistically) independent of the remainder of [t]'s stream; [t]
     advances. Used to give each sub-experiment its own stream. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_rng pins stream determinism, copies and splits on raw draws *)
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 

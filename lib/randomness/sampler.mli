@@ -5,13 +5,6 @@
     rather than inverting their CDFs where a direct method is faster or
     more accurate. *)
 
-val standard_normal : Rng.t -> float
-(** [standard_normal rng] draws N(0, 1) by the Marsaglia polar method. *)
-
-val normal : Rng.t -> mu:float -> sigma:float -> float
-(** [normal rng ~mu ~sigma] draws N(mu, sigma^2).
-    @raise Invalid_argument if [sigma <= 0.]. *)
-
 val exponential : Rng.t -> rate:float -> float
 (** [exponential rng ~rate] draws Exp(rate) by inversion.
     @raise Invalid_argument if [rate <= 0.]. *)

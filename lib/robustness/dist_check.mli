@@ -57,6 +57,7 @@ val run : Distributions.Dist.t -> report
 val is_valid : report -> bool
 (** [is_valid r] is [true] iff [r] contains no [Fatal] issue. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_robust and test_extreme_params name the fatal issues through it *)
 val fatal : report -> issue list
 (** The [Fatal] issues of the report. *)
 

@@ -181,6 +181,7 @@ type spot_solution = {
   assignment_evaluations : int;  (** Candidate plans scored. *)
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_spot's rejection cases go through it *)
 val spot_regime :
   ?recovery:Stochastic_core.Spot_cost.recovery ->
   price_ratio:float ->

@@ -26,7 +26,6 @@ let create ~nodes =
     busy = Numerics.Kahan.create ();
   }
 
-let nodes t = t.nodes
 let free t = t.free_count
 let advance t now =
   if now < t.clock -. 1e-9 then
@@ -94,8 +93,3 @@ let mark_up t i =
 let clock t = t.clock
 let busy_node_time t = Numerics.Kahan.sum t.busy
 
-let utilization t =
-  if t.clock <= 0.0 then 0.0
-  else
-    let u = busy_node_time t /. (float_of_int t.nodes *. t.clock) in
-    Float.min 1.0 (Float.max 0.0 u)

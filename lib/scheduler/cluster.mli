@@ -15,9 +15,6 @@ val create : nodes:int -> t
 (** All nodes start up and free. @raise Invalid_argument if
     [nodes <= 0]. *)
 
-val nodes : t -> int
-(** Total configured node count (up or down). *)
-
 val free : t -> int
 (** Nodes currently up {e and} unallocated — the dispatchable pool. *)
 
@@ -54,7 +51,3 @@ val clock : t -> float
 val busy_node_time : t -> float
 (** Integrated busy node-time up to the current clock. *)
 
-val utilization : t -> float
-(** [busy_node_time / (nodes * clock)], clamped to [[0, 1]]; [0.] at
-    time zero. The denominator uses the configured node count, so time
-    lost to outages shows up as lost utilization. *)

@@ -30,9 +30,6 @@ type retry = {
   backoff : float;  (** Delay before re-queueing a failure-killed job. *)
 }
 
-val unlimited_retries : retry
-(** [{ max_retries = None; backoff = 0. }] — the default. *)
-
 val make_retry : ?max_retries:int -> ?backoff:float -> unit -> retry
 (** @raise Invalid_argument on negative arguments. *)
 

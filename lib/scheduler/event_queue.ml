@@ -7,8 +7,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let length q = q.size
-let is_empty q = q.size = 0
 
 (* Strict heap order: earlier time first, insertion order breaking
    ties. The tie-break is what makes the whole simulator deterministic:
@@ -40,8 +38,6 @@ let push q ~time payload =
     swap q.heap !i parent;
     i := parent
   done
-
-let peek_time q = if q.size = 0 then None else Some q.heap.(0).time
 
 let pop q =
   if q.size = 0 then None

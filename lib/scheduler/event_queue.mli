@@ -20,8 +20,3 @@ val pop : 'a t -> (float * 'a) option
     queue is empty. Among equal times, events come out in the order
     they were pushed. *)
 
-val peek_time : 'a t -> float option
-(** [peek_time q] is the time of the next event without removing it. *)
-
-val length : 'a t -> int
-val is_empty : 'a t -> bool

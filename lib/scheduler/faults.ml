@@ -73,10 +73,6 @@ let mtbf config =
   match config.model with
   | Exponential { mtbf } | Weibull { mtbf; _ } | Spot { mtbf; _ } -> mtbf
 
-let rate config =
-  let m = mtbf config in
-  if Float.is_finite m then 1.0 /. m else 0.0
-
 let model_name config =
   match config.model with
   | Exponential _ -> "exponential"

@@ -30,30 +30,11 @@ val exponential : mtbf:float -> model
 val weibull : mtbf:float -> shape:float -> model
 (** @raise Invalid_argument on non-positive [mtbf] or [shape]. *)
 
-type param_error = { field : string; value : float; detail : string }
-(** A rejected construction parameter: which field, the offending
-    value, and why it is unusable. *)
-
-val param_error_to_string : param_error -> string
-(** One-line ["Faults.spot: field = value: detail"] rendering. *)
-
-val spot_checked :
-  ?burst_prob:float ->
-  ?burst_factor:float ->
-  mtbf:float ->
-  unit ->
-  (model, param_error) result
-(** Typed variant of {!spot}: validates every field at construction
-    ([mtbf > 0] with [infinity] allowed, [burst_prob] in [[0, 1)] —
-    [1] is rejected because the hyperexponential mixture mean can no
-    longer be normalised to the MTBF — and [burst_factor >= 1], all
-    NaN-rejecting) and returns the first offending field instead of
-    raising. *)
-
 val spot : ?burst_prob:float -> ?burst_factor:float -> mtbf:float -> unit -> model
 (** Defaults: [burst_prob = 0.2], [burst_factor = 10].
     @raise Invalid_argument if [burst_prob] is outside [[0, 1)] or
-    [burst_factor < 1] (the {!spot_checked} errors, rendered). *)
+    [burst_factor < 1]; the message names the field, its value and
+    the constraint ["Faults.spot: field = value: detail"]. *)
 
 val make : ?seed:int -> ?mean_repair:float -> model -> config
 (** Defaults: [seed = 42], [mean_repair = 0.1] (hours; exponential
@@ -62,9 +43,6 @@ val make : ?seed:int -> ?mean_repair:float -> model -> config
 
 val mtbf : config -> float
 (** The configured mean time between failures (may be [infinity]). *)
-
-val rate : config -> float
-(** [1 / mtbf config], or [0.] when the MTBF is infinite. *)
 
 val model_name : config -> string
 
@@ -82,6 +60,7 @@ val uptime : t -> node:int -> float
 val downtime : t -> node:int -> float
 (** Repair duration for [node]'s current outage. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_faults pins per-node failure traces and their determinism *)
 val trace : t -> node:int -> horizon:float -> (float * float) list
 (** [(down_at, back_at)] outages of [node] up to [horizon], consuming
     the node's stream — diagnostics and property tests.

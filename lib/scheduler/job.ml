@@ -77,19 +77,14 @@ let duration j = j.duration
 let arrival j = j.arrival
 let state j = j.state
 let submitted j = j.submitted
-let progress j = j.progress
 let failures j = j.failures
 let epoch j = j.epoch
-let checkpointed j = match j.recovery with Attempt.Restart -> false | Snapshot _ -> true
-let reservations j = Array.copy j.reservations
 
 let request j =
   (* Past the materialised prefix (possible only with checkpointing),
      keep re-requesting the last reservation: it covers the full
      duration, so a fortiori the remaining work. *)
   j.reservations.(min j.attempt (Array.length j.reservations - 1))
-
-let remaining j = j.duration -. j.progress
 
 (* The current attempt run to its natural end: completion or expiry. *)
 let close j =

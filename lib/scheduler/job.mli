@@ -66,9 +66,6 @@ val state : t -> state
 val submitted : t -> float
 (** Submission time of the current attempt. *)
 
-val progress : t -> float
-(** Durably checkpointed work, in [[0, duration]]. *)
-
 val failures : t -> int
 (** Node-failure kills suffered so far. *)
 
@@ -77,18 +74,10 @@ val epoch : t -> int
     completion events with it to invalidate events scheduled for an
     attempt that a failure already killed. *)
 
-val checkpointed : t -> bool
-
 val request : t -> float
 (** Requested walltime of the current attempt. Past the materialised
     prefix (reachable only with checkpointing) the last, covering
     reservation is re-requested. *)
-
-val reservations : t -> float array
-(** The materialised reservation prefix (a copy). *)
-
-val remaining : t -> float
-(** [duration - progress]. *)
 
 val attempt_span : t -> float * bool
 (** [(span, completes)]: how long the current attempt will occupy its
@@ -128,9 +117,6 @@ val abandon : t -> unit
 
 val attempts : t -> attempt array
 (** All closed attempts in chronological order. *)
-
-val finish_time : t -> float
-(** @raise Invalid_argument if the job is not [Done]. *)
 
 val total_wait : t -> float
 (** Sum of queue waits over all closed attempts. *)

@@ -50,23 +50,15 @@ type summary = {
   per_job : job_metrics array;  (** Completed jobs only. *)
 }
 
-val attempt_cost : Stochastic_core.Cost_model.t -> Job.attempt -> float
-(** Cost of one attempt. Completed and timed-out attempts pay their
-    full reservation at [alpha]; a failure-killed attempt pays only for
-    the node-time it occupied (the platform revoked the capacity, as
-    on spot markets). Every attempt pays [gamma]. *)
-
+(* stochlint: allow UNUSED_EXPORT — test_scheduler checks a lone job's cost against Simulator.run_job *)
 val job_cost : Stochastic_core.Cost_model.t -> Job.t -> float
-(** Eq. (2) cost of a job's attempt history, generalised by
-    {!attempt_cost}. With a single reliable job in flight this equals
+(** Eq. (2) cost of a job's attempt history, each attempt billed by
+    its reserved length, the time it ran and whether it succeeded. With a single reliable job in flight this equals
     [Platform.Simulator.run_job]'s [total_cost]. *)
 
 val summarize : model:Stochastic_core.Cost_model.t -> Engine.result -> summary
 (** Wait/stretch/cost means are over completed jobs; the node-time
     split counts every attempt, abandoned jobs included. *)
-
-val badput : summary -> float
-(** [failure_node_time + timeout_node_time]. *)
 
 val goodput_fraction : summary -> float
 (** Goodput over total consumed node-time ([1.] when nothing ran). *)

@@ -22,14 +22,6 @@ val name : t -> string
 val of_string : string -> t option
 val all : t list
 
-val shadow :
-  free:int -> needed:int -> (float * int) list -> (float * int) option
-(** [shadow ~free ~needed running] is the earliest instant at which
-    [needed] nodes are simultaneously available, together with the
-    spare nodes at that instant, given [free] nodes now and running
-    reservations [(reservation_end, nodes)]. [None] if [needed]
-    exceeds the whole machine. Exposed for the invariant tests. *)
-
 val select :
   t ->
   now:float ->

@@ -31,17 +31,6 @@ val make_spec :
     @raise Invalid_argument on non-positive [jobs]/[arrival_rate], an
     empty node range, or an invalid scale range. *)
 
-val mean_job_nodes : spec -> float
-
-val mean_scale : spec -> float
-(** Mean of the log-uniform size-class factor. *)
-
-val expected_consumed :
-  Distributions.Dist.t -> Stochastic_core.Sequence.t -> float
-(** [expected_consumed d s] is the expected node-hours one job burns
-    under sequence [s]: [E(X) + sum_i t_i * P(X > t_i)] — the true
-    duration plus every reservation killed before success. *)
-
 val rate_for_load :
   ?nodes_min:int ->
   ?nodes_max:int ->
@@ -55,9 +44,9 @@ val rate_for_load :
 (** [rate_for_load ~load ~cluster_nodes d] is the arrival rate at which
     the offered work [rate * E(consumed) * E(nodes)] equals [load]
     times the cluster capacity — [load -> 1] drives the system into
-    sustained contention. When [sequence] is given, per-job work uses
-    {!expected_consumed} (accounting for killed reservations);
-    otherwise just [E(X)]. *)
+    sustained contention. When [sequence] is given, per-job work is the
+    expected node time the sequence consumes, killed reservations
+    included; otherwise just [E(X)]. *)
 
 val offered_load :
   ?sequence:Stochastic_core.Sequence.t ->

@@ -181,7 +181,6 @@ let open_ ?(compact_threshold = default_compact_threshold) path =
   }
 
 let recovered t = t.recovery.entries
-let path t = t.path
 
 let stats t =
   {

@@ -36,6 +36,7 @@ type recovery = {
   bytes : int;  (** Journal bytes scanned. *)
 }
 
+(* stochlint: allow UNUSED_EXPORT — test_chaos reads damaged journals read-only through it *)
 val recover : string -> recovery
 (** [recover path] scans a journal read-only. A missing or unreadable
     file is an empty recovery; a damaged one yields its intact
@@ -86,17 +87,18 @@ type stats = {
 val stats : t -> stats
 (** Counters for the [stats] wire response and the metrics registry. *)
 
-val path : t -> string
-
 (** {1 Record codec} — exposed for the chaos harness and fuzz tests. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_chaos forges journal records with it *)
 val encode_record : entry -> string
 (** One record line, newline-terminated. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_chaos decodes forged journal records with it *)
 val decode_line : string -> (entry, string) result
 (** Decode one line (no trailing newline); [Error] says why the record
     was rejected. Never raises. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_chaos forges almost-valid records with it *)
 val crc32_hex : string -> string
 (** Lowercase 8-hex-digit IEEE CRC-32 — exposed so tests can forge
     almost-valid records. *)

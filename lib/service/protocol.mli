@@ -48,8 +48,6 @@ type budget_spec = {
   max_evaluations : int option;
 }
 
-val empty_budget : budget_spec
-
 type solve = {
   dist : dist_spec;
   model : model_spec;
@@ -80,11 +78,6 @@ val error_of_solver : Robust.Solver.error -> error
     {!Robust.Solver.exit_code} (4–7), [label] its kebab-case name,
     [detail] {!Robust.Solver.error_to_string}. Pinned by a regression
     test so the two taxonomies cannot drift. *)
-
-val label_of_code : int -> string
-(** ["usage"], ["invalid-distribution"], ["non-convergent"],
-    ["budget-exhausted"], ["invalid-parameter"]; ["error"] for any
-    other code. *)
 
 val parse_request : string -> (Stochobs.Json.t option * request, Stochobs.Json.t option * error) result
 (** Parse one JSONL line. Both branches carry the echoed [id] field

@@ -11,10 +11,6 @@ let log_step grid =
   | Ok g -> log (1.0 +. g)
   | Error msg -> invalid_arg ("Quantize: " ^ msg)
 
-let bucket ~grid v =
-  let step = log_step grid in
-  int_of_float (Float.round (log v /. step))
-
 (* The token of [v] on the grid of log-step [step]. *)
 let add_token buf ~step v =
   match Float.classify_float v with
@@ -25,14 +21,6 @@ let add_token buf ~step v =
       let mag = Float.abs v in
       Buffer.add_string buf (if v > 0.0 then "b" else "-b");
       Stochobs.Json.add_int buf (int_of_float (Float.round (log mag /. step)))
-
-(* Validate the grid even on the paths that never divide by it, so a
-   bad server configuration fails loudly on the first key built. *)
-let quantize ~grid v =
-  let step = log_step grid in
-  let buf = Buffer.create 8 in
-  add_token buf ~step v;
-  Buffer.contents buf
 
 (* Built piece by piece: a cache hit pays for its key, and Printf
    would cost more than the rest of it. *)

@@ -19,20 +19,6 @@ val default_grid : float
 val check_grid : float -> (float, string) result
 (** Validate a grid resolution: finite and in [(0, 1]]. *)
 
-val bucket : grid:float -> float -> int
-(** [bucket ~grid v] is the geometric bucket index of [v > 0]:
-    [round (ln v / ln (1 + grid))]. Do not call on non-positive
-    values; {!quantize} handles sign and zero.
-    @raise Invalid_argument on an invalid grid. *)
-
-val quantize : grid:float -> float -> string
-(** [quantize ~grid v] is the canonical token for parameter value [v]:
-    ["z"] for (numerical) zero, ["b<i>"] for positive values in bucket
-    [i], ["-b<i>"] for negative values (bucketed by magnitude), and
-    ["inf"]/["-inf"]/["nan"] for the non-finite cases (kept distinct
-    so pathological requests never alias a sane entry).
-    @raise Invalid_argument on an invalid grid. *)
-
 val key :
   grid:float ->
   family:string ->

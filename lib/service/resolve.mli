@@ -63,6 +63,3 @@ val tiers_of_strategy : string -> Robust.Solver.tier list option
     error. [None] means the name is not cascade-addressable — the
     daemon then falls back to {!strategy} and direct evaluation. *)
 
-val known_strategies : string list
-(** Canonical strategy names accepted by {!strategy}, for error
-    messages. *)

@@ -224,8 +224,6 @@ let record_latency t elapsed =
   else push_top t elapsed;
   M.set t.m_p99_window (window_p99 t)
 
-let shedding t = t.shedding
-
 let close t =
   match t.journal with
   | None -> ()

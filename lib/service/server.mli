@@ -87,9 +87,6 @@ val create :
     @raise Invalid_argument on an invalid config (validate with
     {!check_config} for a typed error). *)
 
-val shedding : t -> bool
-(** Whether the server is currently shedding load. *)
-
 val close : t -> unit
 (** Flush and close the journal, if any. Call on graceful shutdown;
     safe when no journal is attached. Never raises. *)
@@ -100,6 +97,7 @@ val handle_line : t -> string -> string option * bool
     should stop ([true] exactly after a well-formed [shutdown]
     request). Never raises. *)
 
+(* stochlint: allow UNUSED_EXPORT — test_service and test_chaos drive the request loop in process *)
 val serve :
   t -> recv:(unit -> string option) -> send:(string -> unit) -> unit
 (** Pump [recv] through {!handle_line} into [send] until end of input

@@ -12,7 +12,4 @@ let fit t ~id samples =
 
 let find t id = Hashtbl.find_opt t id
 
-let dist t id =
-  Option.map Distributions.Fitting.to_dist (Hashtbl.find_opt t id)
-
 let count t = Hashtbl.length t

@@ -20,7 +20,4 @@ val fit :
 
 val find : t -> string -> Distributions.Fitting.lognormal_fit option
 
-val dist : t -> string -> Distributions.Dist.t option
-(** The stored fit instantiated as a distribution. *)
-
 val count : t -> int

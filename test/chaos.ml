@@ -42,10 +42,6 @@ let note t kind =
 
 let count t kind = Option.value (Hashtbl.find_opt t.counts kind) ~default:0
 
-let counts t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let fire t p = p > 0.0 && Rng.float t.rng < p
 
 (* --------------------------- transport ----------------------------- *)

@@ -12,12 +12,12 @@
       in-process stand-in for [EPIPE]);
     - {!clock} — forward leaps and small backward steps on an
       otherwise sane clock source;
-    - {!flaky}/{!with_retries} — EINTR-style transient errors and the
-      bounded retry discipline the CLI accept loop uses;
-    - {!truncate_file}/{!flip_bit}/{!tear_file} — journal damage as a
-      crash mid-write would leave it.
+    - {!flaky}/{!with_retries} — EINTR-style transient errors and a
+      bounded retry loop around them;
+    - {!tear_file} — journal damage as a crash mid-write would leave
+      it: a truncated tail or one flipped bit.
 
-    Every injection is counted by kind ({!counts}), so tests can
+    Every injection is counted by kind ({!count}), so tests can
     assert faults actually fired instead of passing vacuously. *)
 
 exception Injected of string
@@ -57,8 +57,8 @@ val flaky : t -> (unit -> 'a) -> unit -> 'a
 
 val with_retries : max:int -> (unit -> 'a) -> 'a
 (** Run a thunk, retrying up to [max] total attempts while it raises
-    {!Injected}; the last attempt's exception propagates. Mirrors the
-    [EINTR] retry around [Unix.accept] in the serve CLI.
+    {!Injected}; the last attempt's exception propagates. (The serve
+    CLI's accept loop retries [EINTR] itself and does not use this.)
     @raise Invalid_argument if [max < 1]. *)
 
 type damage = Untouched | Truncated of int | Bit_flipped of int
@@ -66,18 +66,12 @@ type damage = Untouched | Truncated of int | Bit_flipped of int
     the file to the given byte length, or flipped one bit at the given
     offset. *)
 
-val truncate_file : t -> string -> damage
-(** Cut the file at a seeded offset — a torn write / lost tail. *)
-
-val flip_bit : t -> string -> damage
-(** Flip one seeded bit — media corruption the checksum must catch. *)
-
 val tear_file : t -> string -> damage
-(** Seeded coin flip between {!truncate_file} and {!flip_bit}. *)
+(** A seeded coin flip between cutting the file at a seeded offset (a
+    torn write, a lost tail) and flipping one seeded bit (media
+    corruption the checksum must catch). *)
 
 val count : t -> string -> int
 (** Injections of one kind so far (e.g. ["disconnect.send"],
     ["tear.truncate"], ["clock.forward"], ["transient"]). *)
 
-val counts : t -> (string * int) list
-(** All injection counts, sorted by kind. *)

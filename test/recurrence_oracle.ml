@@ -9,6 +9,8 @@
      [cost_of_t1]: Brute_force.
    - [run_brute_force]: the t1 scan Robust.Solver carried as its own
      copy.
+   - [grid], [exp_opt]: Numerics.Optimize and the Exp(1) solve of
+     Exponential_opt, which now returns the constant [exp_opt] finds.
    test_recurrence_oracle pins the kernel, Brute_force, the solver and
    Exponential_opt against these bit for bit. Do not "fix" or speed up
    this file: its value is that it is the old arithmetic. *)
@@ -372,6 +374,80 @@ let run_brute_force st ~exact:use_exact ~seed cost_model d =
 
 (* ------------------------- Exponential_opt ------------------------ *)
 
+(* The one-dimensional minimiser the Exp(1) solve ran: a grid of [n]
+   points with a golden-section polish of the two cells around the
+   best one. *)
+type minimum = { xmin : float; fmin : float; evaluations : int }
+
+let invphi = (sqrt 5.0 -. 1.0) /. 2.0 (* 1/phi *)
+
+(* A bound on the golden-section steps when [tol] is out of reach. *)
+let max_iter = 200
+
+let golden_section ~tol f a b =
+  let a = ref (Float.min a b) and b = ref (Float.max a b) in
+  let evals = ref 0 in
+  let feval x =
+    incr evals;
+    f x
+  in
+  let c = ref (!b -. (invphi *. (!b -. !a))) in
+  let d = ref (!a +. (invphi *. (!b -. !a))) in
+  let fc = ref (feval !c) and fd = ref (feval !d) in
+  let i = ref 0 in
+  while !b -. !a > tol *. (1.0 +. Float.abs !a +. Float.abs !b) && !i < max_iter
+  do
+    incr i;
+    if !fc < !fd then begin
+      b := !d;
+      d := !c;
+      fd := !fc;
+      c := !b -. (invphi *. (!b -. !a));
+      fc := feval !c
+    end
+    else begin
+      a := !c;
+      c := !d;
+      fc := !fd;
+      d := !a +. (invphi *. (!b -. !a));
+      fd := feval !d
+    end
+  done;
+  let xmin = if !fc < !fd then !c else !d in
+  { xmin; fmin = Float.min !fc !fd; evaluations = !evals }
+
+let grid ?(refine = true) ~n f a b =
+  if n <= 0 then invalid_arg "Optimize.grid: n must be positive";
+  let step = (b -. a) /. float_of_int n in
+  let best_x = ref nan and best_f = ref infinity in
+  let evals = ref 0 in
+  for m = 1 to n do
+    let x = a +. (float_of_int m *. step) in
+    incr evals;
+    let fx = f x in
+    if Float.is_finite fx && fx < !best_f then begin
+      best_f := fx;
+      best_x := x
+    end
+  done;
+  if Float.is_nan !best_x then
+    invalid_arg "Optimize.grid: objective invalid at every grid point";
+  if refine then begin
+    let lo = Float.max a (!best_x -. step) in
+    let hi = Float.min b (!best_x +. step) in
+    let safe_f x =
+      incr evals;
+      let v = f x in
+      if Float.is_finite v then v else infinity
+    in
+    let r = golden_section ~tol:1e-8 (fun x -> safe_f x) lo hi in
+    if r.fmin < !best_f then begin
+      best_f := r.fmin;
+      best_x := r.xmin
+    end
+  end;
+  { xmin = !best_x; fmin = !best_f; evaluations = !evals }
+
 let exp1 = Distributions.Exponential.make ~rate:1.0
 
 let expected_cost_exp1 ~s1 =
@@ -382,7 +458,5 @@ let expected_cost_exp1 ~s1 =
   end
 
 let exp_opt () =
-  let r =
-    Numerics.Optimize.grid ~n:8000 (fun s1 -> expected_cost_exp1 ~s1) 1e-6 2.0
-  in
-  (r.Numerics.Optimize.xmin, r.Numerics.Optimize.fmin)
+  let r = grid ~n:8000 (fun s1 -> expected_cost_exp1 ~s1) 1e-6 2.0 in
+  (r.xmin, r.fmin)

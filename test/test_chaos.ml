@@ -1,6 +1,6 @@
 (* Chaos tests: the crash-safety contract of the persistence journal
    and the daemon's request loop, exercised under seeded fault
-   injection ({!Stochserve.Chaos}). Every fault stream is fixed-seed,
+   injection ({!Chaos}). Every fault stream is fixed-seed,
    so a failure here replays exactly.
 
    The headline property: after an unclean death (no close, journal
@@ -9,7 +9,6 @@
    clean run's — and merely re-solves the rest. Recovery never raises,
    never refuses to start. *)
 
-module Chaos = Stochserve.Chaos
 module Journal = Stochserve.Journal
 module Protocol = Stochserve.Protocol
 module Server = Stochserve.Server

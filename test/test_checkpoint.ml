@@ -5,6 +5,8 @@ module C = Stochastic_core.Cost_model
 module S = Stochastic_core.Sequence
 module E = Stochastic_core.Expected_cost
 
+let free = Ck.make_params ~checkpoint_cost:0.0 ~restart_cost:0.0
+
 let close ?(tol = 1e-9) name expected got =
   Alcotest.(check (float tol)) name expected got
 
@@ -28,8 +30,8 @@ let test_free_checkpoints_accumulate_progress () =
      2 + 3 = 5, unlike the no-checkpoint semantics where only t <= 3
      would be covered. *)
   let m = C.reservation_only in
-  let s = S.of_list [ 2.0; 3.0 ] in
-  let k, cost = Ck.cost_of_run Ck.no_overhead m s 4.5 in
+  let s = List.to_seq [ 2.0; 3.0 ] in
+  let k, cost = Ck.cost_of_run free m s 4.5 in
   Alcotest.(check int) "two reservations" 2 k;
   close "pays both slots" 5.0 cost;
   (* The same job is NOT covered without checkpoints. *)
@@ -48,7 +50,7 @@ let test_hand_example_with_overheads () =
      Total = 18. *)
   let p = Ck.make_params ~checkpoint_cost:0.5 ~restart_cost:0.25 in
   let m = C.make ~alpha:1.0 ~beta:1.0 ~gamma:0.0 () in
-  let s = S.of_list [ 3.0; 3.5; 4.0 ] in
+  let s = List.to_seq [ 3.0; 3.5; 4.0 ] in
   let k, cost = Ck.cost_of_run p m s 6.0 in
   Alcotest.(check int) "three reservations" 3 k;
   close "hand-computed cost" 18.0 cost
@@ -58,7 +60,7 @@ let test_first_slot_success_matches_plain () =
      nothing. *)
   let p = Ck.make_params ~checkpoint_cost:0.7 ~restart_cost:0.3 in
   let m = C.make ~alpha:1.2 ~beta:0.8 ~gamma:0.1 () in
-  let s = S.of_list [ 5.0; 9.0 ] in
+  let s = List.to_seq [ 5.0; 9.0 ] in
   let _, plain = S.cost_of_run m s 4.0 in
   let _, ck = Ck.cost_of_run p m s 4.0 in
   close "identical when first slot succeeds" plain ck
@@ -88,12 +90,11 @@ let test_expected_cost_against_monte_carlo () =
   let s = Ck.periodic ~chunk:1.0 p in
   let exact = Ck.expected_cost p m d s in
   let rng = Randomness.Rng.create ~seed:123 () in
-  let acc = Numerics.Stats.Online.create () in
-  for _ = 1 to 50_000 do
-    let t = d.Distributions.Dist.sample rng in
-    Numerics.Stats.Online.push acc (snd (Ck.cost_of_run p m s t))
-  done;
-  let mc = Numerics.Stats.Online.mean acc in
+  let mc =
+    Numerics.Stats.mean
+      (Array.init 50_000 (fun _ ->
+           snd (Ck.cost_of_run p m s (d.Distributions.Dist.sample rng))))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "quadrature %.4f ~ MC %.4f" exact mc)
     true
@@ -110,12 +111,10 @@ let test_free_checkpointing_beats_plain_on_heavy_tail () =
        ~evaluator:Stochastic_core.Brute_force.Exact m d)
       .Stochastic_core.Brute_force.cost
   in
-  let better, c =
-    Ck.better_than_plain Ck.no_overhead m d ~plain_cost:plain ~chunk_upper:4.0
-  in
+  let _, c = Ck.optimize_chunk free m d ~chunk_upper:4.0 in
   Alcotest.(check bool)
     (Printf.sprintf "free checkpoints (%.4f) beat plain (%.4f)" c plain)
-    true better
+    true (c < plain)
 
 let test_expensive_checkpoints_can_lose () =
   (* Crushing overheads make checkpointing worse than the plain
@@ -124,10 +123,8 @@ let test_expensive_checkpoints_can_lose () =
   let d = Distributions.Uniform_dist.default in
   let p = Ck.make_params ~checkpoint_cost:25.0 ~restart_cost:10.0 in
   let plain = 20.0 (* Theorem 4 optimum: single reservation of b. *) in
-  let better, _ =
-    Ck.better_than_plain p m d ~plain_cost:plain ~chunk_upper:25.0
-  in
-  Alcotest.(check bool) "expensive checkpoints lose" false better
+  let _, c = Ck.optimize_chunk p m d ~chunk_upper:25.0 in
+  Alcotest.(check bool) "expensive checkpoints lose" false (c < plain)
 
 let test_optimize_chunk_sane () =
   let p = Ck.make_params ~checkpoint_cost:0.1 ~restart_cost:0.05 in

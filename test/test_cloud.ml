@@ -5,29 +5,29 @@ module Cl = Platform.Cloud
 let close ?(tol = 1e-12) name expected got =
   Alcotest.(check (float tol)) name expected got
 
+(* The paper's reference ratio c_OD / c_RI = 4. *)
+let aws_like = Cl.make_pricing ~reserved_hourly:0.25 ~on_demand_hourly:1.0
+
 let test_pricing () =
-  close "aws ratio" 4.0 (Cl.price_ratio Cl.aws_like);
   Alcotest.(check bool) "bad pricing rejected" true
     (try ignore (Cl.make_pricing ~reserved_hourly:0.0 ~on_demand_hourly:1.0); false
      with Invalid_argument _ -> true)
 
-let test_costs () =
-  close "reserved cost" 2.5
-    (Cl.reserved_cost Cl.aws_like ~expected_reservation_hours:10.0);
-  let d = Distributions.Uniform_dist.default in
-  close "on-demand cost" 15.0 (Cl.on_demand_cost Cl.aws_like d)
-
 let test_verdict_reserved_wins () =
   (* Normalized cost 2 with price ratio 4: reservations win 2x. *)
   let d = Distributions.Uniform_dist.default in
-  let v = Cl.compare_strategies Cl.aws_like d ~normalized_cost:2.0 in
+  let v = Cl.compare_strategies aws_like d ~normalized_cost:2.0 in
+  (* 2 x E(X) = 30 reserved hours at 0.25; E(X) = 15 on-demand hours
+     at 1.0. *)
+  close "reserved cost" 7.5 v.Cl.reserved_total;
+  close "on-demand cost" 15.0 v.Cl.on_demand_total;
   close "advantage" 2.0 v.Cl.advantage;
   Alcotest.(check bool) "use reserved" true v.Cl.use_reserved
 
 let test_verdict_on_demand_wins () =
   (* Normalized cost above the price ratio: stay on demand. *)
   let d = Distributions.Uniform_dist.default in
-  let v = Cl.compare_strategies Cl.aws_like d ~normalized_cost:5.0 in
+  let v = Cl.compare_strategies aws_like d ~normalized_cost:5.0 in
   Alcotest.(check bool) "on demand wins" false v.Cl.use_reserved;
   Alcotest.(check bool) "advantage below 1" true (v.Cl.advantage < 1.0)
 
@@ -35,7 +35,7 @@ let test_break_even () =
   (* At normalized cost exactly equal to the ratio, the two options
      tie. *)
   let d = Distributions.Exponential.default in
-  let v = Cl.compare_strategies Cl.aws_like d ~normalized_cost:4.0 in
+  let v = Cl.compare_strategies aws_like d ~normalized_cost:4.0 in
   close "tie" 1.0 v.Cl.advantage ~tol:1e-9
 
 let prop_paper_criterion =
@@ -54,7 +54,6 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "pricing" `Quick test_pricing;
-          Alcotest.test_case "costs" `Quick test_costs;
           Alcotest.test_case "reserved wins" `Quick test_verdict_reserved_wins;
           Alcotest.test_case "on-demand wins" `Quick test_verdict_on_demand_wins;
           Alcotest.test_case "break even" `Quick test_break_even;

@@ -16,7 +16,7 @@ let fixture_root = "fixtures/domcheck"
 let randomness_root = "../lib/randomness"
 
 let analyze ?(entries = []) root =
-  Domcheck.analyze ~context:(Rules.Lib "fixture") ~source_root:root ~entries
+  Domcheck.analyze ~context:(fun _ -> Rules.Lib "fixture") ~source_root:root ~entries
     [ root ]
 
 let locs (o : Domcheck.outcome) file =
@@ -176,6 +176,44 @@ let test_baseline_filter () =
   Alcotest.(check bool) "an extra finding breaks through the baseline" true
     (applied'.kept <> [])
 
+(* --- UNUSED_EXPORT ---------------------------------------------------- *)
+
+(* Exports_test is test code; every other fixture is library code. *)
+let exports_context file =
+  if file = "exports_test.ml" then Rules.Test else Rules.Lib "fixture"
+
+let test_unused_export () =
+  let o =
+    Domcheck.analyze ~context:exports_context ~source_root:fixture_root
+      ~entries:[] [ fixture_root ]
+  in
+  check_locs "the value nobody mentions and the one only a test mentions"
+    [ ("UNUSED_EXPORT", 6, 0); ("UNUSED_EXPORT", 7, 0) ]
+    (locs o "exports.mli");
+  (* With every fixture read as library code, Exports_test's call makes
+     [seam] used, so its allow marker has nothing to hold back. *)
+  let all_lib = analyze fixture_root in
+  Alcotest.(check int) "the marked seam is suppressed and counted"
+    (all_lib.suppressed + 1) o.suppressed
+
+(* bench/main.ml and perfbench/main.ml are both Dune__exe__Main: both
+   load, while the same cmt seen twice (a byte and a native copy)
+   collapses to one unit. *)
+let test_same_name_units () =
+  let main dir = Filename.concat dir ".main.eobjs/byte/dune__exe__Main.cmt" in
+  let bench = main "../bench" and perfbench = main "../perfbench" in
+  let units, errors = Cmt_load.load_all [ bench; perfbench; bench ] in
+  Alcotest.(check int) "no load errors" 0 (List.length errors);
+  Alcotest.(check (list (pair string string)))
+    "one unit per source"
+    [
+      ("Dune__exe__Main", "bench/main.ml");
+      ("Dune__exe__Main", "perfbench/main.ml");
+    ]
+    (List.map
+       (fun (u : Cmt_load.unit_info) -> (u.ui_name, u.ui_source))
+       units)
+
 (* --- effect-signature regression on the real Randomness library ----- *)
 
 let test_randomness_signatures () =
@@ -267,8 +305,13 @@ let rng_glob_line =
   {|rng_glob.ml:5:4: error RNG_AMBIENT: global RNG state `Rng_glob.shared` (Randomness.Rng.t) is ambient; thread an explicit `Randomness.Rng.t` (split per domain) instead
 |}
 
+let exports_line =
+  {|exports.mli:6:0: warning UNUSED_EXPORT: `Exports.unused` is exported but no other unit mentions it; delete it, or drop it from the .mli if its own module uses it
+|}
+
 let all_fixture_lines =
-  glob_mut_lines ^ pass_arg_line ^ rng_amb_line ^ rng_glob_line ^ store_lines
+  exports_line ^ glob_mut_lines ^ pass_arg_line ^ rng_amb_line ^ rng_glob_line
+  ^ store_lines
 
 let store_args =
   fixture_ctx
@@ -314,8 +357,8 @@ let test_golden_findings () =
   Golden_cli.check "findings on every fixture" ~code:1
     ~out:
       (all_fixture_lines
-     ^ "stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
-        inline), 9 findings (2 errors, 7 warnings), 0 baselined\n")
+     ^ "stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+        inline), 10 findings (2 errors, 8 warnings), 0 baselined\n")
     (domcheck args);
   Golden_cli.check "--quiet drops the summary" ~code:1 ~out:all_fixture_lines
     (domcheck ("--quiet" :: args))
@@ -364,7 +407,7 @@ let test_golden_report () =
             inline), 2 findings (0 errors, 2 warnings), 0 baselined\n")
         (domcheck ([ "--report"; path ] @ store_args));
       let o =
-        Domcheck.analyze ~context:(Rules.Lib "fixture")
+        Domcheck.analyze ~context:(fun _ -> Rules.Lib "fixture")
           ~source_root:fixture_root ~entries:[ "Store_b.run" ]
           [ fixture_cmt "store_a"; fixture_cmt "store_b" ]
       in
@@ -380,13 +423,18 @@ let test_golden_update_baseline () =
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Golden_cli.check "--update-baseline to a new file" ~code:0
-        ~out:"stochdomcheck: wrote BASELINE (8 findings grandfathered)\n"
+        ~out:"stochdomcheck: wrote BASELINE (9 findings grandfathered)\n"
         (domcheck ~subst:[ (path, "BASELINE") ]
            ([ "--baseline"; path; "--update-baseline" ] @ args));
       Alcotest.(check string) "baseline file"
         {|{
   "version": 1,
   "entries": [
+    {
+      "file": "exports.mli",
+      "rule": "UNUSED_EXPORT",
+      "count": 1
+    },
     {
       "file": "glob_mut.ml",
       "rule": "GLOBAL_MUT_STATE",
@@ -418,8 +466,8 @@ let test_golden_update_baseline () =
         (Golden_cli.read_file path);
       Golden_cli.check "the written baseline passes" ~code:0
         ~out:
-          "stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
-           inline), 0 findings (0 errors, 0 warnings), 8 baselined\n"
+          "stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+           inline), 0 findings (0 errors, 0 warnings), 9 baselined\n"
         (domcheck ([ "--baseline"; path ] @ args)))
 
 let test_golden_exceeded () =
@@ -431,12 +479,13 @@ let test_golden_exceeded () =
     (fun () ->
       Golden_cli.check "exceeded baseline group" ~code:1
         ~out:
-          (glob_mut_lines ^ pass_arg_line ^ rng_glob_line ^ store_lines
+          (exports_line ^ glob_mut_lines ^ pass_arg_line ^ rng_glob_line
+         ^ store_lines
          ^ "glob_mut.ml: GLOBAL_MUT_STATE count 4 exceeds the baselined 1 — \
             the whole group is shown above; fix the new site or refresh the \
             baseline\n\
-            stochdomcheck: 6 units, 23 functions, 9 globals (1 suppressed \
-            inline), 8 findings (1 errors, 7 warnings), 0 baselined\n")
+            stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+            inline), 9 findings (1 errors, 8 warnings), 0 baselined\n")
         (domcheck
            ([ "--baseline"; path ] @ fixture_ctx
            @ [ "--entry"; "Store_b.run"; fixture_root ])))
@@ -475,12 +524,11 @@ let test_golden_load_error () =
           ("--quiet" :: fixture_ctx @ [ "--entry"; "Glob_mut.bump"; dir ])
       in
       Alcotest.(check int) "exit code" 2 r.code;
-      Alcotest.(check string) "stderr names the unloadable file"
-        (Printf.sprintf "stochdomcheck: ROOT/junk.cmt: cannot load: %s\n"
-           (match Cmt_load.load junk with
-           | Error e -> e.err_message
-           | Ok _ -> Alcotest.fail "junk.cmt loaded"))
-        r.err;
+      Alcotest.(check bool) "stderr names the unloadable file" true
+        (String.starts_with ~prefix:"stochdomcheck: ROOT/junk.cmt: cannot load: "
+           r.err
+        && String.ends_with ~suffix:"\n" r.err
+        && List.length (String.split_on_char '\n' r.err) = 2);
       let update =
         domcheck
           ([ "--baseline"; Filename.concat dir "base.json"; "--update-baseline" ]
@@ -510,6 +558,12 @@ let () =
         [ Alcotest.test_case "stdlib + global generator" `Quick test_rng_ambient ] );
       ( "baseline",
         [ Alcotest.test_case "suppress and grandfather" `Quick test_baseline_filter ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "unmentioned, test-only, seam" `Quick
+            test_unused_export;
+          Alcotest.test_case "same-named units" `Quick test_same_name_units;
+        ] );
       ( "randomness-regression",
         [
           Alcotest.test_case "entry signatures stay threaded" `Quick

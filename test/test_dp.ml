@@ -127,7 +127,7 @@ let test_sequence_ends_at_vn () =
     let d = random_discrete rng 12 in
     let sol = Dp.solve C.reservation_only d in
     let k = Array.length sol.Dp.reservations in
-    let n = D.size d in
+    let n = Array.length d.D.values in
     rel_close "last reservation = v_n" d.D.values.(n - 1)
       sol.Dp.reservations.(k - 1)
   done
@@ -176,7 +176,7 @@ let prop_dp_never_worse_than_single_shot =
       let m = C.make ~alpha:1.0 ~beta:0.5 ~gamma:0.1 () in
       let dp = (Dp.solve m d).Dp.expected_cost in
       let single =
-        Dp.expected_cost_brute m d [| d.D.values.(D.size d - 1) |]
+        Dp.expected_cost_brute m d [| d.D.values.(Array.length d.D.values - 1) |]
       in
       dp <= single +. 1e-9)
 

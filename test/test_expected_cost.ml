@@ -27,7 +27,7 @@ let test_uniform_example_section23 () =
   let alpha = 1.0 and beta = 0.5 and gamma = 0.25 in
   let m = C.make ~alpha ~beta ~gamma () in
   let mid = 0.5 *. (a +. b) in
-  let s = S.of_list [ mid; b ] in
+  let s = List.to_seq [ mid; b ] in
   (* First half of the mass succeeds at t1 = mid; second half pays the
      full failed first slot plus the second reservation. *)
   let expected =

@@ -12,8 +12,6 @@ let test_config () =
   Alcotest.(check int) "paper m" 5000 Experiments.Config.paper.Experiments.Config.m;
   Alcotest.(check int) "paper n" 1000
     Experiments.Config.paper.Experiments.Config.n_mc;
-  let c = Experiments.Config.with_seed 7 cfg in
-  Alcotest.(check int) "with_seed" 7 c.Experiments.Config.seed;
   (* Label-derived streams are deterministic and label-sensitive. *)
   let a = Experiments.Config.rng_for cfg "x" in
   let b = Experiments.Config.rng_for cfg "x" in

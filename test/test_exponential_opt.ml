@@ -1,7 +1,9 @@
 (* Tests for the Proposition 2 exponential solver. *)
 
 module E = Stochastic_core.Exponential_opt
-module S = Stochastic_core.Sequence
+
+(* The objective the constant minimises, as the oracle computes it. *)
+let expected_cost_exp1 = Recurrence_oracle.expected_cost_exp1
 
 let rel_close ?(tol = 1e-9) name expected got =
   let scale = Float.max 1.0 (Float.abs expected) in
@@ -18,7 +20,7 @@ let test_solution_in_paper_basin () =
 
 let test_objective_shape () =
   let sol = E.solve () in
-  let e s1 = E.expected_cost_exp1 ~s1 in
+  let e s1 = expected_cost_exp1 ~s1 in
   Alcotest.(check bool) "optimum beats 0.3" true (sol.E.e1 <= e 0.3);
   Alcotest.(check bool) "optimum beats 1.5" true (sol.E.e1 <= e 1.5);
   Alcotest.(check bool) "invalid s1 rejected" true
@@ -41,44 +43,16 @@ let test_objective_matches_series_formula () =
   done;
   (* The generic evaluator truncates the series at survival 1e-16, so
      agreement is to ~1e-6, not machine precision. *)
-  rel_close "series formula" !acc (E.expected_cost_exp1 ~s1) ~tol:1e-5
+  rel_close "series formula" !acc (expected_cost_exp1 ~s1) ~tol:1e-5
 
 let test_scaling () =
   let sol = E.solve () in
-  rel_close "Exp(4) cost = E1/4" (sol.E.e1 /. 4.0) (E.expected_cost ~rate:4.0);
-  let s_fast = S.take 5 (E.sequence ~rate:4.0) in
-  let s_unit = S.take 5 (E.sequence ~rate:1.0) in
-  List.iter2
-    (fun a b -> rel_close "sequence scales by 1/lambda" (b /. 4.0) a)
-    s_fast s_unit
-
-let test_sequence_increasing_and_infinite () =
-  let s = S.take 50 (E.sequence ~rate:1.0) in
-  Alcotest.(check int) "infinite" 50 (List.length s);
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "strictly increasing" true (increasing s)
+  rel_close "Exp(4) cost = E1/4" (sol.E.e1 /. 4.0) (E.expected_cost ~rate:4.0)
 
 let test_validation () =
-  Alcotest.(check bool) "rate <= 0 rejected" true
-    (try ignore (E.sequence ~rate:0.0 : S.t); false
-     with Invalid_argument _ -> true);
   Alcotest.(check bool) "expected_cost rate <= 0 rejected" true
     (try ignore (E.expected_cost ~rate:(-2.0)); false
      with Invalid_argument _ -> true)
-
-let test_consistent_with_generic_machinery () =
-  (* The dedicated solver and the generic exact evaluator agree on the
-     cost of the optimal sequence. *)
-  let sol = E.solve () in
-  let d = Distributions.Exponential.default in
-  let generic =
-    Stochastic_core.Expected_cost.exact Stochastic_core.Cost_model.reservation_only
-      d (E.sequence ~rate:1.0)
-  in
-  rel_close "generic evaluation of optimal sequence" sol.E.e1 generic ~tol:1e-6
 
 let prop_scaled_cost =
   QCheck.Test.make ~count:100 ~name:"cost scales as 1/lambda"
@@ -97,11 +71,7 @@ let () =
           Alcotest.test_case "series formula" `Quick
             test_objective_matches_series_formula;
           Alcotest.test_case "scaling" `Quick test_scaling;
-          Alcotest.test_case "sequence shape" `Quick
-            test_sequence_increasing_and_infinite;
           Alcotest.test_case "validation" `Quick test_validation;
-          Alcotest.test_case "generic consistency" `Quick
-            test_consistent_with_generic_machinery;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_scaled_cost ]);
     ]

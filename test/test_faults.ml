@@ -78,8 +78,7 @@ let test_infinite_mtbf_never_fails () =
     (* stochlint: allow FLOAT_EQ — infinity is the no-failure sentinel *)
     (Faults.uptime t ~node:0 = infinity);
   Alcotest.(check (list (pair (float 0.0) (float 0.0)))) "empty trace" []
-    (Faults.trace t ~node:1 ~horizon:1e6);
-  Alcotest.(check (float 1e-12)) "rate zero" 0.0 (Faults.rate config)
+    (Faults.trace t ~node:1 ~horizon:1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Typed spot-parameter validation: one test per bad field.            *)
@@ -92,52 +91,39 @@ let contains ~affix s =
 
 let check_spot_rejects name expect_field f =
   match f () with
-  | Ok _ -> Alcotest.failf "%s: accepted" name
-  | Error e ->
-      Alcotest.(check string) (name ^ ": field") expect_field e.Faults.field;
-      (* The rendered message carries the field, the offending value
-         and the constraint — the operator-facing contract. *)
-      let msg = Faults.param_error_to_string e in
+  | (_ : Faults.model) -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+      (* The message carries the field, the offending value and the
+         constraint — the operator-facing contract. *)
       Alcotest.(check bool) (name ^ ": message names field") true
-        (String.length msg > 0
-        && contains ~affix:expect_field msg)
+        (contains ~affix:("Faults.spot: " ^ expect_field ^ " = ") msg)
 
 let test_spot_rejects_bad_mtbf () =
   check_spot_rejects "mtbf zero" "mtbf" (fun () ->
-      Faults.spot_checked ~mtbf:0.0 ());
+      Faults.spot ~mtbf:0.0 ());
   check_spot_rejects "mtbf negative" "mtbf" (fun () ->
-      Faults.spot_checked ~mtbf:(-5.0) ());
+      Faults.spot ~mtbf:(-5.0) ());
   check_spot_rejects "mtbf nan" "mtbf" (fun () ->
-      Faults.spot_checked ~mtbf:Float.nan ())
+      Faults.spot ~mtbf:Float.nan ())
 
 let test_spot_rejects_bad_burst_prob () =
   check_spot_rejects "burst_prob negative" "burst_prob" (fun () ->
-      Faults.spot_checked ~burst_prob:(-0.1) ~mtbf:10.0 ());
+      Faults.spot ~burst_prob:(-0.1) ~mtbf:10.0 ());
   check_spot_rejects "burst_prob one" "burst_prob" (fun () ->
-      Faults.spot_checked ~burst_prob:1.0 ~mtbf:10.0 ());
+      Faults.spot ~burst_prob:1.0 ~mtbf:10.0 ());
   check_spot_rejects "burst_prob nan" "burst_prob" (fun () ->
-      Faults.spot_checked ~burst_prob:Float.nan ~mtbf:10.0 ())
+      Faults.spot ~burst_prob:Float.nan ~mtbf:10.0 ())
 
 let test_spot_rejects_bad_burst_factor () =
   check_spot_rejects "burst_factor below one" "burst_factor" (fun () ->
-      Faults.spot_checked ~burst_factor:0.5 ~mtbf:10.0 ());
+      Faults.spot ~burst_factor:0.5 ~mtbf:10.0 ());
   check_spot_rejects "burst_factor nan" "burst_factor" (fun () ->
-      Faults.spot_checked ~burst_factor:Float.nan ~mtbf:10.0 ())
+      Faults.spot ~burst_factor:Float.nan ~mtbf:10.0 ())
 
 let test_spot_checked_accepts_valid () =
-  (match Faults.spot_checked ~mtbf:10.0 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "defaults rejected: %s" (Faults.param_error_to_string e));
-  (* Infinite MTBF is the no-failure sentinel, and the unchecked
-     constructor raises the rendered error for bad input. *)
-  (match Faults.spot_checked ~mtbf:infinity () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "infinite mtbf rejected: %s" (Faults.param_error_to_string e));
-  match Faults.spot ~mtbf:(-1.0) () with
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "raise names field" true
-        (contains ~affix:"mtbf" msg)
-  | _ -> Alcotest.fail "spot ~mtbf:(-1.0) accepted"
+  (* Infinite MTBF is the no-failure sentinel. *)
+  ignore (Faults.spot ~mtbf:10.0 () : Faults.model);
+  ignore (Faults.spot ~mtbf:infinity () : Faults.model)
 
 (* ------------------------------------------------------------------ *)
 (* Empirical MTBF                                                      *)

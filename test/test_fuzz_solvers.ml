@@ -179,7 +179,7 @@ let test_registry_all_valid () =
       Alcotest.(check bool)
         (Printf.sprintf "%s passes the self-check" name)
         true (Check.is_valid r))
-    Distributions.Registry.all
+    (Distributions.Table1.all @ Distributions.Registry.extras)
 
 (* Must run after the qcheck properties (alcotest preserves order). *)
 let test_not_vacuous () =

@@ -72,17 +72,6 @@ let test_cost_model_of_fit () =
   Alcotest.(check bool) "gamma nonnegative" true
     (m.Stochastic_core.Cost_model.gamma >= 0.0)
 
-let test_turnaround () =
-  let m = Stochastic_core.Cost_model.neuro_hpc in
-  (* Failed reservation: wait + full slot. *)
-  close "failed slot"
-    ((0.95 *. 2.0) +. 1.05 +. 2.0)
-    (H.turnaround m ~requested:2.0 ~actual:3.0);
-  (* Successful: wait + actual time. *)
-  close "successful slot"
-    ((0.95 *. 2.0) +. 1.05 +. 1.5)
-    (H.turnaround m ~requested:2.0 ~actual:1.5)
-
 let test_degenerate_inputs_rejected () =
   let record requested wait = { H.requested; wait } in
   let good i = record (float_of_int (i + 1)) 1.0 in
@@ -143,7 +132,6 @@ let () =
           Alcotest.test_case "fit recovers truth" `Quick
             test_fit_recovers_ground_truth;
           Alcotest.test_case "cost_model_of_fit" `Quick test_cost_model_of_fit;
-          Alcotest.test_case "turnaround" `Quick test_turnaround;
           Alcotest.test_case "degenerate records rejected" `Quick
             test_degenerate_inputs_rejected;
           Alcotest.test_case "flat log rejected" `Quick

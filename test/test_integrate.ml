@@ -38,11 +38,6 @@ let test_additivity_regression () =
     (I.gauss_kronrod f lo mid +. I.gauss_kronrod f mid hi)
     ~tol:1e-8
 
-let test_qk15 () =
-  let integral, err = I.qk15 (fun x -> x *. x) 0.0 1.0 in
-  rel_close "K15 x^2" (1.0 /. 3.0) integral ~tol:1e-13;
-  Alcotest.(check bool) "error estimate small" true (err < 1e-10)
-
 let test_gauss_kronrod () =
   rel_close "GK sin [0,pi]" 2.0 (I.gauss_kronrod sin 0.0 pi);
   rel_close "GK 1/sqrt(x) [0,1] (endpoint singularity)" 2.0
@@ -197,7 +192,6 @@ let () =
           Alcotest.test_case "orientation" `Quick test_orientation;
           Alcotest.test_case "additivity regression" `Quick
             test_additivity_regression;
-          Alcotest.test_case "qk15" `Quick test_qk15;
           Alcotest.test_case "adaptive" `Quick test_gauss_kronrod;
           Alcotest.test_case "spike" `Quick test_gauss_kronrod_spike;
           Alcotest.test_case "initial validation" `Quick

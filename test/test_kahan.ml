@@ -25,33 +25,14 @@ let test_many_small () =
   done;
   Alcotest.(check (float 1e-9)) "10^6 * 0.1" 100_000.0 (Numerics.Kahan.sum acc)
 
-let test_reset () =
-  let acc = Numerics.Kahan.create () in
-  Numerics.Kahan.add acc 5.0;
-  Numerics.Kahan.reset acc;
-  check_float "reset clears" 0.0 (Numerics.Kahan.sum acc);
-  Numerics.Kahan.add acc 2.0;
-  check_float "usable after reset" 2.0 (Numerics.Kahan.sum acc)
-
 let test_sum_array () =
   check_float "sum_array" 6.0 (Numerics.Kahan.sum_array [| 1.0; 2.0; 3.0 |])
-
-let test_sum_seq () =
-  check_float "sum_seq" 6.0
-    (Numerics.Kahan.sum_seq (List.to_seq [ 1.0; 2.0; 3.0 ]))
 
 let test_mean () =
   check_float "mean_array" 2.0 (Numerics.Kahan.mean_array [| 1.0; 2.0; 3.0 |]);
   Alcotest.check_raises "empty mean raises"
     (Invalid_argument "Kahan.mean_array: empty array") (fun () ->
       ignore (Numerics.Kahan.mean_array [||]))
-
-let test_dot () =
-  check_float "dot" 32.0
-    (Numerics.Kahan.dot [| 1.0; 2.0; 3.0 |] [| 4.0; 5.0; 6.0 |]);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Kahan.dot: length mismatch") (fun () ->
-      ignore (Numerics.Kahan.dot [| 1.0 |] [| 1.0; 2.0 |]))
 
 (* Property: compensated sum of shuffled input equals (to tight
    tolerance) the sum of the sorted input — order independence. *)
@@ -86,11 +67,8 @@ let () =
           Alcotest.test_case "simple sum" `Quick test_simple_sum;
           Alcotest.test_case "cancellation" `Quick test_catastrophic_cancellation;
           Alcotest.test_case "many small" `Quick test_many_small;
-          Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "sum_array" `Quick test_sum_array;
-          Alcotest.test_case "sum_seq" `Quick test_sum_seq;
           Alcotest.test_case "mean" `Quick test_mean;
-          Alcotest.test_case "dot" `Quick test_dot;
         ] );
       ( "property",
         [

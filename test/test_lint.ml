@@ -190,9 +190,9 @@ let test_baseline_roundtrip () =
     | Error e -> Alcotest.failf "baseline reload failed: %s" e
   in
   Sys.remove path;
-  Alcotest.(check int) "count survives the round-trip"
-    (List.length findings)
-    (Baseline.allowed b ~file:(fixture "float_eq.ml") ~rule:Finding.Float_eq)
+  let applied = Baseline.apply b findings in
+  Alcotest.(check int) "count survives the round-trip" 0
+    (List.length applied.kept + List.length applied.exceeded)
 
 let test_baseline_missing_file () =
   match Baseline.load "no-such-baseline.json" with

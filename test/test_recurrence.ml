@@ -36,8 +36,8 @@ let test_general_model_term () =
 let test_generate_valid () =
   let d = Distributions.Exponential.default in
   match R.generate C.reservation_only d ~t1:0.75 with
-  | Error e ->
-      Alcotest.failf "expected valid sequence, got: %s" (R.stop_to_string e)
+  | Error _ ->
+      Alcotest.fail "expected valid sequence"
   | Ok ts ->
       Alcotest.(check bool) "covers the 1 - 1e-9 quantile" true
         (ts.(Array.length ts - 1) >= -.log 1e-9 -. 1.0);
@@ -67,8 +67,8 @@ let test_generate_bounded_support () =
   let d = Distributions.Uniform_dist.default in
   (match R.generate C.reservation_only d ~t1:20.0 with
   | Ok ts -> Alcotest.(check (array (float 1e-9))) "single (b)" [| 20.0 |] ts
-  | Error e ->
-      Alcotest.failf "t1 = b should be valid: %s" (R.stop_to_string e));
+  | Error _ ->
+      Alcotest.fail "t1 = b should be valid");
   match R.generate C.reservation_only d ~t1:15.0 with
   | Error _ -> ()
   | Ok ts ->
@@ -93,8 +93,8 @@ let test_density_underflow_typed_stop () =
       Alcotest.(check bool) "stop is past the underflow point" true (t > 5.0);
       Alcotest.(check bool) "uncovered survival mass reported" true
         (survival > 0.0 && survival < 0.01)
-  | Error e ->
-      Alcotest.failf "expected Density_underflow, got: %s" (R.stop_to_string e)
+  | Error _ ->
+      Alcotest.fail "expected Density_underflow"
   | Ok _ -> Alcotest.fail "underflowing density must not generate Ok");
   (* The sanitized infinite sequence must survive the same law by
      switching to doubling — strictly increasing, no inf/nan. *)
@@ -106,7 +106,7 @@ let test_density_underflow_typed_stop () =
         Alcotest.fail "sanitized sequence emitted a non-finite value")
     prefix;
   Alcotest.(check bool) "sanitized sequence still increases" true
-    (S.is_strictly_increasing 25 s)
+    (List.for_all2 ( < ) (List.filteri (fun i _ -> i < 24) prefix) (List.tl prefix))
 
 let test_sequence_sanitized () =
   let d = Distributions.Exponential.default in
@@ -125,8 +125,8 @@ let test_sequence_matches_generate_prefix () =
   let m = C.reservation_only in
   let t1 = 30.0 in
   match R.generate m d ~t1 with
-  | Error e ->
-      Alcotest.failf "lognormal t1=30 should be valid: %s" (R.stop_to_string e)
+  | Error _ ->
+      Alcotest.fail "lognormal t1=30 should be valid"
   | Ok ts ->
       let s = S.take (Array.length ts) (R.sequence m d ~t1) in
       List.iteri

@@ -400,7 +400,7 @@ let test_solver_raising_pdf () =
             | _ -> solution_key s)
       | Error e -> Alcotest.failf "%s: %s" name (Solver.error_to_string e))
     [
-      raising_pdf "pdf past the median" (fun d t -> t > Dist.median d);
+      raising_pdf "pdf past the median" (fun d t -> t > d.Dist.quantile 0.5);
       raising_pdf "pdf past coverage" (fun d t -> d.Dist.cdf t >= Recurrence.coverage);
     ]
 
@@ -434,7 +434,7 @@ let empirical =
         (Dist.samples Distributions.Lognormal.default (Randomness.Rng.create ~seed:3 ()) 60) );
   ]
 
-let laws = Distributions.Registry.all @ mixtures @ empirical
+let laws = (Distributions.Table1.all @ Distributions.Registry.extras) @ mixtures @ empirical
 
 let case_gen =
   let open QCheck.Gen in

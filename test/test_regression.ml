@@ -15,10 +15,6 @@ let test_exact_line () =
   close "residual std = 0" 0.0 f.R.residual_std;
   Alcotest.(check int) "n" 4 f.R.n
 
-let test_predict () =
-  let f = R.ols ~x:[| 0.0; 1.0 |] ~y:[| 1.0; 3.0 |] in
-  close "predict(2)" 5.0 (R.predict f 2.0)
-
 let test_known_noisy_fit () =
   (* Hand-computable 3-point example: x = 0,1,2; y = 0,1,3.
      slope = 1.5, intercept = -1/6. *)
@@ -70,7 +66,7 @@ let prop_residuals_orthogonal =
         let f = R.ols ~x ~y in
         let sum =
           Array.to_list x
-          |> List.mapi (fun i xi -> y.(i) -. R.predict f xi)
+          |> List.mapi (fun i xi -> y.(i) -. ((f.R.slope *. xi) +. f.R.intercept))
           |> List.fold_left ( +. ) 0.0
         in
         Float.abs sum <= 1e-6 *. float_of_int (Array.length x)
@@ -82,7 +78,6 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "exact line" `Quick test_exact_line;
-          Alcotest.test_case "predict" `Quick test_predict;
           Alcotest.test_case "known noisy fit" `Quick test_known_noisy_fit;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );

@@ -37,7 +37,7 @@ let test_check_accepts_table1 () =
       Alcotest.(check bool)
         (Printf.sprintf "%s probed" name)
         true (r.Check.probes > 0))
-    (Distributions.Registry.all @ scaled)
+    ((Distributions.Table1.all @ Distributions.Registry.extras) @ scaled)
 
 let broken_cdf =
   let d = Distributions.Exponential.default in

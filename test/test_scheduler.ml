@@ -33,12 +33,9 @@ let prop_heap_order =
 
 let test_event_queue_basics () =
   let q = EQ.create () in
-  Alcotest.(check bool) "empty" true (EQ.is_empty q);
   EQ.push q ~time:2.0 "b";
   EQ.push q ~time:1.0 "a";
   EQ.push q ~time:2.0 "c";
-  Alcotest.(check int) "length" 3 (EQ.length q);
-  Alcotest.(check (option (float 0.0))) "peek" (Some 1.0) (EQ.peek_time q);
   Alcotest.(check (option (pair (float 0.0) string)))
     "first" (Some (1.0, "a")) (EQ.pop q);
   (* Equal times come out in insertion order. *)
@@ -263,7 +260,7 @@ let test_zero_contention_matches_simulator () =
     r.Engine.jobs
 
 let test_engine_rejects_oversized_job () =
-  let sequence = Stochastic_core.Sequence.of_list [ 4.0 ] in
+  let sequence = List.to_seq [ 4.0 ] in
   let j = Job.make ~id:0 ~nodes:8 ~arrival:0.0 ~duration:2.0 sequence in
   Alcotest.(check bool) "oversized job rejected" true
     (try
@@ -275,7 +272,7 @@ let test_engine_rejects_oversized_job () =
      with Invalid_argument _ -> true)
 
 let test_job_validation () =
-  let s = Stochastic_core.Sequence.of_list [ 1.0; 2.0 ] in
+  let s = List.to_seq [ 1.0; 2.0 ] in
   let invalid f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "zero nodes" true
     (invalid (fun () -> ignore (Job.make ~id:0 ~nodes:0 ~arrival:0.0 ~duration:1.0 s)));
@@ -294,7 +291,7 @@ let test_job_validation () =
    interpolated type-7 quantile would report 19.05, a stretch no job
    ever had. Handcrafted regression for Metrics.p95_stretch. *)
 let test_p95_stretch_nearest_rank () =
-  let s = Stochastic_core.Sequence.of_list [ 1.0 ] in
+  let s = List.to_seq [ 1.0 ] in
   let jobs =
     Array.init 20 (fun i -> Job.make ~id:i ~nodes:1 ~arrival:0.0 ~duration:1.0 s)
   in

@@ -9,21 +9,12 @@ module Dist = Distributions.Dist
 let close ?(tol = 1e-10) name expected got =
   Alcotest.(check (float tol)) name expected got
 
-let test_of_list_validation () =
-  ignore (S.of_list [ 1.0; 2.0; 3.0 ] : S.t);
-  Alcotest.(check bool) "non increasing rejected" true
-    (try ignore (S.of_list [ 1.0; 1.0 ] : S.t); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "non positive rejected" true
-    (try ignore (S.of_list [ 0.0; 1.0 ] : S.t); false
-     with Invalid_argument _ -> true)
-
 let test_cost_of_run_eq2 () =
   (* Worked example of Eq. (2): S = (2, 5, 9), alpha=1, beta=0.5,
      gamma=0.1, job t = 6 -> succeeds at k = 3.
      C = (2 + 1 + 0.1) + (5 + 2.5 + 0.1) + (9 + 3 + 0.1). *)
   let m = C.make ~alpha:1.0 ~beta:0.5 ~gamma:0.1 () in
-  let s = S.of_list [ 2.0; 5.0; 9.0 ] in
+  let s = List.to_seq [ 2.0; 5.0; 9.0 ] in
   let k, cost = S.cost_of_run m s 6.0 in
   Alcotest.(check int) "k = 3" 3 k;
   close "Eq. (2) cost" (3.1 +. 7.6 +. 12.1) cost;
@@ -37,13 +28,13 @@ let test_cost_of_run_eq2 () =
 
 let test_cost_not_covered () =
   let m = C.reservation_only in
-  let s = S.of_list [ 1.0; 2.0 ] in
+  let s = List.to_seq [ 1.0; 2.0 ] in
   Alcotest.(check bool) "raises Not_covered" true
     (try ignore (S.cost_of_run m s 5.0); false with S.Not_covered _ -> true)
 
 let test_mean_cost_matches_individual_runs () =
   let m = C.make ~alpha:0.95 ~beta:1.0 ~gamma:1.05 () in
-  let s = S.of_list [ 1.0; 3.0; 8.0; 20.0 ] in
+  let s = List.to_seq [ 1.0; 3.0; 8.0; 20.0 ] in
   let samples = [| 0.2; 0.9; 1.0; 2.5; 3.0; 7.9; 15.0; 20.0 |] in
   let expected =
     Array.fold_left (fun acc t -> acc +. snd (S.cost_of_run m s t)) 0.0 samples
@@ -53,16 +44,14 @@ let test_mean_cost_matches_individual_runs () =
 
 let test_mean_cost_requires_samples () =
   Alcotest.(check bool) "empty rejected" true
-    (try ignore (E.mean_cost_presampled C.reservation_only ~sorted_samples:[||] (S.of_list [ 1.0 ])); false
+    (try ignore (E.mean_cost_presampled C.reservation_only ~sorted_samples:[||] (List.to_seq [ 1.0 ])); false
      with Invalid_argument _ -> true)
 
 let test_take_and_prefix () =
-  let s = S.of_list [ 1.0; 2.0; 3.0 ] in
+  let s = List.to_seq [ 1.0; 2.0; 3.0 ] in
   Alcotest.(check (list (float 0.0))) "take" [ 1.0; 2.0 ] (S.take 2 s);
   let p = S.prefix_until (fun x -> x >= 2.0) s in
-  Alcotest.(check (array (float 0.0))) "prefix_until includes stop" [| 1.0; 2.0 |] p;
-  Alcotest.(check bool) "is_strictly_increasing" true
-    (S.is_strictly_increasing 3 s)
+  Alcotest.(check (array (float 0.0))) "prefix_until includes stop" [| 1.0; 2.0 |] p
 
 let test_sanitize_unbounded () =
   (* A raw sequence that stalls: sanitize must switch to doubling. *)
@@ -164,7 +153,6 @@ let () =
     [
       ( "unit",
         [
-          Alcotest.test_case "of_list validation" `Quick test_of_list_validation;
           Alcotest.test_case "Eq. (2) cost" `Quick test_cost_of_run_eq2;
           Alcotest.test_case "not covered" `Quick test_cost_not_covered;
           Alcotest.test_case "batch vs individual" `Quick

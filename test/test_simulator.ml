@@ -2,7 +2,6 @@
 
 module Sim = Platform.Simulator
 module C = Stochastic_core.Cost_model
-module S = Stochastic_core.Sequence
 
 let close ?(tol = 1e-9) name expected got =
   Alcotest.(check (float tol)) name expected got
@@ -11,7 +10,7 @@ let test_run_job_hand_example () =
   (* Sequence (2, 5), job of 3: two reservations, reserved 7 in
      total, wasted 7 - 3 = 4. *)
   let m = C.make ~alpha:1.0 ~beta:0.5 ~gamma:0.1 () in
-  let s = S.of_list [ 2.0; 5.0 ] in
+  let s = List.to_seq [ 2.0; 5.0 ] in
   let o = Sim.run_job m s ~duration:3.0 in
   Alcotest.(check int) "reservations" 2 o.Sim.reservations_used;
   close "total reserved" 7.0 o.Sim.total_reserved;
@@ -22,7 +21,7 @@ let test_run_job_hand_example () =
 
 let test_run_job_first_shot () =
   let m = C.reservation_only in
-  let s = S.of_list [ 4.0 ] in
+  let s = List.to_seq [ 4.0 ] in
   let o = Sim.run_job m s ~duration:4.0 in
   Alcotest.(check int) "one reservation" 1 o.Sim.reservations_used;
   close "no wasted time" 0.0 o.Sim.wasted

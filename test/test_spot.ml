@@ -11,6 +11,9 @@ module Spot_plan = SC.Spot_plan
 module Spot_sim = Scheduler.Spot_sim
 module Solver = Robust.Solver
 
+let on_demand_only =
+  { Spot_cost.price_ratio = 1.0; revocation_rate = 0.0; recovery = SC.Attempt.Restart }
+
 let m_hpc = SC.Cost_model.neuro_hpc
 let m_res = SC.Cost_model.reservation_only
 
@@ -39,7 +42,7 @@ let test_degenerate_bit_for_bit () =
         (fun (mname, m) ->
           let plan = Spot_cost.uniform_plan Spot_cost.Spot lengths in
           let base = SC.Expected_cost.exact m d (Spot_cost.to_sequence plan) in
-          let deg = Spot_cost.expected_cost Spot_cost.on_demand_only m d plan in
+          let deg = Spot_cost.expected_cost on_demand_only m d plan in
           if Int64.bits_of_float deg <> Int64.bits_of_float base then
             Alcotest.failf "%s/%s: degenerate %.17g <> exact %.17g" name mname
               deg base)
@@ -51,7 +54,7 @@ let test_degenerate_bit_for_bit () =
 let test_degenerate_evaluator_closure () =
   let d = Distributions.Lognormal.default in
   let lengths = head_of d in
-  let eval = Spot_cost.evaluator Spot_cost.on_demand_only m_hpc d in
+  let eval = Spot_cost.evaluator on_demand_only m_hpc d in
   let plan = Spot_cost.uniform_plan Spot_cost.On_demand lengths in
   let base = SC.Expected_cost.exact m_hpc d (Spot_cost.to_sequence plan) in
   Alcotest.(check bool)

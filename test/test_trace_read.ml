@@ -236,8 +236,8 @@ let prop_reader_survives_damage =
           let oc = open_out path in
           output_string oc (emit_scenario ());
           close_out oc;
-          let chaos = Stochserve.Chaos.create ~seed () in
-          let damage = Stochserve.Chaos.tear_file chaos path in
+          let chaos = Chaos.create ~seed () in
+          let damage = Chaos.tear_file chaos path in
           let t =
             match Tr.of_file path with
             | Ok t -> t
@@ -248,9 +248,9 @@ let prop_reader_survives_damage =
           in
           let intact = Tr.of_string (emit_scenario ()) in
           match damage with
-          | Stochserve.Chaos.Untouched ->
+          | Chaos.Untouched ->
               t.Tr.skipped = 0 && Tr.span_count t = Tr.span_count intact
-          | Stochserve.Chaos.Truncated _ | Stochserve.Chaos.Bit_flipped _ ->
+          | Chaos.Truncated _ | Chaos.Bit_flipped _ ->
               (* Whatever was lost is accounted: reconstructed spans
                  plus skipped lines cover every non-blank line that
                  survives in the file, and nothing fabricated. *)

@@ -55,16 +55,6 @@ let test_load_csv_malformed () =
       Alcotest.(check bool) "malformed rejected" true
         (try ignore (T.load_csv path); false with Failure _ -> true))
 
-let test_pipeline () =
-  let rng = Randomness.Rng.create ~seed:9 () in
-  let fit, d = T.pipeline ~runs:5000 T.vbmqa rng in
-  Alcotest.(check (float 0.02)) "pipeline recovers mu" 7.1128
-    fit.Distributions.Fitting.mu;
-  Alcotest.(check (float 0.01)) "pipeline recovers sigma" 0.2039
-    fit.Distributions.Fitting.sigma;
-  Alcotest.(check bool) "fitted distribution usable" true
-    (d.Distributions.Dist.mean > 1000.0 && d.Distributions.Dist.mean < 1500.0)
-
 let () =
   Alcotest.run "traces"
     [
@@ -75,6 +65,5 @@ let () =
           Alcotest.test_case "generate" `Quick test_generate;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "malformed csv" `Quick test_load_csv_malformed;
-          Alcotest.test_case "pipeline" `Quick test_pipeline;
         ] );
     ]

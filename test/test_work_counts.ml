@@ -26,7 +26,7 @@ let dp_lines () =
     (fun { Paper_solves.label; model; discrete } ->
       let sol = SC.Dp.solve model discrete in
       Printf.sprintf "dp %s: support %d, candidates %d" label
-        (Distributions.Discrete.size discrete)
+        (Array.length discrete.Distributions.Discrete.values)
         sol.SC.Dp.candidates)
     (Paper_solves.table4 ())
 
