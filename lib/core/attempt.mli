@@ -31,16 +31,16 @@ val validate : recovery -> (recovery, string * string) result
     Scalar kernels over unpacked [Snapshot] fields, for hot loops.
     [Restart] is the limit [period = infinity], zero costs. *)
 
-(* stochlint: allow UNUSED_EXPORT — spot_flat_oracle rebuilds the flat spot evaluator from these kernels *)
+(* stochlint: allow UNUSED_EXPORT — test_spot's flat evaluator oracle (spot_flat_oracle) is built from it *)
 val restore_overhead : restore_cost:float -> progress:float -> float
 (** [restore_cost] when [progress > 0], else [0]. *)
 
-(* stochlint: allow UNUSED_EXPORT — spot_flat_oracle and test_attempt rebuild finish times from it *)
+(* stochlint: allow UNUSED_EXPORT — test_attempt and test_spot's flat oracle (spot_flat_oracle) rebuild finish times from it *)
 val snapshots_to_finish : period:float -> remaining:float -> int
 (** Snapshots written on the way to finishing [remaining] hours of
     work: [ceil (remaining / period) - 1], at least [0]. *)
 
-(* stochlint: allow UNUSED_EXPORT — spot_flat_oracle and test_attempt rebuild finish times from it *)
+(* stochlint: allow UNUSED_EXPORT — test_attempt and test_spot's flat oracle (spot_flat_oracle) rebuild finish times from it *)
 val finish_elapsed : snapshot_cost:float -> restore:float -> remaining:float -> int -> float
 (** [finish_elapsed ~snapshot_cost ~restore ~remaining snaps] is
     [restore + remaining + snapshot_cost * snaps]: the time to finish. *)

@@ -97,7 +97,7 @@ val slot : plan -> int -> float * tier
     least as long as the remaining work always finishes the job).
     @raise Invalid_argument if [k < 0]. *)
 
-(* stochlint: allow UNUSED_EXPORT — spot_oracle and spot_flat_oracle score strictly increasing plans through it *)
+(* stochlint: allow UNUSED_EXPORT — test_spot's oracles (spot_oracle, spot_flat_oracle) score strictly increasing plans through it *)
 val to_sequence : plan -> Sequence.t
 (** The tier-less reservation sequence: plan lengths followed by the
     same doubling extension as {!slot} — suitable for

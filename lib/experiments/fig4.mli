@@ -19,12 +19,12 @@ type t = {
   points : point list;
 }
 
-(* stochlint: allow UNUSED_EXPORT — paper_solves enumerates Fig. 4's DP solves from it *)
+(* stochlint: allow UNUSED_EXPORT — test_dp and test_work_counts enumerate Fig. 4's DP solves from it (paper_solves) *)
 val default_factors : float array
 (** [|1.; 2.; 4.; 6.; 8.; 10.|] — scaling factors applied to both
     moments. *)
 
-(* stochlint: allow UNUSED_EXPORT — paper_solves enumerates Fig. 4's DP solves from it *)
+(* stochlint: allow UNUSED_EXPORT — test_dp and test_work_counts enumerate Fig. 4's DP solves from it (paper_solves) *)
 val law : float -> Distributions.Dist.t
 (** [law f] is the LogNormal job-length law of the point at scaling
     factor [f]: the VBMQA moments (Sect. 5.3) times [f], in hours. *)

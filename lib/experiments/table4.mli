@@ -13,7 +13,7 @@ type t = {
           costs per n. *)
 }
 
-(* stochlint: allow UNUSED_EXPORT — paper_solves enumerates Table 4's DP solves from it *)
+(* stochlint: allow UNUSED_EXPORT — test_dp and test_work_counts enumerate Table 4's DP solves from it (paper_solves) *)
 val default_ns : int array
 (** [|10; 25; 50; 100; 250; 500; 1000|]. *)
 

@@ -57,7 +57,7 @@ val erf_inv : float -> float
 (** [erf_inv z] is the inverse error function on [(-1, 1)]. Returns
     [neg_infinity] / [infinity] at the closed endpoints. *)
 
-(* stochlint: allow UNUSED_EXPORT — betai_oracle seeds its reference inverse_betai with it *)
+(* stochlint: allow UNUSED_EXPORT — test_specfun's reference inverse_betai (betai_oracle) starts from it *)
 val normal_quantile : float -> float
 (** [normal_quantile p] is [Phi^(-1)(p)] for [p] in [(0, 1)]: Acklam's
     rational approximation refined with one Halley step against
