@@ -1,6 +1,6 @@
-(* Fixture: the interface UNUSED_EXPORT reads. Exports_user (library
-   code) calls [used]; Exports_test (test code) calls [tested] and
-   [seam]; nothing calls [unused]. *)
+(* Fixture: the interface UNUSED_EXPORT reads. Library callers use
+   [used] (Exports_user) and [aliased], [local_aliased] (Exports_alias);
+   Exports_test calls [tested] and [seam]; nothing calls [unused]. *)
 
 val used : int -> int
 val unused : int -> int
@@ -8,3 +8,6 @@ val tested : int -> int
 
 (* stochlint: allow UNUSED_EXPORT — exports_test pins it *)
 val seam : int -> int
+
+val aliased : int -> int
+val local_aliased : int -> int

@@ -13,6 +13,19 @@ let test_pricing () =
     (try ignore (Cl.make_pricing ~reserved_hourly:0.0 ~on_demand_hourly:1.0); false
      with Invalid_argument _ -> true)
 
+(* Per-job totals: [c_RI * normalized_cost * E(X)] reserved, [c_OD *
+   E(X)] on demand. *)
+let test_costs () =
+  let d = Distributions.Uniform_dist.default in
+  let v = Cl.compare_strategies aws_like d ~normalized_cost:(2.0 /. 3.0) in
+  close "reserved cost" 2.5 v.Cl.reserved_total;
+  close "on-demand cost" 15.0 v.Cl.on_demand_total;
+  let dear = Cl.make_pricing ~reserved_hourly:0.5 ~on_demand_hourly:3.0 in
+  let v = Cl.compare_strategies dear d ~normalized_cost:1.2 in
+  close "reserved cost scales with c_RI" 9.0 v.Cl.reserved_total;
+  close "on-demand cost scales with c_OD" 45.0 v.Cl.on_demand_total;
+  close "advantage is their ratio" 5.0 v.Cl.advantage
+
 let test_verdict_reserved_wins () =
   (* Normalized cost 2 with price ratio 4: reservations win 2x. *)
   let d = Distributions.Uniform_dist.default in
@@ -48,15 +61,34 @@ let prop_paper_criterion =
       let v = Cl.compare_strategies p d ~normalized_cost in
       v.Cl.use_reserved = (normalized_cost <= ratio +. 1e-9))
 
+let prop_advantage_is_ratio =
+  QCheck.Test.make ~count:300
+    ~name:"advantage = price ratio / normalized cost"
+    QCheck.(pair (float_range 1.0 10.0) (float_range 1.1 8.0))
+    (fun (normalized_cost, ratio) ->
+      let p = Cl.make_pricing ~reserved_hourly:1.0 ~on_demand_hourly:ratio in
+      let d = Distributions.Lognormal.default in
+      let v = Cl.compare_strategies p d ~normalized_cost in
+      let expected = ratio /. normalized_cost in
+      Float.abs (v.Cl.advantage -. expected) <= 1e-12 *. expected
+      && Float.abs
+           (v.Cl.advantage -. (v.Cl.on_demand_total /. v.Cl.reserved_total))
+         <= 1e-12 *. expected)
+
 let () =
   Alcotest.run "cloud"
     [
       ( "unit",
         [
           Alcotest.test_case "pricing" `Quick test_pricing;
+          Alcotest.test_case "costs" `Quick test_costs;
           Alcotest.test_case "reserved wins" `Quick test_verdict_reserved_wins;
           Alcotest.test_case "on-demand wins" `Quick test_verdict_on_demand_wins;
           Alcotest.test_case "break even" `Quick test_break_even;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_paper_criterion ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_paper_criterion;
+          QCheck_alcotest.to_alcotest prop_advantage_is_ratio;
+        ] );
     ]

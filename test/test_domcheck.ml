@@ -11,6 +11,8 @@ open Stochlint_lib
 
 let fixture_root = "fixtures/domcheck"
 
+let fixture_cmt unit = Filename.concat fixture_root (unit ^ ".cmt")
+
 (* The test binary runs in [_build/default/test]; the library trees
    live one level up. *)
 let randomness_root = "../lib/randomness"
@@ -196,6 +198,46 @@ let test_unused_export () =
   Alcotest.(check int) "the marked seam is suppressed and counted"
     (all_lib.suppressed + 1) o.suppressed
 
+(* Exports_alias reaches [aliased] through a top-level [module X =
+   Exports] and [local_aliased] through a [let module]: with it loaded
+   both resolve to Exports values and stop being findings. *)
+let test_alias_mentions () =
+  let flagged units =
+    let o =
+      Domcheck.analyze ~context:exports_context ~source_root:fixture_root
+        ~entries:[] (List.map fixture_cmt units)
+    in
+    List.map (fun (_, line, _) -> line) (locs o "exports.mli")
+  in
+  let base = [ "exports"; "exports_user"; "exports_test" ] in
+  Alcotest.(check (list int)) "without the aliasing caller" [ 6; 7; 12; 13 ]
+    (flagged base);
+  Alcotest.(check (list int)) "with it" [ 6; 7 ]
+    (flagged (base @ [ "exports_alias" ]))
+
+(* The allow marker excuses a value only tests mention; a value that
+   nothing mentions stays a finding, marker or not. *)
+let test_marker_needs_a_test_caller () =
+  let o =
+    Domcheck.analyze ~context:exports_context ~source_root:fixture_root
+      ~entries:[]
+      (List.map fixture_cmt [ "exports"; "exports_user"; "exports_alias" ])
+  in
+  check_locs "seam without its test caller"
+    [ ("UNUSED_EXPORT", 6, 0); ("UNUSED_EXPORT", 7, 0); ("UNUSED_EXPORT", 10, 0) ]
+    (locs o "exports.mli");
+  Alcotest.(check int) "nothing suppressed" 0 o.suppressed
+
+(* Only library interfaces are held to the rule: read as test code, the
+   same units give no UNUSED_EXPORT finding. *)
+let test_only_lib_interfaces () =
+  let o =
+    Domcheck.analyze ~context:(fun _ -> Rules.Test) ~source_root:fixture_root
+      ~entries:[] [ fixture_root ]
+  in
+  Alcotest.(check (list (triple string int int))) "no finding in exports.mli" []
+    (locs o "exports.mli")
+
 (* bench/main.ml and perfbench/main.ml are both Dune__exe__Main: both
    load, while the same cmt seen twice (a byte and a native copy)
    collapses to one unit. *)
@@ -213,6 +255,70 @@ let test_same_name_units () =
     (List.map
        (fun (u : Cmt_load.unit_info) -> (u.ui_name, u.ui_source))
        units)
+
+(* --- Effects: builtin table and lattice ------------------------------ *)
+
+let builtin =
+  Alcotest.testable
+    (fun fmt b ->
+      Format.pp_print_string fmt
+        (match b with
+        | Effects.Mutator -> "Mutator"
+        | Reader -> "Reader"
+        | Io -> "Io"
+        | Rng -> "Rng"
+        | Opaque -> "Opaque"))
+    ( = )
+
+(* Named externals come from the table; unnamed ones fall back on their
+   module prefix, and anything else is assumed pure. *)
+let test_classify () =
+  let check name expected path =
+    Alcotest.check builtin name expected (Effects.classify path)
+  in
+  check "Hashtbl.replace mutates" Mutator "Stdlib.Hashtbl.replace";
+  check "ref assignment mutates" Mutator "Stdlib.:=";
+  check "Hashtbl.find reads" Reader "Stdlib.Hashtbl.find";
+  check "print_string is io" Io "Stdlib.print_string";
+  check "exit is io" Io "Stdlib.exit";
+  check "any Unix call is io" Io "Unix.gettimeofday";
+  check "any Random call is rng" Rng "Stdlib.Random.int";
+  check "List.map is opaque" Opaque "Stdlib.List.map";
+  check "unknown paths are opaque" Opaque "Somewhere.else"
+
+let gen_effects =
+  QCheck.(
+    map
+      (fun (a, b, c, d, e, f) ->
+        {
+          Effects.reads_global = a;
+          writes_global = b;
+          reads_param = c;
+          writes_param = d;
+          io = e;
+          rng = f;
+        })
+      (tup6 bool bool bool bool bool bool))
+
+let prop_join_semilattice =
+  QCheck.Test.make ~count:500
+    ~name:"join: commutative, associative, idempotent, pure is its unit"
+    QCheck.(triple gen_effects gen_effects gen_effects)
+    (fun (a, b, c) ->
+      let ( + ) = Effects.join in
+      Effects.equal (a + b) (b + a)
+      && Effects.equal ((a + b) + c) (a + (b + c))
+      && Effects.equal (a + a) a
+      && Effects.equal (Effects.pure + a) a)
+
+let test_effects_to_string () =
+  Alcotest.(check string) "pure" "pure" (Effects.to_string Effects.pure);
+  Alcotest.(check string) "tags in a fixed order, +-joined"
+    "writes-global+reads-global+io"
+    (Effects.to_string
+       { Effects.pure with io = true; reads_global = true; writes_global = true });
+  Alcotest.(check string) "ambient rng" "ambient-rng"
+    (Effects.to_string { Effects.pure with rng = true })
 
 (* --- effect-signature regression on the real Randomness library ----- *)
 
@@ -271,7 +377,6 @@ let test_report_json () =
 
 let exe = Filename.concat ".." "bin/stochdomcheck.exe"
 let domcheck ?subst args = Golden_cli.run ?subst exe args
-let fixture_cmt unit = Filename.concat fixture_root (unit ^ ".cmt")
 let fixture_ctx = [ "--context"; "lib:fixture" ]
 
 let unresolved_defaults =
@@ -357,7 +462,7 @@ let test_golden_findings () =
   Golden_cli.check "findings on every fixture" ~code:1
     ~out:
       (all_fixture_lines
-     ^ "stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+     ^ "stochdomcheck: 10 units, 37 functions, 9 globals (1 suppressed \
         inline), 10 findings (2 errors, 8 warnings), 0 baselined\n")
     (domcheck args);
   Golden_cli.check "--quiet drops the summary" ~code:1 ~out:all_fixture_lines
@@ -466,7 +571,7 @@ let test_golden_update_baseline () =
         (Golden_cli.read_file path);
       Golden_cli.check "the written baseline passes" ~code:0
         ~out:
-          "stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+          "stochdomcheck: 10 units, 37 functions, 9 globals (1 suppressed \
            inline), 0 findings (0 errors, 0 warnings), 9 baselined\n"
         (domcheck ([ "--baseline"; path ] @ args)))
 
@@ -484,7 +589,7 @@ let test_golden_exceeded () =
          ^ "glob_mut.ml: GLOBAL_MUT_STATE count 4 exceeds the baselined 1 — \
             the whole group is shown above; fix the new site or refresh the \
             baseline\n\
-            stochdomcheck: 9 units, 32 functions, 9 globals (1 suppressed \
+            stochdomcheck: 10 units, 37 functions, 9 globals (1 suppressed \
             inline), 9 findings (1 errors, 8 warnings), 0 baselined\n")
         (domcheck
            ([ "--baseline"; path ] @ fixture_ctx
@@ -562,7 +667,19 @@ let () =
         [
           Alcotest.test_case "unmentioned, test-only, seam" `Quick
             test_unused_export;
+          Alcotest.test_case "module aliases are mentions" `Quick
+            test_alias_mentions;
+          Alcotest.test_case "the marker needs a test caller" `Quick
+            test_marker_needs_a_test_caller;
+          Alcotest.test_case "only library interfaces" `Quick
+            test_only_lib_interfaces;
           Alcotest.test_case "same-named units" `Quick test_same_name_units;
+        ] );
+      ( "effects",
+        [
+          Alcotest.test_case "builtin classification" `Quick test_classify;
+          QCheck_alcotest.to_alcotest prop_join_semilattice;
+          Alcotest.test_case "to_string" `Quick test_effects_to_string;
         ] );
       ( "randomness-regression",
         [

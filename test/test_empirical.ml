@@ -25,6 +25,18 @@ let test_interpolated_cdf_quantile () =
   close "cdf at min" 0.0 (d.Dist.cdf 0.0);
   close "cdf at max" 1.0 (d.Dist.cdf 3.0)
 
+(* Type 7: the i-th of n order statistics sits at CDF level
+   i / (n - 1), whatever the input order. *)
+let test_cdf_at_order_statistics () =
+  let d = E.make [| 4.0; 1.0; 9.0; 2.0 |] in
+  close "below all" 0.0 (d.Dist.cdf 0.5);
+  close "at first" 0.0 (d.Dist.cdf 1.0);
+  close "at second" (1.0 /. 3.0) (d.Dist.cdf 2.0);
+  close "at third" (2.0 /. 3.0) (d.Dist.cdf 4.0);
+  close "at last" 1.0 (d.Dist.cdf 9.0);
+  close "above all" 1.0 (d.Dist.cdf 20.0);
+  close "quantile reads the order statistic" 4.0 (d.Dist.quantile (2.0 /. 3.0))
+
 let test_moments_piecewise () =
   (* Equally spaced points: the interpolated law is Uniform(0, 3). *)
   let d = E.make [| 0.0; 1.0; 2.0; 3.0 |] in
@@ -90,6 +102,21 @@ let prop_quantile_cdf_roundtrip =
         Float.abs (d.Dist.cdf t -. p) <= 1e-9
       end)
 
+let prop_cdf_monotone =
+  QCheck.Test.make ~count:200 ~name:"empirical cdf is nondecreasing in [0, 1]"
+    QCheck.(pair
+              (list_of_size Gen.(int_range 2 50) (float_range 0.0 100.0))
+              (pair (float_range (-10.0) 110.0) (float_range (-10.0) 110.0)))
+    (fun (xs, (t1, t2)) ->
+      let xs = List.sort_uniq compare xs in
+      if List.length xs < 2 then true
+      else begin
+        let d = E.make (Array.of_list xs) in
+        let lo = Float.min t1 t2 and hi = Float.max t1 t2 in
+        let f_lo = d.Dist.cdf lo and f_hi = d.Dist.cdf hi in
+        f_lo >= 0.0 && f_hi <= 1.0 && f_lo <= f_hi
+      end)
+
 let prop_mean_between_extremes =
   QCheck.Test.make ~count:200 ~name:"empirical mean within data range"
     QCheck.(list_of_size Gen.(int_range 2 100) (float_range 0.0 1000.0))
@@ -109,6 +136,8 @@ let () =
     [
       ( "unit",
         [
+          Alcotest.test_case "cdf at order statistics" `Quick
+            test_cdf_at_order_statistics;
           Alcotest.test_case "validation" `Quick test_make_validation;
           Alcotest.test_case "cdf/quantile" `Quick test_interpolated_cdf_quantile;
           Alcotest.test_case "moments" `Quick test_moments_piecewise;
@@ -121,6 +150,7 @@ let () =
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_quantile_cdf_roundtrip;
+          QCheck_alcotest.to_alcotest prop_cdf_monotone;
           QCheck_alcotest.to_alcotest prop_mean_between_extremes;
         ] );
     ]

@@ -1,6 +1,14 @@
 (* Tests for the Proposition 2 exponential solver. *)
 
 module E = Stochastic_core.Exponential_opt
+module S = Stochastic_core.Sequence
+module C = Stochastic_core.Cost_model
+
+(* The Exp(1) reservation sequence the generic Eq. (11) machinery
+   drives from the constant's first reservation. *)
+let exp1_sequence () =
+  Stochastic_core.Recurrence.sequence C.reservation_only
+    Distributions.Exponential.default ~t1:(E.solve ()).E.s1
 
 (* The objective the constant minimises, as the oracle computes it. *)
 let expected_cost_exp1 = Recurrence_oracle.expected_cost_exp1
@@ -49,10 +57,42 @@ let test_scaling () =
   let sol = E.solve () in
   rel_close "Exp(4) cost = E1/4" (sol.E.e1 /. 4.0) (E.expected_cost ~rate:4.0)
 
+let test_sequence_increasing_and_infinite () =
+  let s = S.take 50 (exp1_sequence ()) in
+  Alcotest.(check int) "infinite" 50 (List.length s);
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "strictly increasing" true (increasing s);
+  (* Proposition 2: on Exp(1), Eq. (11) is s_i = exp (s_(i-1) -
+     s_(i-2)) with s_0 = 0, while the raw recurrence stays on the
+     optimal trajectory. *)
+  let rec prop2 prev2 prev1 k = function
+    | s :: rest when k > 0 ->
+        rel_close (Printf.sprintf "Prop. 2 step %d" (6 - k)) (exp (prev1 -. prev2)) s
+          ~tol:1e-6;
+        prop2 prev1 s (k - 1) rest
+    | _ -> ()
+  in
+  match s with
+  | s1 :: rest -> prop2 0.0 s1 5 rest
+  | [] -> Alcotest.fail "empty sequence"
+
 let test_validation () =
   Alcotest.(check bool) "expected_cost rate <= 0 rejected" true
     (try ignore (E.expected_cost ~rate:(-2.0)); false
      with Invalid_argument _ -> true)
+
+let test_consistent_with_generic_machinery () =
+  (* The constant and the generic exact evaluator agree on the cost of
+     the optimal sequence. *)
+  let sol = E.solve () in
+  let generic =
+    Stochastic_core.Expected_cost.exact C.reservation_only
+      Distributions.Exponential.default (exp1_sequence ())
+  in
+  rel_close "generic evaluation of optimal sequence" sol.E.e1 generic ~tol:1e-6
 
 let prop_scaled_cost =
   QCheck.Test.make ~count:100 ~name:"cost scales as 1/lambda"
@@ -71,7 +111,11 @@ let () =
           Alcotest.test_case "series formula" `Quick
             test_objective_matches_series_formula;
           Alcotest.test_case "scaling" `Quick test_scaling;
+          Alcotest.test_case "sequence shape" `Quick
+            test_sequence_increasing_and_infinite;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "generic consistency" `Quick
+            test_consistent_with_generic_machinery;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest prop_scaled_cost ]);
     ]

@@ -72,6 +72,19 @@ let test_cost_model_of_fit () =
   Alcotest.(check bool) "gamma nonnegative" true
     (m.Stochastic_core.Cost_model.gamma >= 0.0)
 
+(* Under NEUROHPC a reservation's cost is the job's turnaround: the
+   fitted queue wait [alpha t + gamma] plus the time the slot is held. *)
+let test_turnaround () =
+  let m = Stochastic_core.Cost_model.neuro_hpc in
+  (* Failed reservation: wait + full slot. *)
+  close "failed slot"
+    ((0.95 *. 2.0) +. 1.05 +. 2.0)
+    (Stochastic_core.Cost_model.reservation_cost m ~reserved:2.0 ~actual:3.0);
+  (* Successful: wait + actual time. *)
+  close "successful slot"
+    ((0.95 *. 2.0) +. 1.05 +. 1.5)
+    (Stochastic_core.Cost_model.reservation_cost m ~reserved:2.0 ~actual:1.5)
+
 let test_degenerate_inputs_rejected () =
   let record requested wait = { H.requested; wait } in
   let good i = record (float_of_int (i + 1)) 1.0 in
@@ -132,6 +145,7 @@ let () =
           Alcotest.test_case "fit recovers truth" `Quick
             test_fit_recovers_ground_truth;
           Alcotest.test_case "cost_model_of_fit" `Quick test_cost_model_of_fit;
+          Alcotest.test_case "turnaround" `Quick test_turnaround;
           Alcotest.test_case "degenerate records rejected" `Quick
             test_degenerate_inputs_rejected;
           Alcotest.test_case "flat log rejected" `Quick

@@ -182,6 +182,22 @@ let prop_moment_oracle =
       && same moment
            (Integrate_oracle.gauss_kronrod ~tol:tol_moment ~max_depth (fun x -> x *. f x) a b))
 
+(* A depth-0 run is one K15 panel: 15 evaluations, exact on
+   polynomials up to degree 22 (to the 15 digits of the tabulated
+   weights). *)
+let test_qk15 () =
+  let calls = ref 0 in
+  let x2 x =
+    incr calls;
+    x *. x
+  in
+  rel_close "K15 x^2" (1.0 /. 3.0) (I.gauss_kronrod ~max_depth:0 x2 0.0 1.0)
+    ~tol:1e-13;
+  Alcotest.(check int) "one panel, 15 nodes" 15 !calls;
+  rel_close "K15 x^22" (1.0 /. 23.0)
+    (I.gauss_kronrod ~max_depth:0 (fun x -> x ** 22.0) 0.0 1.0)
+    ~tol:1e-12
+
 let () =
   Alcotest.run "integrate"
     [
@@ -192,6 +208,7 @@ let () =
           Alcotest.test_case "orientation" `Quick test_orientation;
           Alcotest.test_case "additivity regression" `Quick
             test_additivity_regression;
+          Alcotest.test_case "qk15" `Quick test_qk15;
           Alcotest.test_case "adaptive" `Quick test_gauss_kronrod;
           Alcotest.test_case "spike" `Quick test_gauss_kronrod_spike;
           Alcotest.test_case "initial validation" `Quick

@@ -58,6 +58,39 @@ let prop_matches_int_sum =
       (* stochlint: allow FLOAT_EQ — small-int sums are exactly representable, equality is the property *)
       got = float_of_int expected)
 
+let bits = Int64.bits_of_float
+
+let floats = QCheck.(list_of_size Gen.(int_range 1 200) (float_range (-1e6) 1e6))
+
+let prop_parts_sum =
+  QCheck.Test.make ~count:200 ~name:"the two parts add up to sum, bit for bit"
+    floats
+    (fun xs ->
+      let acc = Numerics.Kahan.create () in
+      List.iter (Numerics.Kahan.add acc) xs;
+      let s, c = Numerics.Kahan.parts acc in
+      Int64.equal (bits (s +. c)) (bits (Numerics.Kahan.sum acc)))
+
+let prop_sum_array_is_fold =
+  QCheck.Test.make ~count:200
+    ~name:"sum_array = an accumulator fed in order, bit for bit"
+    floats
+    (fun xs ->
+      let acc = Numerics.Kahan.create () in
+      List.iter (Numerics.Kahan.add acc) xs;
+      Int64.equal
+        (bits (Numerics.Kahan.sum_array (Array.of_list xs)))
+        (bits (Numerics.Kahan.sum acc)))
+
+let prop_mean_within_range =
+  QCheck.Test.make ~count:200 ~name:"mean_array lies within [min, max]" floats
+    (fun xs ->
+      let m = Numerics.Kahan.mean_array (Array.of_list xs) in
+      let mn = List.fold_left Float.min infinity xs
+      and mx = List.fold_left Float.max neg_infinity xs in
+      let slack = 1e-12 *. Float.max (Float.abs mn) (Float.abs mx) in
+      m >= mn -. slack && m <= mx +. slack)
+
 let () =
   Alcotest.run "kahan"
     [
@@ -74,5 +107,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_order_independence;
           QCheck_alcotest.to_alcotest prop_matches_int_sum;
+          QCheck_alcotest.to_alcotest prop_parts_sum;
+          QCheck_alcotest.to_alcotest prop_sum_array_is_fold;
+          QCheck_alcotest.to_alcotest prop_mean_within_range;
         ] );
     ]

@@ -72,6 +72,41 @@ let prop_residuals_orthogonal =
         Float.abs sum <= 1e-6 *. float_of_int (Array.length x)
       end)
 
+let points =
+  QCheck.(list_of_size Gen.(int_range 3 40)
+            (pair (float_range (-10.0) 10.0) (float_range (-10.0) 10.0)))
+
+let distinct_x pts = List.sort_uniq (fun (x1, _) (x2, _) -> compare x1 x2) pts
+
+let fit_of pts =
+  R.ols ~x:(Array.of_list (List.map fst pts)) ~y:(Array.of_list (List.map snd pts))
+
+let prop_order_free =
+  QCheck.Test.make ~count:200 ~name:"ols ignores the order of the points" points
+    (fun pts ->
+      let pts = distinct_x pts in
+      if List.length pts < 3 then true
+      else begin
+        let f = fit_of pts and g = fit_of (List.rev pts) in
+        let near a b = Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.abs a) in
+        near f.R.slope g.R.slope
+        && near f.R.intercept g.R.intercept
+        && near f.R.r_squared g.R.r_squared
+      end)
+
+let prop_diagnostics_in_range =
+  QCheck.Test.make ~count:200 ~name:"r^2 in [0, 1], residual std >= 0" points
+    (fun pts ->
+      let pts = distinct_x pts in
+      if List.length pts < 3 then true
+      else begin
+        let f = fit_of pts in
+        f.R.r_squared >= -1e-12
+        && f.R.r_squared <= 1.0 +. 1e-12
+        && f.R.residual_std >= 0.0
+        && f.R.n = List.length pts
+      end)
+
 let () =
   Alcotest.run "regression"
     [
@@ -85,5 +120,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_recovers_exact_lines;
           QCheck_alcotest.to_alcotest prop_residuals_orthogonal;
+          QCheck_alcotest.to_alcotest prop_order_free;
+          QCheck_alcotest.to_alcotest prop_diagnostics_in_range;
         ] );
     ]

@@ -18,6 +18,17 @@ let check_moments name f ~mean ~variance ~tol_mean ~tol_var =
   Alcotest.(check (float tol_mean)) (name ^ " mean") mean m;
   Alcotest.(check (float tol_var)) (name ^ " variance") variance v
 
+(* The normal draws surface as the logarithm of a lognormal draw. *)
+let test_standard_normal () =
+  check_moments "N(0,1)"
+    (fun rng -> log (Sampler.lognormal rng ~mu:0.0 ~sigma:1.0))
+    ~mean:0.0 ~variance:1.0 ~tol_mean:0.01 ~tol_var:0.02
+
+let test_normal () =
+  check_moments "N(3, 4)"
+    (fun rng -> log (Sampler.lognormal rng ~mu:3.0 ~sigma:2.0))
+    ~mean:3.0 ~variance:4.0 ~tol_mean:0.02 ~tol_var:0.08
+
 let test_exponential () =
   check_moments "Exp(2)" (fun rng -> Sampler.exponential rng ~rate:2.0)
     ~mean:0.5 ~variance:0.25 ~tol_mean:0.005 ~tol_var:0.01
@@ -96,6 +107,9 @@ let test_invalid_args () =
   Alcotest.check_raises "gamma shape <= 0"
     (Invalid_argument "Sampler.gamma: shape and scale must be positive")
     (fun () -> ignore (Sampler.gamma rng ~shape:0.0 ~scale:1.0));
+  Alcotest.check_raises "lognormal sigma <= 0"
+    (Invalid_argument "Sampler.lognormal: sigma must be positive") (fun () ->
+      ignore (Sampler.lognormal rng ~mu:0.0 ~sigma:0.0));
   Alcotest.check_raises "exponential rate <= 0"
     (Invalid_argument "Sampler.exponential: rate must be positive") (fun () ->
       ignore (Sampler.exponential rng ~rate:(-1.0)))
@@ -105,6 +119,8 @@ let () =
     [
       ( "moments",
         [
+          Alcotest.test_case "standard normal" `Quick test_standard_normal;
+          Alcotest.test_case "normal" `Quick test_normal;
           Alcotest.test_case "exponential" `Quick test_exponential;
           Alcotest.test_case "gamma (shape >= 1)" `Quick test_gamma_big_shape;
           Alcotest.test_case "gamma (shape < 1)" `Quick test_gamma_small_shape;

@@ -148,6 +148,39 @@ let prop_batch_eval_matches_pointwise =
       in
       Float.abs (batch -. pointwise) <= 1e-9 *. (1.0 +. Float.abs batch))
 
+let test_keeps () =
+  let half = Dist.Unbounded 0.0 and box = Dist.Bounded (1.0, 5.0) in
+  Alcotest.(check bool) "above prev" true (S.keeps ~support:half ~prev:1.0 2.0);
+  Alcotest.(check bool) "equal to prev" false (S.keeps ~support:half ~prev:2.0 2.0);
+  Alcotest.(check bool) "non-positive" false (S.keeps ~support:half ~prev:(-1.0) 0.0);
+  Alcotest.(check bool) "infinite" false
+    (S.keeps ~support:half ~prev:1.0 Float.infinity);
+  Alcotest.(check bool) "nan" false (S.keeps ~support:half ~prev:1.0 Float.nan);
+  Alcotest.(check bool) "inside [a, b)" true (S.keeps ~support:box ~prev:1.0 4.9);
+  Alcotest.(check bool) "numerically at b" false
+    (S.keeps ~support:box ~prev:1.0 (5.0 -. 1e-10));
+  Alcotest.(check bool) "past b" false (S.keeps ~support:box ~prev:1.0 6.0)
+
+let test_tail () =
+  let half = Dist.Unbounded 0.0 and box = Dist.Bounded (1.0, 5.0) in
+  Alcotest.(check (list (float 0.0))) "doubling" [ 6.0; 12.0; 24.0 ]
+    (S.take 3 (S.tail ~support:half 3.0));
+  Alcotest.(check (list (float 0.0))) "doubling from nothing" [ 1.0; 2.0; 4.0 ]
+    (S.take 3 (S.tail ~support:half 0.0));
+  Alcotest.(check (list (float 0.0))) "b alone" [ 5.0 ]
+    (S.take 3 (S.tail ~support:box 2.0));
+  Alcotest.(check (list (float 0.0))) "nothing past b" []
+    (S.take 3 (S.tail ~support:box 5.0))
+
+let test_pp_prefix () =
+  let show n s = Format.asprintf "%a" (S.pp_prefix n) s in
+  Alcotest.(check string) "longer than shown" "(1, 2.5, ...)"
+    (show 2 (List.to_seq [ 1.0; 2.5; 4.0 ]));
+  Alcotest.(check string) "exactly shown" "(1, 2.5)"
+    (show 2 (List.to_seq [ 1.0; 2.5 ]));
+  Alcotest.(check string) "infinite" "(1, 2, 4, ...)"
+    (show 3 (S.tail ~support:(Dist.Unbounded 0.0) 0.0))
+
 let () =
   Alcotest.run "sequence"
     [
@@ -163,6 +196,9 @@ let () =
           Alcotest.test_case "sanitize nan" `Quick test_sanitize_unbounded_nan;
           Alcotest.test_case "sanitize bounded" `Quick test_sanitize_bounded;
           Alcotest.test_case "sanitize lazy" `Quick test_sanitize_infinite_lazy;
+          Alcotest.test_case "keeps" `Quick test_keeps;
+          Alcotest.test_case "tail" `Quick test_tail;
+          Alcotest.test_case "pp_prefix" `Quick test_pp_prefix;
         ] );
       ( "property",
         [

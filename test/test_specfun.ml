@@ -53,6 +53,18 @@ let test_gamma_q_tail () =
   rel_close "Q(2, 50)" (51.0 *. exp (-50.0)) (Sf.gamma_q 2.0 50.0) ~tol:1e-11;
   close "P + Q = 1 (x=3, a=2.5)" 1.0 (Sf.gamma_p 2.5 3.0 +. Sf.gamma_q 2.5 3.0)
 
+(* The upper incomplete gamma Gamma(a, x) = Q(a, x) Gamma(a) against
+   its closed forms: Gamma(1, x) = e^-x, Gamma(2, x) = (x+1) e^-x,
+   Gamma(1/2, x) = sqrt(pi) erfc(sqrt x). *)
+let test_upper_incomplete_gamma () =
+  let upper a x = Sf.gamma_q a x *. Sf.gamma a in
+  rel_close "Gamma(1, 2)" (exp (-2.0)) (upper 1.0 2.0);
+  rel_close "Gamma(2, 3)" (4.0 *. exp (-3.0)) (upper 2.0 3.0);
+  rel_close "Gamma(3, 0) = Gamma(3) = 2" 2.0 (upper 3.0 0.0);
+  rel_close "Gamma(1/2, 2)"
+    (sqrt (4.0 *. atan 1.0) *. Sf.erfc (sqrt 2.0))
+    (upper 0.5 2.0) ~tol:1e-13
+
 let test_inverse_gamma_p () =
   close "inv P(a, 0) = 0" 0.0 (Sf.inverse_gamma_p 2.0 0.0);
   Alcotest.(check bool) "inv P(a, 1) = inf" true
@@ -168,6 +180,14 @@ let test_normal_quantile_oracle () =
     (* stochlint: allow FLOAT_EQ — infinity is an exact sentinel, not a computed value *)
     (Sf.normal_quantile 1.0 = infinity)
 
+(* Phi(x) = erfc(-x / sqrt 2) / 2, the form the normal-family laws
+   evaluate, at tabulated points. *)
+let test_normal_cdf () =
+  let phi x = 0.5 *. Sf.erfc (-.x /. sqrt 2.0) in
+  rel_close "Phi(0)" 0.5 (phi 0.0);
+  rel_close "Phi(1.96)" 0.9750021048517795 (phi 1.96) ~tol:1e-12;
+  rel_close "Phi(-3)" 0.001349898031630095 (phi (-3.0)) ~tol:1e-11
+
 let prop_erf_inv_roundtrip =
   QCheck.Test.make ~count:300 ~name:"erf_inv (erf x) = x"
     QCheck.(float_range (-4.0) 4.0)
@@ -263,6 +283,7 @@ let () =
           Alcotest.test_case "log_gamma invalid" `Quick test_log_gamma_invalid;
           Alcotest.test_case "gamma_p oracle" `Quick test_gamma_p_oracle;
           Alcotest.test_case "gamma_q tail" `Quick test_gamma_q_tail;
+          Alcotest.test_case "upper incomplete" `Quick test_upper_incomplete_gamma;
           Alcotest.test_case "inverse gamma_p" `Quick test_inverse_gamma_p;
           QCheck_alcotest.to_alcotest prop_gamma_p_roundtrip;
           QCheck_alcotest.to_alcotest prop_gamma_p_monotone;
@@ -276,6 +297,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_erfc_reflection;
           Alcotest.test_case "normal quantile oracle" `Quick
             test_normal_quantile_oracle;
+          Alcotest.test_case "normal cdf" `Quick test_normal_cdf;
           QCheck_alcotest.to_alcotest prop_erf_inv_roundtrip;
           QCheck_alcotest.to_alcotest prop_quantile_cdf_roundtrip;
         ] );

@@ -95,6 +95,75 @@ let prop_quantile_bounds =
       let q = quantile a p in
       q >= mn -. 1e-12 && q <= mx +. 1e-12)
 
+let test_nearest_rank_ranks () =
+  Alcotest.(check int) "ceil (0.5 * 5)" 3 (S.nearest_rank 5 0.5);
+  Alcotest.(check int) "ceil (0.99 * 100)" 99 (S.nearest_rank 100 0.99);
+  Alcotest.(check int) "ceil (0.991 * 100)" 100 (S.nearest_rank 100 0.991);
+  Alcotest.(check int) "p = 0 clamps to rank 1" 1 (S.nearest_rank 7 0.0);
+  Alcotest.(check int) "p = 1 is rank n" 7 (S.nearest_rank 7 1.0);
+  Alcotest.check_raises "n = 0"
+    (Invalid_argument "Stats.quantile_nearest_rank: empty sample") (fun () ->
+      ignore (S.nearest_rank 0 0.5));
+  Alcotest.check_raises "p < 0"
+    (Invalid_argument "Stats.quantile_nearest_rank: p must be in [0, 1]")
+    (fun () -> ignore (S.nearest_rank 3 (-0.1)))
+
+let sample = QCheck.(list_of_size Gen.(int_range 2 100) (float_range (-1e3) 1e3))
+
+let prop_nearest_rank_order_statistic =
+  QCheck.Test.make ~count:500
+    ~name:"nearest rank reads order statistic nearest_rank n p"
+    QCheck.(pair sample (float_range 0.0 1.0))
+    (fun (xs, p) ->
+      let a = Array.of_list xs in
+      let sorted = Array.copy a in
+      Array.sort Float.compare sorted;
+      let expected = sorted.(S.nearest_rank (Array.length a) p - 1) in
+      Int64.equal
+        (Int64.bits_of_float (S.quantile_nearest_rank a p))
+        (Int64.bits_of_float expected)
+      && Int64.equal
+           (Int64.bits_of_float (S.quantile_nearest_rank_sorted sorted p))
+           (Int64.bits_of_float expected))
+
+let prop_median_is_half_quantile =
+  QCheck.Test.make ~count:300 ~name:"median is the type-7 0.5 quantile" sample
+    (fun xs ->
+      let a = Array.of_list xs in
+      Int64.equal
+        (Int64.bits_of_float (S.median a))
+        (Int64.bits_of_float (quantile a 0.5)))
+
+let prop_std_affine =
+  QCheck.Test.make ~count:300 ~name:"std is shift invariant and scales by |k|"
+    QCheck.(triple sample (float_range (-1e3) 1e3) (float_range (-10.0) 10.0))
+    (fun (xs, c, k) ->
+      let a = Array.of_list xs in
+      let sd = S.std a in
+      let tol = 1e-9 *. (1.0 +. Float.abs c +. sd) in
+      Float.abs (S.std (Array.map (fun x -> x +. c) a) -. sd) <= tol
+      && Float.abs (S.std (Array.map (fun x -> k *. x) a) -. (Float.abs k *. sd))
+         <= 1e-9 *. (1.0 +. (Float.abs k *. sd)))
+
+let prop_histogram_counts =
+  QCheck.Test.make ~count:300
+    ~name:"histogram: every sample counted, extremes in the end bins"
+    QCheck.(pair sample (int_range 1 30))
+    (fun (xs, bins) ->
+      let a = Array.of_list xs in
+      let h = S.histogram ~bins a in
+      let mn = Array.fold_left Float.min infinity a
+      and mx = Array.fold_left Float.max neg_infinity a in
+      (* A constant sample has one occupied bin; QCheck's floats make
+         one vanishingly rare, but it is not an error. *)
+      (not (mx > mn))
+      || Array.length h.S.bounds = bins + 1
+      && Array.fold_left ( + ) 0 h.S.counts = Array.length a
+      && Int64.equal (Int64.bits_of_float h.S.bounds.(0)) (Int64.bits_of_float mn)
+      && h.S.counts.(0) >= 1
+      && h.S.counts.(bins - 1) >= 1
+      && Float.abs (h.S.bounds.(bins) -. mx) <= 1e-9 *. (1.0 +. Float.abs mx))
+
 let () =
   Alcotest.run "stats"
     [
@@ -104,11 +173,16 @@ let () =
           Alcotest.test_case "variance errors" `Quick test_variance_errors;
           Alcotest.test_case "quantiles" `Quick test_quantiles;
           Alcotest.test_case "nearest-rank quantile" `Quick test_nearest_rank;
+          Alcotest.test_case "nearest_rank ranks" `Quick test_nearest_rank_ranks;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
           QCheck_alcotest.to_alcotest prop_quantile_bounds;
+          QCheck_alcotest.to_alcotest prop_nearest_rank_order_statistic;
+          QCheck_alcotest.to_alcotest prop_median_is_half_quantile;
+          QCheck_alcotest.to_alcotest prop_std_affine;
+          QCheck_alcotest.to_alcotest prop_histogram_counts;
         ] );
     ]

@@ -4,6 +4,17 @@ module St = Stochastic_core.Strategy
 module C = Stochastic_core.Cost_model
 module Dist = Distributions.Dist
 
+let test_table2_roster () =
+  let roster = Experiments.Table2.strategies Experiments.Config.quick in
+  Alcotest.(check int) "seven strategies" 7 (List.length roster);
+  Alcotest.(check string) "brute force first" "Brute-Force"
+    (List.hd roster).St.name;
+  let names = List.map (fun s -> s.St.name) roster in
+  Alcotest.(check bool) "contains equal-time" true
+    (List.mem "Equal-time" names);
+  Alcotest.(check bool) "contains equal-probability" true
+    (List.mem "Equal-probability" names)
+
 let test_evaluate_on_deterministic () =
   let d = Distributions.Gamma_dist.default in
   let rng = Randomness.Rng.create ~seed:8 () in
@@ -63,6 +74,7 @@ let () =
     [
       ( "unit",
         [
+          Alcotest.test_case "table2 roster" `Quick test_table2_roster;
           Alcotest.test_case "evaluate_on deterministic" `Quick
             test_evaluate_on_deterministic;
           Alcotest.test_case "evaluate fresh samples" `Quick

@@ -55,6 +55,32 @@ let test_load_csv_malformed () =
       Alcotest.(check bool) "malformed rejected" true
         (try ignore (T.load_csv path); false with Failure _ -> true))
 
+(* Rescaling to hours divides every quantile by 3600 and leaves the
+   CDF level of a rescaled point unchanged. *)
+let prop_hours_rescale =
+  QCheck.Test.make ~count:200 ~name:"distribution_hours = seconds / 3600"
+    QCheck.(pair bool (float_range 0.01 0.99))
+    (fun (vbm, p) ->
+      let app = if vbm then T.vbmqa else T.fmriqa in
+      let s = T.distribution app and h = T.distribution_hours app in
+      let q = s.Distributions.Dist.quantile p in
+      Float.abs (h.Distributions.Dist.quantile p -. (q /. 3600.0))
+      <= 1e-9 *. (q /. 3600.0)
+      && Float.abs (h.Distributions.Dist.cdf (q /. 3600.0) -. p) <= 1e-9)
+
+(* The Fig. 1 pipeline: trace -> LogNormal MLE -> law. *)
+let test_pipeline () =
+  let rng = Randomness.Rng.create ~seed:9 () in
+  let trace = T.generate ~runs:5000 T.vbmqa rng in
+  let fit = Distributions.Fitting.lognormal_mle trace in
+  let d = Distributions.Fitting.to_dist fit in
+  Alcotest.(check (float 0.02)) "pipeline recovers mu" 7.1128
+    fit.Distributions.Fitting.mu;
+  Alcotest.(check (float 0.01)) "pipeline recovers sigma" 0.2039
+    fit.Distributions.Fitting.sigma;
+  Alcotest.(check bool) "fitted distribution usable" true
+    (d.Distributions.Dist.mean > 1000.0 && d.Distributions.Dist.mean < 1500.0)
+
 let () =
   Alcotest.run "traces"
     [
@@ -65,5 +91,7 @@ let () =
           Alcotest.test_case "generate" `Quick test_generate;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "malformed csv" `Quick test_load_csv_malformed;
+          Alcotest.test_case "pipeline" `Quick test_pipeline;
         ] );
+      ("property", [ QCheck_alcotest.to_alcotest prop_hours_rescale ]);
     ]
