@@ -136,6 +136,13 @@ let budget_term ?quick ~disc_n () =
 
 let disc_n_doc = Some "Discretization sample count."
 
+(* The budget caps of solve and serve, each with its own help. *)
+let max_seconds_arg doc =
+  Arg.(value & opt (some float) None & info [ "max-seconds" ] ~docv:"S" ~doc)
+
+let max_evals_arg doc =
+  Arg.(value & opt (some int) None & info [ "max-evaluations" ] ~docv:"E" ~doc)
+
 let resolve_strategy name (budget, seed) =
   usage_exit (Stochserve.Resolve.strategy ~budget ~seed name)
 
@@ -148,7 +155,9 @@ type obs_opts = {
   fake_clock : bool;
 }
 
-let obs_term =
+(* [--trace] and [--fake-clock]: what a command that never runs the
+   solver can record. *)
+let trace_term =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -156,6 +165,20 @@ let obs_term =
                "Write a JSONL span trace of the run to $(docv) (one JSON \
                 object per line; pipe through jq to inspect).")
   in
+  let fake_clock =
+    Arg.(value & flag
+         & info [ "fake-clock" ]
+             ~doc:
+               "Timestamp trace records with a deterministic counter clock \
+                instead of CPU time (wall time under $(b,serve)), so \
+                same-seed runs produce byte-identical trace files.")
+  in
+  Term.(
+    const (fun trace_file fake_clock ->
+        { trace_file; metrics_file = None; profile = false; fake_clock })
+    $ trace $ fake_clock)
+
+let obs_term =
   let metrics =
     Arg.(value & opt (some string) None
          & info [ "metrics" ] ~docv:"FILE"
@@ -170,18 +193,9 @@ let obs_term =
                "Enable the profiling registry and print the metric deltas \
                 to stderr when the run finishes.")
   in
-  let fake_clock =
-    Arg.(value & flag
-         & info [ "fake-clock" ]
-             ~doc:
-               "Timestamp trace records with a deterministic counter clock \
-                instead of CPU time (wall time under $(b,serve)), so \
-                same-seed runs produce byte-identical trace files.")
-  in
   Term.(
-    const (fun trace_file metrics_file profile fake_clock ->
-        { trace_file; metrics_file; profile; fake_clock })
-    $ trace $ metrics $ profile $ fake_clock)
+    const (fun o metrics_file profile -> { o with metrics_file; profile })
+    $ trace_term $ metrics $ profile)
 
 (* Run [f] under the observability options: build the trace sink, flip
    the global metrics registry on when requested, and emit the metric
@@ -206,10 +220,7 @@ let with_obs ?(clock = Stochobs.Clock.cpu) opts f =
       (match opts.metrics_file with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
+          Out_channel.with_open_text path (fun oc ->
               output_string oc (Stochobs.Json.to_string (M.to_json delta));
               output_char oc '\n'));
       if opts.profile then Format.eprintf "%a@." M.pp delta
@@ -220,12 +231,8 @@ let with_obs ?(clock = Stochobs.Clock.cpu) opts f =
       match opts.trace_file with
       | None -> f Stochobs.Trace.null clock
       | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              f
-                (Stochobs.Trace.make ~clock (Stochobs.Writer.of_channel oc))
+          Out_channel.with_open_text path (fun oc ->
+              f (Stochobs.Trace.make ~clock (Stochobs.Writer.of_channel oc))
                 clock))
 
 (* ---------------------------- commands ---------------------------- *)
@@ -552,7 +559,7 @@ let cluster_cmd =
       $ nodes_arg $ policy_arg $ load_arg $ nodes_min_arg $ nodes_max_arg
       $ scale_min_arg $ scale_max_arg $ failure_rate_arg $ fault_model_arg
       $ weibull_shape_arg $ repair_arg $ max_retries_arg $ backoff_arg
-      $ ckpt_period_arg $ ckpt_cost_arg $ restart_cost_arg $ obs_term
+      $ ckpt_period_arg $ ckpt_cost_arg $ restart_cost_arg $ trace_term
       $ problem_term)
 
 (* --------------------- robust solving commands -------------------- *)
@@ -787,16 +794,6 @@ let solve_cmd =
          & info [ "quick-budget" ]
              ~doc:"Start from the reduced smoke-test budget.")
   in
-  let max_seconds_arg =
-    Arg.(value & opt (some float) None
-         & info [ "max-seconds" ] ~docv:"S"
-             ~doc:"Wall-clock guard for the whole solve.")
-  in
-  let max_evals_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-evaluations" ] ~docv:"E"
-             ~doc:"Total evaluation budget across all tiers.")
-  in
   let tiers_arg =
     Arg.(value & opt (some string) None
          & info [ "tiers" ] ~docv:"T1,T2,..."
@@ -826,7 +823,9 @@ let solve_cmd =
                 snapshot lattice resolved to about 1/500 of the \
                 probability under checkpoint recovery.")
           ()
-      $ max_seconds_arg $ max_evals_arg $ count_arg $ strict_arg
+      $ max_seconds_arg "Wall-clock guard for the whole solve."
+      $ max_evals_arg "Total evaluation budget across all tiers."
+      $ count_arg $ strict_arg
       $ no_validate_arg $ monte_carlo_arg $ tiers_arg $ spot_term $ obs_term
       $ problem_term)
 
@@ -839,24 +838,19 @@ let serve_cmd =
           (if full_budget then default_budget else quick_budget))
     in
     let config =
-      {
-        Stochserve.Server.default_config with
-        Stochserve.Server.cache_capacity = capacity;
-        grid;
-        budget;
-        seed;
-        deadline;
-      }
+      usage_exit
+        (Stochserve.Server.check_config
+           { Stochserve.Server.default_config with
+             cache_capacity = capacity; grid; budget; seed; deadline })
     in
-    let config = usage_exit (Stochserve.Server.check_config config) in
     with_obs ~clock:Stochobs.Clock.wall obs_opts @@ fun obs clock ->
     (* Writing to a hung-up client must surface as EPIPE (caught per
        client), not kill the daemon with an unhandled SIGPIPE. *)
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ | Sys_error _ -> ());
     (* SIGTERM/SIGINT request a graceful stop: finish the request in
-       flight, flush the journal, remove the socket, exit. The flag is
-       observed between requests; a blocking accept is interrupted
+       flight, flush the journal, remove the socket, exit. The transport
+       reads the flag between requests; a blocking accept is interrupted
        (EINTR) and re-checks it. *)
     let stop_requested = ref false in
     let request_stop = Sys.Signal_handle (fun _ -> stop_requested := true) in
@@ -869,15 +863,12 @@ let serve_cmd =
         (fun path ->
           let j = Stochserve.Journal.open_ path in
           let s = Stochserve.Journal.stats j in
-          if
-            s.Stochserve.Journal.recovered_records > 0
-            || s.Stochserve.Journal.skipped_corrupt > 0
-          then
+          let r = s.recovered_records and c = s.skipped_corrupt in
+          if r > 0 || c > 0 then
             Printf.eprintf
               "stochastic serve: journal %s: recovered %d record(s), skipped \
                %d corrupt\n%!"
-              path s.Stochserve.Journal.recovered_records
-              s.Stochserve.Journal.skipped_corrupt;
+              path r c;
           j)
         persist
     in
@@ -890,122 +881,22 @@ let serve_cmd =
       Stochserve.Server.create ~obs ~clock ~metrics:Stochobs.Metrics.default
         ?journal config
     in
-    (* Hard watchdog on top of the server's cooperative deadline: the
-       solver checks its budget between candidates, so a single
-       pathological evaluation could overstay. SIGALRM at ~2x the
-       deadline converts that into a typed code-6 response. Unix lives
-       here in bin/, so the library stays deterministic. *)
-    let exception Watchdog_timeout in
-    let handle_request line =
-      match deadline with
-      | None -> Stochserve.Server.handle_line server line
-      | Some d ->
-          let fuse = (2.0 *. d) +. 0.5 in
-          let arm v =
-            ignore
-              (Unix.setitimer Unix.ITIMER_REAL
-                 { Unix.it_interval = 0.0; it_value = v })
-          in
-          let old =
-            Sys.signal Sys.sigalrm
-              (Sys.Signal_handle (fun _ -> raise Watchdog_timeout))
-          in
-          let disarm () =
-            arm 0.0;
-            Sys.set_signal Sys.sigalrm old
-          in
-          arm fuse;
-          (match Stochserve.Server.handle_line server line with
-          | resp ->
-              disarm ();
-              resp
-          | exception Watchdog_timeout ->
-              disarm ();
-              let e =
-                {
-                  Stochserve.Protocol.code = 6;
-                  label = "budget-exhausted";
-                  detail =
-                    Printf.sprintf
-                      "hard watchdog fired after %.3gs (deadline %gs)" fuse d;
-                }
-              in
-              (Some (Stochserve.Protocol.error_response ~id:None e), false))
-    in
-    let finish () = Stochserve.Server.close server in
-    (* The one line pump, for stdin and for each socket client: answer
-       request lines until end of input or a stop signal; [true] after
-       a shutdown request. *)
-    let rec pump ic oc =
-      (not !stop_requested)
-      &&
-      match In_channel.input_line ic with
-      | None -> false
-      | Some line ->
-          let resp, stop = handle_request line in
-          Option.iter
-            (fun r ->
-              output_string oc r;
-              output_char oc '\n';
-              flush oc)
-            resp;
-          stop || pump ic oc
-    in
+    let stop () = !stop_requested in
+    Fun.protect ~finally:(fun () -> Stochserve.Server.close server)
+    @@ fun () ->
     match socket with
     | None ->
-        Fun.protect ~finally:finish (fun () ->
-            try ignore (pump stdin stdout)
-            with Sys_error _ ->
-              (* An interrupted stdin read during shutdown. *)
-              ())
+        Stochserve.Transport.serve_channels ~stop ?deadline server stdin stdout
     | Some path ->
-        (* Sequential accept loop: one client at a time, each pumped
-           until it hangs up. A shutdown request or a SIGTERM/SIGINT
-           ends the daemon; the socket file is removed on the way out,
-           and a stale one from an unclean death is removed on the way
-           in. *)
-        (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
-        let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind sock (Unix.ADDR_UNIX path);
-        Unix.listen sock 8;
-        let stopped = ref false in
-        (* Retry EINTR: any signal delivery interrupts accept; only a
-           stop request should end the loop. *)
-        let rec accept_retry () =
-          if !stop_requested then None
-          else
-            match Unix.accept sock with
-            | conn -> Some conn
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_retry ()
-        in
-        Fun.protect
-          ~finally:(fun () ->
-            finish ();
-            (try Unix.close sock with Unix.Unix_error _ -> ());
-            try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-          (fun () ->
-            while not (!stopped || !stop_requested) do
-              match accept_retry () with
-              | None -> ()
-              | Some (conn, _) ->
-                  (try
-                     stopped :=
-                       pump
-                         (Unix.in_channel_of_descr conn)
-                         (Unix.out_channel_of_descr conn)
-                   with Sys_error _ | Unix.Unix_error _ ->
-                     (* A dropped client must not take the daemon
-                        down. *)
-                     ());
-                  (try Unix.close conn with Unix.Unix_error _ -> ())
-            done)
+        usage_exit (Stochserve.Transport.serve_socket ~stop ?deadline server path)
   in
   let socket_arg =
     Arg.(value & opt (some string) None
          & info [ "socket" ] ~docv:"PATH"
              ~doc:
                "Listen on a Unix-domain socket at $(docv) (one client at a \
-                time) instead of reading stdin and writing stdout.")
+                time) instead of reading stdin and writing stdout. A stale \
+                socket there is replaced; any other file is refused (exit 2).")
   in
   let capacity_arg =
     Arg.(value & opt int 1024
@@ -1027,16 +918,6 @@ let serve_cmd =
                "Base per-solve budget: start from the paper-scale default \
                 instead of the daemon's interactive quick budget. Requests \
                 can still override fields per solve.")
-  in
-  let max_seconds_arg =
-    Arg.(value & opt (some float) None
-         & info [ "max-seconds" ] ~docv:"S"
-             ~doc:"Base wall-clock guard per solve.")
-  in
-  let max_evals_arg =
-    Arg.(value & opt (some int) None
-         & info [ "max-evaluations" ] ~docv:"E"
-             ~doc:"Base evaluation budget per solve.")
   in
   let persist_arg =
     Arg.(value & opt (some string) None
@@ -1071,7 +952,9 @@ let serve_cmd =
           (journal flushed, socket removed).")
     Term.(
       const run $ socket_arg $ capacity_arg $ grid_arg $ seed_arg
-      $ full_budget_arg $ max_seconds_arg $ max_evals_arg $ persist_arg
+      $ full_budget_arg
+      $ max_seconds_arg "Base wall-clock guard per solve."
+      $ max_evals_arg "Base evaluation budget per solve." $ persist_arg
       $ deadline_arg $ obs_term)
 
 (* One command per registry entry: the experiment at paper (or, with

@@ -14,30 +14,21 @@ let law f =
   Distributions.Lognormal.of_moments ~mean:(base_mean *. f) ~std:(base_std *. f)
 
 let run ?(cfg = Config.paper) ?(factors = default_factors) () =
-  let cost = Cost_model.neuro_hpc in
   let strategies = Table2.strategies cfg in
-  let points =
-    Array.to_list factors
-    |> List.map (fun f ->
-           let mean_hours = base_mean *. f and std_hours = base_std *. f in
-           let d = law f in
-           let rng = Config.rng_for cfg (Printf.sprintf "fig4/%g" f) in
-           let samples =
-             Distributions.Dist.samples d rng cfg.Config.n_mc
-           in
-           Array.sort compare samples;
-           let values =
-             strategies
-             |> List.map (fun s ->
-                    Strategy.evaluate_on cost d ~sorted_samples:samples s)
-             |> Array.of_list
-           in
-           { mean_hours; std_hours; values })
+  let point f =
+    {
+      mean_hours = base_mean *. f;
+      std_hours = base_std *. f;
+      values =
+        Table2.scores ~cost:Cost_model.neuro_hpc
+          ~stream:(Printf.sprintf "fig4/%g" f)
+          cfg strategies (law f);
+    }
   in
   {
     strategy_names =
       Array.of_list (List.map (fun s -> s.Strategy.name) strategies);
-    points;
+    points = List.map point (Array.to_list factors);
   }
 
 let to_string t =

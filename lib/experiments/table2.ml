@@ -18,32 +18,34 @@ let strategies (cfg : Config.t) =
       ~scheme:Discretize.Equal_probability ~n:cfg.Config.disc_n ();
   ]
 
-let run ?(cfg = Config.paper) () =
-  let strategies = strategies cfg in
-  let cost = Cost_model.reservation_only in
-  let rows =
-    List.map
-      (fun (dist_name, d) ->
-        (* Common random numbers: one evaluation sample set per
-           distribution, shared by all strategies, so that ranking
-           differences reflect the sequences rather than the draws. *)
-        let rng = Config.rng_for cfg (Printf.sprintf "table2/%s" dist_name) in
-        let samples = Distributions.Dist.samples d rng cfg.Config.n_mc in
-        Array.sort compare samples;
-        let values =
-          strategies
-          |> List.map (fun s ->
-                 Strategy.evaluate_on cost d ~sorted_samples:samples s)
-          |> Array.of_list
-        in
-        { dist_name; values })
-      Distributions.Table1.all
+let scores ?(cost = Cost_model.reservation_only) ~stream (cfg : Config.t)
+    strategies d =
+  (* Common random numbers: one evaluation sample set per law, shared
+     by all strategies, so that ranking differences reflect the
+     sequences rather than the draws. *)
+  let samples =
+    Distributions.Dist.samples d (Config.rng_for cfg stream) cfg.Config.n_mc
   in
+  Array.sort compare samples;
+  Array.of_list
+    (List.map
+       (fun s -> Strategy.evaluate_on cost d ~sorted_samples:samples s)
+       strategies)
+
+let evaluate ~label cfg strategies laws =
   {
     strategy_names =
       Array.of_list (List.map (fun s -> s.Strategy.name) strategies);
-    rows;
+    rows =
+      List.map
+        (fun (dist_name, d) ->
+          let stream = label ^ "/" ^ dist_name in
+          { dist_name; values = scores ~stream cfg strategies d })
+        laws;
   }
+
+let run ?(cfg = Config.paper) () =
+  evaluate ~label:"table2" cfg (strategies cfg) Distributions.Table1.all
 
 let to_string t =
   let header = "Distribution" :: Array.to_list t.strategy_names in

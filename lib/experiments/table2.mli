@@ -22,6 +22,26 @@ val strategies : Config.t -> Stochastic_core.Strategy.t list
     parameters, in column order (BRUTE-FORCE first) — shared with the
     Fig. 4 sweep. *)
 
+val scores :
+  ?cost:Stochastic_core.Cost_model.t ->
+  stream:string ->
+  Config.t ->
+  Stochastic_core.Strategy.t list ->
+  Distributions.Dist.t ->
+  float array
+(** [scores ~stream cfg strategies d] is each strategy's normalized
+    expected cost on [d] (default RESERVATIONONLY), all scored on one
+    sorted sample set drawn from [stream] (common random numbers).
+    The row builder of Table 2, {!Table2x} and Fig. 4. *)
+
+val evaluate :
+  label:string ->
+  Config.t ->
+  Stochastic_core.Strategy.t list ->
+  (string * Distributions.Dist.t) list ->
+  t
+(** One row of {!scores} per law, drawn from stream ["label/law"]. *)
+
 val run : ?cfg:Config.t -> unit -> t
 (** [run ()] executes the full experiment (paper parameters by
     default; expect tens of seconds). *)

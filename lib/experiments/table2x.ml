@@ -1,36 +1,13 @@
 module Strategy = Stochastic_core.Strategy
-module Cost_model = Stochastic_core.Cost_model
 
-type row = { dist_name : string; values : float array }
-type t = { strategy_names : string array; rows : row list }
-
-let strategies cfg =
-  Table2.strategies cfg
-  @ [ Strategy.quantile_ladder ~q:0.25; Strategy.quantile_ladder ~q:0.75 ]
+type row = Table2.row = { dist_name : string; values : float array }
+type t = Table2.t = { strategy_names : string array; rows : row list }
 
 let run ?(cfg = Config.paper) () =
-  let strategies = strategies cfg in
-  let cost = Cost_model.reservation_only in
-  let rows =
-    List.map
-      (fun (dist_name, d) ->
-        let rng = Config.rng_for cfg (Printf.sprintf "table2x/%s" dist_name) in
-        let samples = Distributions.Dist.samples d rng cfg.Config.n_mc in
-        Array.sort compare samples;
-        let values =
-          strategies
-          |> List.map (fun s ->
-                 Strategy.evaluate_on cost d ~sorted_samples:samples s)
-          |> Array.of_list
-        in
-        { dist_name; values })
-      Distributions.Registry.extras
-  in
-  {
-    strategy_names =
-      Array.of_list (List.map (fun s -> s.Strategy.name) strategies);
-    rows;
-  }
+  Table2.evaluate ~label:"table2x" cfg
+    (Table2.strategies cfg
+    @ [ Strategy.quantile_ladder ~q:0.25; Strategy.quantile_ladder ~q:0.75 ])
+    Distributions.Registry.extras
 
 let to_string t =
   let header = "Distribution" :: Array.to_list t.strategy_names in

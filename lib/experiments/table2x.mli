@@ -10,12 +10,8 @@
     evaluated, including a multi-modal one where single-mode
     intuitions (start at the mean) are at their weakest. *)
 
-type row = { dist_name : string; values : float array }
-
-type t = {
-  strategy_names : string array;
-  rows : row list;
-}
+type row = Table2.row = { dist_name : string; values : float array }
+type t = Table2.t = { strategy_names : string array; rows : row list }
 
 val run : ?cfg:Config.t -> unit -> t
 val to_string : t -> string

@@ -90,6 +90,7 @@ type global = {
 
 type fn = {
   fn_key : string;
+  fn_source : string;  (* the defining unit's source path *)
   fn_file : string;
   fn_line : int;
   fn_col : int;
@@ -288,15 +289,26 @@ let analyze ?context ~source_root ~entries cmt_paths =
     all_bindings;
   let is_global k = Hashtbl.mem globals k in
   let globals_of set = SS.filter is_global set in
-  (* Function table; non-function initialisers fold into the unit's
-     <init> pseudo-function. *)
-  let fns : (string, fn) Hashtbl.t = Hashtbl.create 512 in
+  (* Function table, keyed by source path and name, as
+     [Cmt_load.load_all] dedups units: two units may share a name
+     (every executable's main is Dune__exe__Main). Non-function
+     initialisers fold into the unit's <init> pseudo-function. *)
+  let fns : (string * string, fn) Hashtbl.t = Hashtbl.create 512 in
+  let by_name = Hashtbl.create 512 in
+  (* A name used in [from] is one of its own functions, else another
+     unit's. *)
+  let find_fn ~from key =
+    match Hashtbl.find_opt fns (from, key) with
+    | Some _ as f -> f
+    | None -> Hashtbl.find_opt by_name key
+  in
   List.iter
-    (fun ((_ : Typed_index.t), (b : Typed_index.binding)) ->
-      if b.b_is_fun then
-        Hashtbl.replace fns b.b_key
+    (fun ((u : Typed_index.t), (b : Typed_index.binding)) ->
+      if b.b_is_fun then begin
+        let fn =
           {
             fn_key = b.b_key;
+            fn_source = u.u_source;
             fn_file = b.b_file;
             fn_line = b.b_line;
             fn_col = b.b_col;
@@ -305,7 +317,11 @@ let analyze ?context ~source_root ~entries cmt_paths =
             fn_writes = SS.empty;
             fn_reads = SS.empty;
             fn_via = [];
-          })
+          }
+        in
+        Hashtbl.replace fns (u.u_source, b.b_key) fn;
+        Hashtbl.replace by_name b.b_key fn
+      end)
     all_bindings;
   List.iter
     (fun ((u : Typed_index.t), (b : Typed_index.binding)) ->
@@ -313,18 +329,8 @@ let analyze ?context ~source_root ~entries cmt_paths =
         (* Initialiser effects of a top-level value run at module load:
            account them to Unit.<init>. *)
         let init_key = resolve (u.u_name ^ ".<init>") in
-        match Hashtbl.find_opt fns init_key with
-        | Some init ->
-            let ib = init.fn_body and bb = b.b_body in
-            ib.f_mentions <- SS.union ib.f_mentions bb.f_mentions;
-            ib.f_mut_targets <- SS.union ib.f_mut_targets bb.f_mut_targets;
-            ib.f_read_targets <- SS.union ib.f_read_targets bb.f_read_targets;
-            ib.f_local_mut <- ib.f_local_mut || bb.f_local_mut;
-            ib.f_local_read <- ib.f_local_read || bb.f_local_read;
-            ib.f_io <- ib.f_io || bb.f_io;
-            ib.f_rng <- ib.f_rng || bb.f_rng;
-            ib.f_rng_lines <- bb.f_rng_lines @ ib.f_rng_lines;
-            ib.f_calls <- bb.f_calls @ ib.f_calls
+        match find_fn ~from:u.u_source init_key with
+        | Some init -> Typed_index.absorb ~into:init.fn_body b.b_body
         | None -> ()
       end)
     all_bindings;
@@ -368,7 +374,7 @@ let analyze ?context ~source_root ~entries cmt_paths =
       (fun _ f ->
         List.iter
           (fun (callee, args) ->
-            match Hashtbl.find_opt fns callee with
+            match find_fn ~from:f.fn_source callee with
             | None -> ()
             | Some g ->
                 let arg_globals = globals_of args in
@@ -474,10 +480,10 @@ let analyze ?context ~source_root ~entries cmt_paths =
     List.filter_map
       (fun name ->
         let key = resolve name in
-        match Hashtbl.find_opt fns key with
+        match find_fn ~from:"" key with
         | Some f -> Some (name, f)
         | None -> (
-            match Hashtbl.find_opt fns name with
+            match find_fn ~from:"" name with
             | Some f -> Some (name, f)
             | None ->
                 unresolved := name :: !unresolved;
@@ -493,17 +499,18 @@ let analyze ?context ~source_root ~entries cmt_paths =
   in
   let chain f g =
     (* entry -> ... -> direct writer, through the via links. *)
-    let rec go key acc fuel =
+    let rec go ~from key acc fuel =
       if fuel = 0 then List.rev acc
       else
-        match Hashtbl.find_opt fns key with
+        match find_fn ~from key with
         | None -> List.rev acc
         | Some fn -> (
             match List.assoc_opt g fn.fn_via with
             | Some "" | None -> List.rev acc
-            | Some next -> go next (pretty next :: acc) (fuel - 1))
+            | Some next ->
+                go ~from:fn.fn_source next (pretty next :: acc) (fuel - 1))
     in
-    go f.fn_key [] 6
+    go ~from:f.fn_source f.fn_key [] 6
   in
   let findings = ref [] in
   let suppress_or_add rule file line col message =

@@ -80,6 +80,17 @@ let fresh_body () =
     f_calls = [];
   }
 
+let absorb ~into b =
+  into.f_mentions <- SS.union b.f_mentions into.f_mentions;
+  into.f_mut_targets <- SS.union b.f_mut_targets into.f_mut_targets;
+  into.f_read_targets <- SS.union b.f_read_targets into.f_read_targets;
+  into.f_local_mut <- into.f_local_mut || b.f_local_mut;
+  into.f_local_read <- into.f_local_read || b.f_local_read;
+  into.f_io <- into.f_io || b.f_io;
+  into.f_rng <- into.f_rng || b.f_rng;
+  into.f_rng_lines <- b.f_rng_lines @ into.f_rng_lines;
+  into.f_calls <- b.f_calls @ into.f_calls
+
 (* ------------------------------------------------------------------ *)
 (* Path flattening                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -344,17 +355,7 @@ let scan (unit_info : Cmt_load.unit_info) =
           :: !bindings
     | _ ->
         (* [let () = ...], tuple patterns: module-initialisation code. *)
-        init_body.f_mentions <- SS.union facts.f_mentions init_body.f_mentions;
-        init_body.f_mut_targets <-
-          SS.union facts.f_mut_targets init_body.f_mut_targets;
-        init_body.f_read_targets <-
-          SS.union facts.f_read_targets init_body.f_read_targets;
-        init_body.f_local_mut <- init_body.f_local_mut || facts.f_local_mut;
-        init_body.f_local_read <- init_body.f_local_read || facts.f_local_read;
-        init_body.f_io <- init_body.f_io || facts.f_io;
-        init_body.f_rng <- init_body.f_rng || facts.f_rng;
-        init_body.f_rng_lines <- facts.f_rng_lines @ init_body.f_rng_lines;
-        init_body.f_calls <- facts.f_calls @ init_body.f_calls
+        absorb ~into:init_body facts
   in
   let rec scan_items prefix items =
     List.iter (scan_item prefix) items
@@ -378,17 +379,7 @@ let scan (unit_info : Cmt_load.unit_info) =
   and scan_eval e =
     let facts = fresh_body () in
     scan_expr env facts e;
-    init_body.f_mentions <- SS.union facts.f_mentions init_body.f_mentions;
-    init_body.f_mut_targets <-
-      SS.union facts.f_mut_targets init_body.f_mut_targets;
-    init_body.f_read_targets <-
-      SS.union facts.f_read_targets init_body.f_read_targets;
-    init_body.f_local_mut <- init_body.f_local_mut || facts.f_local_mut;
-    init_body.f_local_read <- init_body.f_local_read || facts.f_local_read;
-    init_body.f_io <- init_body.f_io || facts.f_io;
-    init_body.f_rng <- init_body.f_rng || facts.f_rng;
-    init_body.f_rng_lines <- facts.f_rng_lines @ init_body.f_rng_lines;
-    init_body.f_calls <- facts.f_calls @ init_body.f_calls
+    absorb ~into:init_body facts
   and scan_mb prefix (mb : Typedtree.module_binding) =
     let rec unwrap (m : Typedtree.module_expr) =
       match m.mod_desc with

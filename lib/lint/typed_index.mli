@@ -20,6 +20,10 @@ type body = {
       (** opaque callee key, absolute keys in its arguments *)
 }
 
+val absorb : into:body -> body -> unit
+(** Add a body's facts to [into]'s: how module-initialisation code
+    accumulates into a unit's [<init>]. *)
+
 type binding = {
   b_key : string;  (** "Unit.Sub.name", raw *)
   b_file : string;

@@ -51,6 +51,7 @@ let label_of_code = function
 let make_error code detail = { code; label = label_of_code code; detail }
 let usage_error detail = make_error 2 detail
 let invalid_distribution_error detail = make_error 4 detail
+let budget_exhausted_error detail = make_error 6 detail
 
 let error_of_solver e =
   make_error (Robust.Solver.exit_code e) (Robust.Solver.error_to_string e)

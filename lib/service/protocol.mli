@@ -73,6 +73,9 @@ val usage_error : string -> error
 val invalid_distribution_error : string -> error
 (** Code 4 — a distribution that fails to construct or validate. *)
 
+val budget_exhausted_error : string -> error
+(** Code 6 — a request that overran the daemon's hard watchdog. *)
+
 val error_of_solver : Robust.Solver.error -> error
 (** Map a typed solver error onto the wire: the [code] is exactly
     {!Robust.Solver.exit_code} (4–7), [label] its kebab-case name,

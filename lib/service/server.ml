@@ -664,14 +664,3 @@ let handle_line t line =
     update_pressure t ~elapsed;
     (Some response, stop)
   end
-
-let serve t ~recv ~send =
-  let rec loop () =
-    match recv () with
-    | None -> ()
-    | Some line ->
-        let response, stop = handle_line t line in
-        (match response with Some r -> send r | None -> ());
-        if not stop then loop ()
-  in
-  loop ()

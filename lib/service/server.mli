@@ -2,12 +2,11 @@
 
     A server holds the solved-strategy {!Cache} (keyed by
     {!Quantize.key}), the {!Tenants} fit table, and per-kind request
-    counters. Transport is abstract — [serve] pulls JSONL lines from a
-    [recv] thunk and pushes response lines through a [send] function,
-    so the same core runs over stdin/stdout, a Unix-domain socket
-    connection (the CLI owns the sockets) or an in-memory list (tests,
-    bench). One request line always produces exactly one response
-    line; blank lines are ignored.
+    counters. It knows no transport: {!Transport} is the daemon's one
+    loop, feeding it request lines from stdin or a Unix-domain socket,
+    with the stop check and the deadline the CLI passes in. One request
+    line always produces exactly one response line; blank lines are
+    ignored.
 
     Solves go through {!Robust.Solver.solve} (strategy ["cascade"] or
     a single tier name) so the daemon degrades instead of dying, or —
@@ -96,12 +95,6 @@ val handle_line : t -> string -> string option * bool
     response line (or [None] for blank input) and whether the server
     should stop ([true] exactly after a well-formed [shutdown]
     request). Never raises. *)
-
-(* stochlint: allow UNUSED_EXPORT — test_service and test_chaos drive the request loop in process *)
-val serve :
-  t -> recv:(unit -> string option) -> send:(string -> unit) -> unit
-(** Pump [recv] through {!handle_line} into [send] until end of input
-    ([recv () = None]) or a [shutdown] request. *)
 
 val stats_json : t -> Stochobs.Json.t
 (** The [stats] response payload: uptime, per-kind request counts,

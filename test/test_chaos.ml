@@ -295,12 +295,16 @@ let test_disconnect_survival () =
   let recv = Chaos.wrap_recv chaos recv in
   let sent = ref 0 in
   let send = Chaos.wrap_send chaos (fun _ -> incr sent) in
-  (* Mimic the CLI's per-client containment: a chaos disconnect ends
-     one client session; the daemon accepts the next. *)
+  (* Mimic the transport's per-client containment: a chaos disconnect
+     ends one client session; the daemon accepts the next. *)
   let sessions = ref 0 in
   while !script <> [] && !sessions < 200 do
     incr sessions;
-    try Server.serve server ~recv ~send with Chaos.Injected _ -> ()
+    try
+      ignore
+        (Stochserve.Transport.pump ~stop:(fun () -> false)
+           (Server.handle_line server) ~recv ~send)
+    with Chaos.Injected _ -> ()
   done;
   Alcotest.(check (list string)) "all input eventually consumed" [] !script;
   Alcotest.(check bool) "faults actually fired" true

@@ -254,7 +254,16 @@ let test_same_name_units () =
     ]
     (List.map
        (fun (u : Cmt_load.unit_info) -> (u.ui_name, u.ui_source))
-       units)
+       units);
+  (* Both units keep every function, their <init>s included. *)
+  let functions roots =
+    (Domcheck.analyze ~context:(fun _ -> Rules.Bin) ~source_root:".."
+       ~entries:[] roots)
+      .Domcheck.functions
+  in
+  Alcotest.(check int) "both units' functions"
+    (functions [ bench ] + functions [ perfbench ])
+    (functions [ bench; perfbench ])
 
 (* --- Effects: builtin table and lattice ------------------------------ *)
 

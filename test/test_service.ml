@@ -381,17 +381,14 @@ let test_server_stats_and_shutdown () =
     (field "ok" r = J.Bool true);
   Alcotest.(check bool) "shutdown stops the loop" true stop
 
-let test_serve_pump () =
-  let s = quick_server () in
-  let script =
-    ref
-      [
-        {|{"kind":"solve","id":1,"dist":{"name":"exponential"}}|};
-        "";
-        {|{"kind":"shutdown","id":2}|};
-        {|{"kind":"stats","id":3}|};
-      ]
-  in
+(* ---------------------------- transport ---------------------------- *)
+
+module Transport = Stochserve.Transport
+
+let never () = false
+
+let script_recv lines =
+  let script = ref lines in
   let recv () =
     match !script with
     | [] -> None
@@ -399,12 +396,168 @@ let test_serve_pump () =
         script := rest;
         Some l
   in
+  (script, recv)
+
+let test_pump () =
+  let s = quick_server () in
+  let script, recv =
+    script_recv
+      [
+        {|{"kind":"solve","id":1,"dist":{"name":"exponential"}}|};
+        "";
+        {|{"kind":"shutdown","id":2}|};
+        {|{"kind":"stats","id":3}|};
+      ]
+  in
   let out = ref [] in
-  Server.serve s ~recv ~send:(fun l -> out := l :: !out);
-  let lines = List.rev !out in
+  let shutdown =
+    Transport.pump ~stop:never (Server.handle_line s) ~recv
+      ~send:(fun l -> out := l :: !out)
+  in
+  Alcotest.(check bool) "a shutdown request ends the pump" true shutdown;
   Alcotest.(check int) "shutdown halts before the stats line" 2
-    (List.length lines);
+    (List.length !out);
   Alcotest.(check bool) "unconsumed input remains" true (!script <> [])
+
+let sock_path () =
+  let path = Filename.temp_file "stochserve-test" ".sock" in
+  Sys.remove path;
+  path
+
+let test_pump_stop () =
+  let s = quick_server () in
+  let script, recv = script_recv (List.init 3 (fun _ -> {|{"kind":"stats"}|})) in
+  let answered = ref 0 in
+  let shutdown =
+    Transport.pump
+      ~stop:(fun () -> !answered >= 1)
+      (Server.handle_line s) ~recv
+      ~send:(fun _ -> incr answered)
+  in
+  Alcotest.(check bool) "a stop request is not a shutdown" false shutdown;
+  Alcotest.(check int) "the stop ends the loop after one answer" 1 !answered;
+  Alcotest.(check int) "the rest is left unread" 2 (List.length !script);
+  (* Seen before the first accept, it ends the socket loop too. *)
+  let path = sock_path () in
+  Alcotest.(check bool) "socket loop ends" true
+    (Transport.serve_socket ~stop:(fun () -> true) s path = Ok ());
+  Alcotest.(check bool) "and removes its socket" false (Sys.file_exists path)
+
+(* No request reachable over the wire outstays the solver's own budget
+   guard, so the fuse is tested on a handler that spins. *)
+let test_watchdog () =
+  let s = quick_server () in
+  let handle =
+    Transport.watchdog ~fuse:0.05 (fun line ->
+        if line = "spin" then begin
+          while true do
+            ()
+          done;
+          (None, false)
+        end
+        else Server.handle_line s line)
+  in
+  let _, recv = script_recv [ "spin"; {|{"kind":"stats","id":2}|} ] in
+  let out = ref [] in
+  ignore (Transport.pump ~stop:never handle ~recv ~send:(fun l -> out := l :: !out));
+  match List.rev_map J.of_string !out with
+  | [ Ok fired; Ok next ] ->
+      Alcotest.(check bool) "the overlong request answers code 6" true
+        (field "code" fired = J.Num 6.0);
+      let budget =
+        Protocol.error_of_solver
+          (Robust.Solver.Budget_exhausted
+             { stage = "x"; evaluations = 0; elapsed = 0.0 })
+      in
+      Alcotest.(check bool) "with the protocol's code-6 label" true
+        (field "error" fired = J.Str budget.Protocol.label);
+      Alcotest.(check bool) "the next request is served" true
+        (field "ok" next = J.Bool true && field "id" next = J.Num 2.0)
+  | _ -> Alcotest.fail "expected two JSON response lines"
+
+let rec connect ?(tries = 500) path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.connect fd (Unix.ADDR_UNIX path) with
+  | () -> fd
+  | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+    when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      connect ~tries:(tries - 1) path
+
+(* One client: send [payload], half-close, read the answers until the
+   daemon hangs up. *)
+let session path payload =
+  let fd = connect path in
+  let oc = Unix.out_channel_of_descr fd in
+  output_string oc payload;
+  flush oc;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let answers = In_channel.input_all (Unix.in_channel_of_descr fd) in
+  Unix.close fd;
+  List.filter (( <> ) "") (String.split_on_char '\n' answers)
+
+(* A client that sends half a line and hangs up without reading. *)
+let hang_up path =
+  let fd = connect path in
+  ignore (Unix.write_substring fd {|{"kind":"st|} 0 11);
+  Unix.close fd
+
+(* Serve [path] in this domain while [clients] run in another; the
+   daemon ignores SIGPIPE, as the CLI installs it. *)
+let with_clients path clients =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let s = quick_server () in
+  let client = Domain.spawn clients in
+  let served = Transport.serve_socket ~stop:never s path in
+  (served, Domain.join client)
+
+let ids lines =
+  List.map
+    (fun l ->
+      match J.of_string l with
+      | Ok j when field "ok" j = J.Bool true -> field "id" j
+      | _ -> Alcotest.failf "not an ok answer: %s" l)
+    lines
+
+let test_socket_clients () =
+  let path = sock_path () in
+  let served, answers =
+    with_clients path (fun () ->
+        let first = session path "{\"kind\":\"stats\",\"id\":1}\n" in
+        let second =
+          session path
+            "{\"kind\":\"stats\",\"id\":2}\n\n{\"kind\":\"shutdown\",\"id\":3}\n"
+        in
+        first @ second)
+  in
+  Alcotest.(check bool) "served until the shutdown" true (served = Ok ());
+  Alcotest.(check bool) "one answer per request, in order" true
+    (ids answers = [ J.Num 1.0; J.Num 2.0; J.Num 3.0 ]);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+let test_socket_hang_up () =
+  let path = sock_path () in
+  let served, answers =
+    with_clients path (fun () ->
+        hang_up path;
+        session path "{\"kind\":\"stats\",\"id\":1}\n{\"kind\":\"shutdown\",\"id\":2}\n")
+  in
+  Alcotest.(check bool) "the daemon outlives the client" true (served = Ok ());
+  Alcotest.(check bool) "and serves the next one" true
+    (ids answers = [ J.Num 1.0; J.Num 2.0 ]);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+let test_socket_not_a_socket () =
+  let path = Filename.temp_file "stochserve-test" ".txt" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "keep me");
+  (* Were it removed, the loop would bind there and stop at once. *)
+  (match Transport.serve_socket ~stop:(fun () -> true) (quick_server ()) path with
+  | Ok () -> Alcotest.fail "a regular file must be refused"
+  | Error _ -> ());
+  Alcotest.(check string) "the file survives untouched" "keep me"
+    (In_channel.with_open_text path In_channel.input_all);
+  Sys.remove path
 
 let test_reject_nonfinite_params () =
   let s = quick_server () in
@@ -748,7 +901,6 @@ let () =
           Alcotest.test_case "error paths" `Quick test_server_error_paths;
           Alcotest.test_case "stats and shutdown" `Quick
             test_server_stats_and_shutdown;
-          Alcotest.test_case "serve pump" `Quick test_serve_pump;
           Alcotest.test_case "non-finite parameters rejected" `Quick
             test_reject_nonfinite_params;
           Alcotest.test_case "line length cap" `Quick test_line_length_cap;
@@ -764,5 +916,17 @@ let () =
             test_overload_state_and_p99;
           Alcotest.test_case "window p99 against the nearest-rank pass" `Quick
             test_window_p99_incremental;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "serve pump" `Quick test_pump;
+          Alcotest.test_case "stop between requests" `Quick test_pump_stop;
+          Alcotest.test_case "watchdog" `Quick test_watchdog;
+          Alcotest.test_case "socket: sequential clients" `Quick
+            test_socket_clients;
+          Alcotest.test_case "socket: client hangs up mid-line" `Quick
+            test_socket_hang_up;
+          Alcotest.test_case "socket: a regular file is left alone" `Quick
+            test_socket_not_a_socket;
         ] );
     ]
