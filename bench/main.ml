@@ -64,7 +64,7 @@ let obs_run ~quick:_ ~log:_ =
   let delta = M.diff ~before ~after:(M.snapshot M.default) in
   let median a =
     let a = Array.copy a in
-    Array.sort Float.compare a;
+    Numerics.Stats.sort a;
     a.(Array.length a / 2)
   in
   let wall_noop = median noop and wall_on = median on in
@@ -133,7 +133,7 @@ let percentile l p =
   match Array.of_list l with
   | [||] -> 0.0
   | a ->
-      Array.sort Float.compare a;
+      Numerics.Stats.sort a;
       Numerics.Stats.quantile_nearest_rank_sorted a p
 
 (* N tenants with near-identical LogNormal fits hammer the solve

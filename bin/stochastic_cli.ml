@@ -450,7 +450,7 @@ let cluster_cmd =
         Format.printf "measured cost model: %a@." Cost_model.pp measured;
         let eval_rng = Randomness.Rng.create ~seed:(seed + 5) () in
         let samples = Dist.samples d eval_rng budget.Robust.Solver.mc_samples in
-        Array.sort compare samples;
+        Numerics.Stats.sort samples;
         let score m = Strategy.evaluate_on m d ~sorted_samples:samples s in
         Format.printf
           "normalized E(cost) of %s: %.4f assumed model, %.4f measured model@."

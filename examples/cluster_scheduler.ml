@@ -63,7 +63,7 @@ let () =
   (* Re-score the strategy under the model its own contention induced. *)
   let rng = Randomness.Rng.create ~seed:8 () in
   let samples = Dist.samples d rng 2000 in
-  Array.sort compare samples;
+  Numerics.Stats.sort samples;
   let score m = Strategy.evaluate_on m d ~sorted_samples:samples strategy in
   Format.printf
     "normalized E(cost) of %s: %.4f under the assumed model, %.4f under the \

@@ -59,7 +59,7 @@ let () =
 
   (* --- 4. Compare strategies --------------------------------------- *)
   let samples = Dist.samples d rng 2000 in
-  Array.sort compare samples;
+  Numerics.Stats.sort samples;
   let roster =
     [
       Strategy.brute_force ~m:3000 ~n:1000 ~seed:5 ();

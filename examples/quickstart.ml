@@ -40,7 +40,7 @@ let () =
 
   (* 6. Compare against a simple heuristic on the same sample set. *)
   let samples = Dist.samples jobs rng 1000 in
-  Array.sort compare samples;
+  Numerics.Stats.sort samples;
   let eval s = Strategy.evaluate_on model jobs ~sorted_samples:samples s in
   Format.printf "Brute-Force %.3f vs Mean-Doubling %.3f vs Median %.3f@."
     (eval strategy)

@@ -23,7 +23,7 @@ let prefix_sums xs =
   { xs; hi; lo }
 
 let sample xs =
-  Array.stable_sort Float.compare xs;
+  Numerics.Stats.sort xs;
   Sorted_sample (prefix_sums xs)
 
 (* The sum of [xs.(i .. j-1)]. Each difference is rounded once, relative

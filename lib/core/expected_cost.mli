@@ -22,9 +22,9 @@ type scoring =
   | Sorted_sample of sample  (** The Eq. (13) mean over a sample. *)
 
 val sample : float array -> scoring
-(** [sample xs] sorts [xs] in place with [Float.compare] (a merge
-    sort, which takes two thirds of the time of [Array.sort] on a
-    Monte-Carlo sample) and builds its prefix sums. *)
+(** [sample xs] sorts [xs] in place with {!Numerics.Stats.sort} (the
+    stdlib's stable merge sort under [Float.compare], bit for bit,
+    without boxing an element) and builds its prefix sums. *)
 
 val first_reservation_bound :
   scoring -> Cost_model.t -> Distributions.Dist.t -> float -> float

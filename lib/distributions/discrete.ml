@@ -1,31 +1,51 @@
 type t = { values : float array; probs : float array }
 
+let by_value ((v1 : float), _) (v2, _) = compare v1 v2
+
 let make pairs =
-  let pairs = Array.copy pairs in
-  Array.sort (fun (v1, _) (v2, _) -> compare v1 v2) pairs;
   Array.iter
     (fun (_, p) ->
       if p < 0.0 then invalid_arg "Discrete.make: negative probability")
     pairs;
-  (* Merge duplicates, drop zero-probability points. *)
-  let merged = ref [] in
+  let n = Array.length pairs in
+  (* Discretize emits its points strictly increasing; anything else is
+     sorted, ties in the order the heap sort leaves them. *)
+  let rec increasing i =
+    i >= n || (fst pairs.(i - 1) < fst pairs.(i) && increasing (i + 1))
+  in
+  let pairs =
+    if increasing 1 then pairs
+    else begin
+      let sorted = Array.copy pairs in
+      Array.sort by_value sorted;
+      sorted
+    end
+  in
+  (* One pass: merge duplicates, drop zero-probability points. *)
+  let values = Array.create_float n and probs = Array.create_float n in
+  let k = ref 0 in
   Array.iter
     (fun (v, p) ->
       if p > 0.0 then
-        match !merged with
-        | (v', p') :: rest when v' = v -> merged := (v', p' +. p) :: rest
-        | _ -> merged := (v, p) :: !merged)
+        if !k > 0 && values.(!k - 1) = v then
+          probs.(!k - 1) <- probs.(!k - 1) +. p
+        else begin
+          values.(!k) <- v;
+          probs.(!k) <- p;
+          incr k
+        end)
     pairs;
-  let pairs = Array.of_list (List.rev !merged) in
-  if Array.length pairs = 0 then
+  let k = !k in
+  if k = 0 then
     invalid_arg "Discrete.make: no support point with positive probability";
-  let total = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 pairs in
-  if total > 1.0 +. 1e-9 then
+  let total = ref 0.0 in
+  for i = 0 to k - 1 do
+    total := !total +. probs.(i)
+  done;
+  if !total > 1.0 +. 1e-9 then
     invalid_arg "Discrete.make: total probability mass exceeds 1";
-  {
-    values = Array.map fst pairs;
-    probs = Array.map snd pairs;
-  }
+  if k = n then { values; probs }
+  else { values = Array.sub values 0 k; probs = Array.sub probs 0 k }
 
 let total_mass d = Numerics.Kahan.sum_array d.probs
 

@@ -17,6 +17,10 @@ val make : (float * float) array -> t
 (** [make pairs] builds a discrete distribution from (value,
     probability) pairs: sorts by value, merges duplicate values by
     adding their probabilities, and drops pairs with zero probability.
+    Pairs already strictly increasing in value (what [Discretize]
+    emits) take one O(n) pass straight into float arrays; any other
+    input is first sorted by value with [Array.sort], O(n log n), and
+    duplicate masses are added in the order that sort leaves them.
     @raise Invalid_argument if no pair remains, if any probability is
     negative, or if the total mass exceeds [1 + 1e-9]. *)
 

@@ -1,6 +1,6 @@
 let sorted_copy xs =
   let c = Array.copy xs in
-  Array.sort compare c;
+  Numerics.Stats.sort c;
   c
 
 let make ?name samples =

@@ -114,7 +114,7 @@ let run ?(cfg = Config.paper) ?(jobs = 1500) ?(nodes = 32) ?(load = 1.15) () =
     | Some m ->
         let rng = Config.rng_for cfg "cluster-self-consistent" in
         let samples = Dist.samples d rng cfg.Config.n_mc in
-        Array.sort compare samples;
+        Numerics.Stats.sort samples;
         List.map
           (fun (name, s) ->
             (name, Strategy.evaluate_on m d ~sorted_samples:samples s))

@@ -26,7 +26,7 @@ let scores ?(cost = Cost_model.reservation_only) ~stream (cfg : Config.t)
   let samples =
     Distributions.Dist.samples d (Config.rng_for cfg stream) cfg.Config.n_mc
   in
-  Array.sort compare samples;
+  Numerics.Stats.sort samples;
   Array.of_list
     (List.map
        (fun s -> Strategy.evaluate_on cost d ~sorted_samples:samples s)

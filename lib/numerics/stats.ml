@@ -27,10 +27,76 @@ let quantiles_sorted xs p =
     xs.(lo) +. (frac *. (xs.(lo + 1) -. xs.(lo)))
   end
 
-let quantile xs p =
+(* [Float.compare x y > 0]: NaN sorts below every number and equals
+   itself; -0 and +0 tie. Inlined, so neither argument is boxed. *)
+let[@inline] after x y =
+  x > y || (Float.is_nan y && not (Float.is_nan x))
+
+(* The stdlib's [Array.stable_sort Float.compare] (same split, cutoff
+   and merge order) on a float array: every element is read and written
+   by index, and no float is passed to a local function, so none is
+   boxed. *)
+let sort (a : float array) =
+  let cutoff = 5 in
+  (* Merge [a.(src1ofs ..)] and [src2.(src2ofs ..)] into [dst.(dstofs ..)],
+     the left run first on ties. *)
+  let merge src1ofs src1len (src2 : float array) src2ofs src2len
+      (dst : float array) dstofs =
+    let src1r = src1ofs + src1len and src2r = src2ofs + src2len in
+    let i1 = ref src1ofs and i2 = ref src2ofs and d = ref dstofs in
+    while !i1 < src1r && !i2 < src2r do
+      if after (Array.unsafe_get a !i1) (Array.unsafe_get src2 !i2) then begin
+        Array.unsafe_set dst !d (Array.unsafe_get src2 !i2);
+        incr i2
+      end
+      else begin
+        Array.unsafe_set dst !d (Array.unsafe_get a !i1);
+        incr i1
+      end;
+      incr d
+    done;
+    if !i1 < src1r then Array.blit a !i1 dst !d (src1r - !i1)
+    else Array.blit src2 !i2 dst !d (src2r - !i2)
+  in
+  (* Insertion-sort [a.(srcofs .. srcofs + len - 1)] into [dst.(dstofs ..)]. *)
+  let isortto srcofs (dst : float array) dstofs len =
+    for i = 0 to len - 1 do
+      let e = Array.unsafe_get a (srcofs + i) in
+      let j = ref (dstofs + i - 1) in
+      while !j >= dstofs && after (Array.unsafe_get dst !j) e do
+        Array.unsafe_set dst (!j + 1) (Array.unsafe_get dst !j);
+        decr j
+      done;
+      Array.unsafe_set dst (!j + 1) e
+    done
+  in
+  let rec sortto srcofs dst dstofs len =
+    if len <= cutoff then isortto srcofs dst dstofs len
+    else begin
+      let l1 = len / 2 in
+      let l2 = len - l1 in
+      sortto (srcofs + l1) dst (dstofs + l1) l2;
+      sortto srcofs a (srcofs + l2) l1;
+      merge (srcofs + l2) l1 dst (dstofs + l1) l2 dst dstofs
+    end
+  in
+  let l = Array.length a in
+  if l <= cutoff then isortto 0 a 0 l
+  else begin
+    let l1 = l / 2 in
+    let l2 = l - l1 in
+    let t = Array.create_float l2 in
+    sortto l1 t 0 l2;
+    sortto 0 a l2 l1;
+    merge l2 l1 t 0 l2 a 0
+  end
+
+let sorted_copy xs =
   let copy = Array.copy xs in
-  Array.sort compare copy;
-  quantiles_sorted copy p
+  sort copy;
+  copy
+
+let quantile xs p = quantiles_sorted (sorted_copy xs) p
 
 (* Nearest-rank definition: the smallest sample value with at least a
    [p] fraction of the sample at or below it, i.e. the order statistic
@@ -47,9 +113,7 @@ let quantile_nearest_rank_sorted xs p =
   xs.(nearest_rank (Array.length xs) p - 1)
 
 let quantile_nearest_rank xs p =
-  let copy = Array.copy xs in
-  Array.sort compare copy;
-  quantile_nearest_rank_sorted copy p
+  quantile_nearest_rank_sorted (sorted_copy xs) p
 
 let median xs = quantile xs 0.5
 

@@ -52,7 +52,7 @@ let compute t =
     Hashtbl.fold
       (fun name a rows ->
         let ds = Array.of_list a.a_durations in
-        Array.sort compare ds;
+        Numerics.Stats.sort ds;
         {
           name;
           count = a.a_count;

@@ -57,7 +57,7 @@ let run ?(jobs = 1000) m d s rng =
       Numerics.Kahan.add total_reserved o.total_reserved)
     outcomes;
   let sorted_costs = Array.copy costs in
-  Array.sort compare sorted_costs;
+  Numerics.Stats.sort sorted_costs;
   let cvar95_cost =
     (* Mean of the top 5% (at least one job). *)
     let n = Array.length sorted_costs in

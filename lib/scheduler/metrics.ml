@@ -84,7 +84,7 @@ let summarize ~model (r : Engine.result) =
     else Numerics.Stats.mean (Array.map f per_job)
   in
   let stretches = Array.map (fun m -> m.stretch) per_job in
-  Array.sort compare stretches;
+  Numerics.Stats.sort stretches;
   let n = Array.length stretches in
   (* Node-time split by kill cause, over every attempt of every job
      (abandoned ones included: their burnt node-hours are real). *)

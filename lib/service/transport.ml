@@ -43,17 +43,72 @@ let handler ?deadline server =
   | None -> Server.handle_line server
   | Some d -> watchdog ~fuse:((2.0 *. d) +. 0.5) (Server.handle_line server)
 
-let pump_channels ~stop handle ic oc =
-  pump ~stop handle
-    ~recv:(fun () -> In_channel.input_line ic)
-    ~send:(fun r ->
-      output_string oc r;
-      output_char oc '\n';
-      flush oc)
+let send_to oc r =
+  output_string oc r;
+  output_char oc '\n';
+  flush oc
 
 let serve_channels ~stop ?deadline server ic oc =
-  try ignore (pump_channels ~stop (handler ?deadline server) ic oc)
+  try
+    ignore
+      (pump ~stop (handler ?deadline server)
+         ~recv:(fun () -> In_channel.input_line ic)
+         ~send:(send_to oc))
   with Sys_error _ -> (* An interrupted read during shutdown. *) ()
+
+(* [In_channel.input_line]'s lines from a connection, read so that a
+   stop request is seen while the client sits idle: a line already
+   buffered is returned at once; otherwise [stop] is checked before each
+   wait, and the wait ([Unix.select]) ends on data, a signal or a short
+   timeout. [None] on a stop request or at end of input. Unread bytes
+   are [buf.(lo .. hi - 1)], with no newline before [scanned]. *)
+let socket_lines ~stop fd =
+  let buf = ref (Bytes.create 65536) in
+  let lo = ref 0 and hi = ref 0 and scanned = ref 0 in
+  let rec take_line () =
+    if !scanned >= !hi then None
+    else if Bytes.get !buf !scanned = '\n' then begin
+      let line = Bytes.sub_string !buf !lo (!scanned - !lo) in
+      lo := !scanned + 1;
+      scanned := !lo;
+      Some line
+    end
+    else begin
+      incr scanned;
+      take_line ()
+    end
+  in
+  (* Read more after [hi], first moving the partial line to the front
+     and growing [buf] if it is full. *)
+  let fill () =
+    let len = !hi - !lo in
+    Bytes.blit !buf !lo !buf 0 len;
+    scanned := !scanned - !lo;
+    lo := 0;
+    hi := len;
+    if len = Bytes.length !buf then buf := Bytes.extend !buf 0 len;
+    Unix.read fd !buf len (Bytes.length !buf - len)
+  in
+  let rec recv () =
+    match take_line () with
+    | Some _ as line -> line
+    | None when stop () -> None
+    | None -> (
+        match Unix.select [ fd ] [] [] 0.1 with
+        | [], _, _ -> recv ()
+        | _ -> (
+            match fill () with
+            | 0 ->
+                (* End of input: a last unterminated line still counts. *)
+                let rest = Bytes.sub_string !buf !lo (!hi - !lo) in
+                lo := !hi;
+                if rest = "" then None else Some rest
+            | k ->
+                hi := !hi + k;
+                recv ())
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv ())
+  in
+  recv
 
 (* Only a socket left behind by an unclean death is ours to remove. *)
 let clear_stale path =
@@ -82,9 +137,9 @@ let serve_socket ~stop ?deadline server path =
        | Some conn ->
            let shutdown =
              try
-               pump_channels ~stop handle
-                 (Unix.in_channel_of_descr conn)
-                 (Unix.out_channel_of_descr conn)
+               pump ~stop handle
+                 ~recv:(socket_lines ~stop conn)
+                 ~send:(send_to (Unix.out_channel_of_descr conn))
              with Sys_error _ | Unix.Unix_error _ ->
                (* A dropped client must not take the daemon down. *)
                false

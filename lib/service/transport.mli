@@ -36,7 +36,8 @@ val serve_socket :
   stop:(unit -> bool) -> ?deadline:float -> Server.t -> string ->
   (unit, string) result
 (** Serve a socket at the path, one client at a time, until a
-    [shutdown] or stop request. A dropped client never takes the
+    [shutdown] or stop request. A stop request is seen within 0.1 s
+    even while a connected client sits idle. A dropped client never takes the
     daemon down; the socket file is removed on exit. A stale socket at
     the path is replaced; anything else there is left untouched and
     refused with [Error]. *)

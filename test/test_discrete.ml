@@ -111,6 +111,92 @@ let prop_normalize =
       && Array.for_all2 (fun p q -> Float.abs (q -. (p /. z)) <= 1e-15) d.D.probs
            n.D.probs)
 
+(* ---------------- oracle: the sort-then-list-merge builder ---------------- *)
+
+let outcome make pairs =
+  match make pairs with
+  | r -> Ok r
+  | exception Invalid_argument msg -> Error msg
+
+let same_outcome pairs =
+  let bits a = Array.map Int64.bits_of_float a in
+  let got =
+    outcome (fun p -> let d = D.make p in (d.D.values, d.D.probs)) pairs
+  in
+  match (got, outcome Discrete_oracle.make pairs) with
+  | Ok (v, p), Ok (v', p') -> bits v = bits v' && bits p = bits p'
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+type shape = Increasing | Sorted_with_ties | Unsorted
+
+(* Up to 60 points: strictly increasing, sorted with ties, or in any
+   order on a coarse grid (so duplicates are common); a quarter of the
+   masses zero, one input in eight with a negative mass, and the total
+   scaled to a mass that sometimes exceeds 1. *)
+let oracle_pairs =
+  let open QCheck.Gen in
+  let gen =
+    let* shape = oneofl [ Increasing; Sorted_with_ties; Unsorted ] in
+    let* n = int_range 0 60 in
+    let* steps = array_repeat n (float_range 1e-3 2.0) in
+    let* grid = array_repeat n (map float_of_int (int_range 0 10)) in
+    let* masses =
+      array_repeat n (frequency [ (1, return 0.0); (3, float_range 1e-6 1.0) ])
+    in
+    (* The index of the negative mass, or -1. *)
+    let* negative =
+      frequency [ (7, return (-1)); (1, int_bound (max 0 (n - 1))) ]
+    in
+    let+ scale =
+      frequency [ (4, float_range 0.1 1.0); (1, float_range 1.0 1.5) ]
+    in
+    let values =
+      match shape with
+      | Increasing ->
+          let acc = ref 0.0 in
+          Array.map (fun s -> acc := !acc +. s; !acc) steps
+      | Sorted_with_ties ->
+          let g = Array.copy grid in
+          Array.sort compare g;
+          g
+      | Unsorted -> grid
+    in
+    let total = Array.fold_left ( +. ) 0.0 masses in
+    Array.mapi
+      (fun i v ->
+        let p = masses.(i) in
+        if i = negative then (v, -0.1)
+        else (v, if p > 0.0 then p *. scale /. total else p))
+      values
+  in
+  QCheck.make
+    ~print:(fun a ->
+      String.concat "; "
+        (Array.to_list (Array.map (fun (v, p) -> Printf.sprintf "(%h, %h)" v p) a)))
+    gen
+
+let prop_oracle =
+  QCheck.Test.make ~count:1000
+    ~name:"make = the sort-then-merge oracle, bit for bit, errors included"
+    oracle_pairs same_outcome
+
+let test_oracle_cases () =
+  let check name pairs =
+    Alcotest.(check bool) name true (same_outcome pairs)
+  in
+  check "increasing" [| (1.0, 0.1); (2.0, 0.2); (3.5, 0.3) |];
+  check "increasing, zero mass" [| (1.0, 0.1); (2.0, 0.0); (3.5, 0.3) |];
+  check "sorted duplicates" [| (1.0, 0.1); (1.0, 0.2); (2.0, 0.3); (2.0, 0.0) |];
+  check "unsorted duplicates"
+    [| (3.0, 0.1); (1.0, 0.2); (3.0, 0.3); (2.0, 0.1); (1.0, 0.05); (3.0, 0.0) |];
+  check "signed zeros" [| (0.0, 0.25); (-0.0, 0.25); (1.0, 0.5) |];
+  check "negative probability" [| (1.0, 0.5); (2.0, -0.1) |];
+  check "no positive mass" [| (1.0, 0.0); (2.0, 0.0) |];
+  check "empty" [||];
+  check "mass above 1" [| (1.0, 0.6); (2.0, 0.6) |];
+  check "negative mass wins over excess mass" [| (1.0, 0.9); (2.0, 0.9); (3.0, -1.0) |]
+
 let () =
   Alcotest.run "discrete"
     [
@@ -123,11 +209,13 @@ let () =
           Alcotest.test_case "make order independent" `Quick
             test_make_order_independent;
           Alcotest.test_case "mass tolerance" `Quick test_mass_tolerance;
+          Alcotest.test_case "oracle cases" `Quick test_oracle_cases;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_support_strict;
           QCheck_alcotest.to_alcotest prop_merge_sums_duplicates;
           QCheck_alcotest.to_alcotest prop_normalize;
+          QCheck_alcotest.to_alcotest prop_oracle;
         ] );
     ]

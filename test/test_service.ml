@@ -548,6 +548,92 @@ let test_socket_hang_up () =
     (ids answers = [ J.Num 1.0; J.Num 2.0 ]);
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+(* A client whose reads give up after 5 s, so a daemon that never
+   answers fails the test instead of hanging it. *)
+let patient_client path =
+  let fd = connect path in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  (fd, Unix.in_channel_of_descr fd)
+
+let answer_line ic =
+  match In_channel.input_line ic with
+  | Some l -> l
+  | None -> Alcotest.fail "the daemon hung up"
+
+let send fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Serve [path] with a daemon that stops once [stopping] is set, while
+   [client stopping finished] runs in another domain; [finished] is set
+   when the loop returns. Whatever way the client ends, it sets
+   [stopping] and hangs up, so a daemon that misbehaves fails the test
+   instead of hanging it. *)
+let with_stoppable_client path client =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let stopping = Atomic.make false and finished = Atomic.make false in
+  let c =
+    Domain.spawn (fun () ->
+        let fd, ic = patient_client path in
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stopping true;
+            Unix.close fd)
+          (fun () -> client fd ic stopping finished))
+  in
+  let served =
+    Transport.serve_socket ~stop:(fun () -> Atomic.get stopping)
+      (quick_server ()) path
+  in
+  Atomic.set finished true;
+  (served, Domain.join c)
+
+(* A stop request must end the loop while a client sits connected and
+   silent: the daemon waits on the connection, not in a read that only
+   a line or a hang-up ends. *)
+let test_socket_idle_stop () =
+  let path = sock_path () in
+  let served, (first, in_time) =
+    with_stoppable_client path (fun fd ic stopping finished ->
+        send fd "{\"kind\":\"stats\",\"id\":1}\n";
+        let first = answer_line ic in
+        (* Answered; give the daemon time to start waiting for the next
+           line, so the stop arrives while it waits, not before. *)
+        Unix.sleepf 0.1;
+        Atomic.set stopping true;
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 1.0 do
+          Unix.sleepf 0.01
+        done;
+        (first, Atomic.get finished))
+  in
+  Alcotest.(check bool) "the first request is answered" true
+    (ids [ first ] = [ J.Num 1.0 ]);
+  Alcotest.(check bool) "the loop returns within 1 s of the stop" true in_time;
+  Alcotest.(check bool) "cleanly" true (served = Ok ());
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* Two lines in one write: the second is already read off the socket
+   when the first is answered, and must be answered without more
+   input. Then a line longer than the daemon's 64 KiB read buffer,
+   which arrives over several reads. *)
+let test_socket_two_lines_one_write () =
+  let path = sock_path () in
+  let served, answers =
+    with_stoppable_client path (fun fd ic _ _ ->
+        send fd "{\"kind\":\"stats\",\"id\":1}\n{\"kind\":\"stats\",\"id\":2}\n";
+        let first = answer_line ic in
+        let second = answer_line ic in
+        send fd
+          (Printf.sprintf "{\"kind\":\"stats\",\"id\":3,\"pad\":%S}\n"
+             (String.make 200_000 'x'));
+        let long = answer_line ic in
+        send fd "{\"kind\":\"shutdown\",\"id\":4}\n";
+        [ first; second; long; answer_line ic ])
+  in
+  Alcotest.(check bool) "served until the shutdown" true (served = Ok ());
+  Alcotest.(check bool) "every line answered, in order" true
+    (ids answers = [ J.Num 1.0; J.Num 2.0; J.Num 3.0; J.Num 4.0 ]);
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
 let test_socket_not_a_socket () =
   let path = Filename.temp_file "stochserve-test" ".txt" in
   Out_channel.with_open_text path (fun oc -> output_string oc "keep me");
@@ -928,5 +1014,9 @@ let () =
             test_socket_hang_up;
           Alcotest.test_case "socket: a regular file is left alone" `Quick
             test_socket_not_a_socket;
+          Alcotest.test_case "socket: stop with an idle client" `Quick
+            test_socket_idle_stop;
+          Alcotest.test_case "socket: two lines in one write" `Quick
+            test_socket_two_lines_one_write;
         ] );
     ]

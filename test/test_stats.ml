@@ -164,6 +164,60 @@ let prop_histogram_counts =
       && h.S.counts.(bins - 1) >= 1
       && Float.abs (h.S.bounds.(bins) -. mx) <= 1e-9 *. (1.0 +. Float.abs mx))
 
+let bits_equal x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Up to 2,000 floats mixing NaNs (two payloads and both signs), signed
+   zeros, infinities, a small integer pool (so ties are common) and
+   arbitrary floats. *)
+let sort_input =
+  let special =
+    QCheck.Gen.oneofl
+      [
+        nan;
+        Float.neg nan;
+        Int64.float_of_bits 0x7FF8_0000_0000_0123L;
+        -0.0;
+        0.0;
+        infinity;
+        neg_infinity;
+      ]
+  in
+  let elt =
+    QCheck.Gen.(
+      frequency
+        [ (1, special); (2, map float_of_int (int_range (-3) 3)); (3, float) ])
+  in
+  QCheck.make
+    ~print:(fun a ->
+      String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)))
+    QCheck.Gen.(int_range 0 2000 >>= fun n -> array_repeat n elt)
+
+(* The kernel replaced [Array.stable_sort Float.compare] in
+   Expected_cost.sample: its output must be that sort's, bit for bit. *)
+let prop_sort_is_stable_sort =
+  QCheck.Test.make ~count:300
+    ~name:"sort = Array.stable_sort Float.compare, bit for bit" sort_input
+    (fun a ->
+      let expected = Array.copy a and got = Array.copy a in
+      Array.stable_sort Float.compare expected;
+      S.sort got;
+      Array.for_all2 bits_equal expected got)
+
+let test_sort_edges () =
+  let check name a expected =
+    let got = Array.copy a in
+    S.sort got;
+    Alcotest.(check bool) name true (Array.for_all2 bits_equal expected got)
+  in
+  check "empty" [||] [||];
+  check "one" [| 1.0 |] [| 1.0 |];
+  check "NaN first, signed zeros in input order"
+    [| 2.0; 0.0; nan; -0.0; neg_infinity; 0.0; -0.0 |]
+    [| nan; neg_infinity; 0.0; -0.0; 0.0; -0.0; 2.0 |];
+  check "past the insertion-sort cutoff"
+    (Array.init 13 (fun i -> float_of_int ((i * 7) mod 13)))
+    (Array.init 13 float_of_int)
+
 let () =
   Alcotest.run "stats"
     [
@@ -175,6 +229,7 @@ let () =
           Alcotest.test_case "nearest-rank quantile" `Quick test_nearest_rank;
           Alcotest.test_case "nearest_rank ranks" `Quick test_nearest_rank_ranks;
           Alcotest.test_case "histogram" `Quick test_histogram;
+          Alcotest.test_case "sort edges" `Quick test_sort_edges;
         ] );
       ( "property",
         [
@@ -184,5 +239,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_median_is_half_quantile;
           QCheck_alcotest.to_alcotest prop_std_affine;
           QCheck_alcotest.to_alcotest prop_histogram_counts;
+          QCheck_alcotest.to_alcotest prop_sort_is_stable_sort;
         ] );
     ]
